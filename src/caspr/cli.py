@@ -34,20 +34,20 @@ def _resolve(arg: str) -> str:
 def _cmd_run(args) -> int:
     cfg = scenario.load(_resolve(args.scenario), args.set or [])
     seeds = [args.seed] if args.seed is not None else None
-    out_dir = args.out or os.path.join("runs", cfg["name"])
+    out_dir = args.out or os.path.join("runs", cfg.name)
     try:
         runs = runner.run_scenario(cfg, out_dir, seeds=seeds, trace=args.trace)
     except runner.InvariantViolation as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 1
-    print(metrics.render_summary_text(runs, cfg["cost"]["price_per_gb"]), end="")
+    print(metrics.render_summary_text(runs, cfg.cost.price_per_gb), end="")
     print(f"artifacts in {out_dir}/")
     return 0
 
 
 def _cmd_validate(args) -> int:
     cfg = scenario.load(_resolve(args.scenario), args.set or [])
-    print(f"{cfg['name']}: OK")
+    print(f"{cfg.name}: OK")
     return 0
 
 

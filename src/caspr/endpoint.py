@@ -91,10 +91,6 @@ class Sender:
         self._burst_end = 0
         run_log.register_flow(config.flow_id, config.packet_size)
 
-    def start(self) -> None:
-        self.env.schedule(max(0, self.config.start_us - self.env.now),
-                          ("burst",))
-
     def on_message(self, msg, link_name: str) -> None:
         pass
 
@@ -144,10 +140,10 @@ class DetectorConfig:
     burst_factor: float = 4.0     # arrival gap below factor*median: in a burst
     nominal_gap_us: int = 10_000
     giveup_after: int = 8
-    window: int = 15
 
 
 BURST, IDLE_STATE = "burst", "idle"
+GAP_WINDOW = 15  # recent arrival gaps whose median is the burst gap estimate
 
 
 @dataclass
@@ -156,7 +152,7 @@ class _FlowState:
     beyond: set = field(default_factory=set)
     max_seen: int = -1
     last_arrival_us: int | None = None
-    gaps: deque = field(default_factory=lambda: deque(maxlen=15))
+    gaps: deque = field(default_factory=lambda: deque(maxlen=GAP_WINDOW))
     mode: str = IDLE_STATE
     timer_gen: int = 0
     unanswered: int = 0

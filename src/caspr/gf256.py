@@ -6,8 +6,9 @@ reconstruction both reduce to matrix products over the field, and those
 inner loops over payload bytes are the hot path of the whole package:
 everything else is control logic.  The product kernel therefore has two
 interchangeable implementations, a numba-compiled loop and a pure-numpy
-gather, selected once at import.  Set CASPR_NUMBA=0 to force the numpy
-path (``benchmarks/bench_codec.py`` times the two against each other).
+gather, selected once at import: numba is an optional extra, and
+CASPR_NUMBA=0 forces the numpy path even where it is installed.
+``perfbench/kernel.py`` times whichever kernel is active.
 """
 
 from __future__ import annotations

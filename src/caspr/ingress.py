@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import CodingParams, SourceSymbol, encode_batch
-from .wire import CTRL_FLOW_REGISTER, Ctrl, DataPacket, coded_from_parity
+from .wire import DataPacket, coded_from_parity
 
 
 class IngressError(Exception):
@@ -111,10 +111,6 @@ class IngressCoder:
     def on_message(self, msg, link_name: str) -> None:
         if isinstance(msg, DataPacket):
             self.process_packet(msg)
-        elif isinstance(msg, Ctrl) and msg.kind == CTRL_FLOW_REGISTER:
-            # in-band registration names the egress by group id convention;
-            # simulation runs wire everything up front instead
-            pass
 
     def on_timer(self, token) -> None:
         kind = token[0]

@@ -343,7 +343,8 @@ def summary_row(m: RunMetrics, seed_label=None) -> dict:
 
 def pool_runs(runs: list[RunMetrics]) -> RunMetrics:
     """Aggregate seeds by pooling packets, not averaging rates."""
-    assert runs
+    if not runs:
+        raise ValueError("pool_runs needs at least one run")
     flows: dict[int, FlowStats] = {}
     episodes = []
     counters: Counter = Counter()

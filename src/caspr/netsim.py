@@ -33,6 +33,10 @@ def derive_rng(master_seed: int, *scope: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+class InvariantViolation(RuntimeError):
+    """A run broke a property every run must hold."""
+
+
 class LossModel(Protocol):
     def drop(self, now_us: int) -> bool: ...
 
@@ -306,13 +310,9 @@ class Simulator:
     def check_conservation(self) -> None:
         """Every byte sent is delivered, dropped, or still in flight."""
         for link in self.links.values():
-            assert link.sent_count == (link.delivered_count + link.dropped_count
-                                       + link.inflight_count), link.name
-            assert link.sent_bytes == (link.delivered_bytes + link.dropped_bytes
-                                       + link.inflight_bytes), link.name
-
-    def node_egress_bytes(self, node_name: str) -> int:
-        return sum(l.sent_bytes for l in self.links.values() if l.src == node_name)
-
-    def node_ingress_bytes(self, node_name: str) -> int:
-        return sum(l.delivered_bytes for l in self.links.values() if l.dst == node_name)
+            if link.sent_count != (link.delivered_count + link.dropped_count
+                                   + link.inflight_count):
+                raise InvariantViolation(f"link {link.name}: packet count not conserved")
+            if link.sent_bytes != (link.delivered_bytes + link.dropped_bytes
+                                   + link.inflight_bytes):
+                raise InvariantViolation(f"link {link.name}: bytes not conserved")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 
 from . import metrics, netsim
-from .codec import CodingParams
 from .egress import EgressConfig, EgressRecovery
 from .endpoint import (
     DetectorConfig,
@@ -28,129 +27,78 @@ from .endpoint import (
     SenderConfig,
 )
 from .ingress import IngressCoder
+from .netsim import InvariantViolation
+from .scenario import Scenario
 
 
-class InvariantViolation(RuntimeError):
-    """A run broke a property every run must hold."""
-
-
-def _ms(value_ms: float) -> int:
-    return int(round(value_ms * 1000))
-
-
-def _s(value_s: float) -> int:
-    return int(round(value_s * 1_000_000))
-
-
-def _build_loss(cfg: dict | None, rng) -> netsim.LossModel | None:
-    if cfg is None:
-        return None
-    kind = cfg["kind"]
-    if kind == "bernoulli":
-        return netsim.Bernoulli(cfg["p"], rng)
-    if kind == "gilbert_elliott":
-        return netsim.GilbertElliott(cfg["p_good_bad"], cfg["p_bad_good"],
-                                     cfg["loss_good"], cfg["loss_bad"], rng)
-    if kind == "google_burst":
-        return netsim.GoogleBurst(rng, cfg.get("p_first", 0.01),
-                                  cfg.get("p_cont", 0.5))
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def _link_kwargs(link_cfg: dict) -> dict:
-    kw = {"delay_us": _ms(link_cfg["delay_ms"]),
-          "jitter_us": _ms(link_cfg["jitter_ms"])}
-    if link_cfg.get("bandwidth_mbps"):
-        kw["bandwidth_bps"] = int(link_cfg["bandwidth_mbps"] * 1_000_000)
-    return kw
-
-
-def run_seed(cfg: dict, seed: int, trace_path: str | None = None) -> metrics.RunMetrics:
+def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics.RunMetrics:
     """One simulation at one seed, returning its analyzed metrics."""
-    n = cfg["flows"]["count"]
-    topo = cfg["topology"]
-    rtt_us = 2 * _ms(topo["direct"]["delay_ms"])
-    deadline_us = int(cfg["recovery"]["deadline_rtt"] * rtt_us)
+    n = cfg.flows.count
+    topo = cfg.topology
 
     trace_file = open(trace_path, "w") if trace_path else None
     try:
         sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
         run_log = metrics.RunLog()
 
+        def add_link(name, src, dst, link, loss):
+            sim.add_link(name, src, dst, delay_us=link.delay_us, jitter_us=link.jitter_us,
+                         bandwidth_bps=link.bandwidth_bps, loss=loss)
+
+        def add_lossy_link(name, src, dst, link):
+            add_link(name, src, dst, link, link.loss_model(sim.loss_rng(name)))
+
         outage_by_flow: dict[int, list[tuple[int, int]]] = {}
-        for outage in cfg["outages"]:
-            outage_by_flow.setdefault(outage["flow"], []).append(
-                (_s(outage["start_s"]), _s(outage["end_s"])))
+        for outage in cfg.outages:
+            outage_by_flow.setdefault(outage.flow, []).append(
+                (outage.start_us, outage.end_us))
 
         # links first so loss models can draw from per-link streams
         direct_links = {}
         for i in range(n):
             name = f"s{i}>r{i}"
-            base = _build_loss(topo["direct"].get("loss"), sim.loss_rng(name))
-            model = base
+            model = topo.direct.loss_model(sim.loss_rng(name))
             if i in outage_by_flow:
                 parts = [netsim.ScheduledOutage(sorted(outage_by_flow[i]))]
-                if base is not None:
-                    parts.append(base)
+                if model is not None:
+                    parts.append(model)
                 model = netsim.Composite(parts)
-            sim.add_link(name, f"s{i}", f"r{i}", loss=model,
-                         **_link_kwargs(topo["direct"]))
+            add_link(name, f"s{i}", f"r{i}", topo.direct, model)
             direct_links[i] = name
-            sim.add_link(f"s{i}>dc1", f"s{i}", "dc1",
-                         loss=_build_loss(topo["access"].get("loss"),
-                                          sim.loss_rng(f"s{i}>dc1")),
-                         **_link_kwargs(topo["access"]))
-        sim.add_link("dc1>dc2", "dc1", "dc2",
-                     loss=_build_loss(topo["inter_dc"].get("loss"),
-                                      sim.loss_rng("dc1>dc2")),
-                     **_link_kwargs(topo["inter_dc"]))
+            add_lossy_link(f"s{i}>dc1", f"s{i}", "dc1", topo.access)
+        add_lossy_link("dc1>dc2", "dc1", "dc2", topo.inter_dc)
         for i in range(n):
-            for name, src, dst in ((f"dc2>r{i}", "dc2", f"r{i}"),
-                                   (f"r{i}>dc2", f"r{i}", "dc2")):
-                sim.add_link(name, src, dst,
-                             loss=_build_loss(topo["recovery"].get("loss"),
-                                              sim.loss_rng(name)),
-                             **_link_kwargs(topo["recovery"]))
+            add_lossy_link(f"dc2>r{i}", "dc2", f"r{i}", topo.recovery)
+            add_lossy_link(f"r{i}>dc2", f"r{i}", "dc2", topo.recovery)
             # control stays loss-free by construction
-            sim.add_link(f"dc2>r{i}:ctrl", "dc2", f"r{i}",
-                         **_link_kwargs(topo["recovery"]))
-            sim.add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2",
-                         **_link_kwargs(topo["recovery"]))
+            add_link(f"dc2>r{i}:ctrl", "dc2", f"r{i}", topo.recovery, None)
+            add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2", topo.recovery, None)
 
-        coding = cfg["coding"]
-        params = CodingParams(k_max=coding["k_max"],
-                              num_parity_cross=coding["parity_cross"],
-                              num_parity_in=coding["parity_in"] if coding["in_block"] else 0,
-                              in_block=coding["in_block"])
-        ingress = IngressCoder("dc1", params, run_log,
-                               cross_flush_us=_ms(coding["cross_flush_ms"]),
-                               in_flush_us=_ms(coding["in_flush_ms"]))
+        coding = cfg.coding
+        ingress = IngressCoder("dc1", coding.params, run_log,
+                               cross_flush_us=coding.cross_flush_us,
+                               in_flush_us=coding.in_flush_us)
         sim.add_node("dc1", ingress)
         ingress.add_egress("dc2", "dc1>dc2")
 
-        boundary_wait_us = _ms(coding["cross_flush_ms"]) + _ms(topo["inter_dc"]["delay_ms"])
         egress = EgressRecovery("dc2", EgressConfig(
-            deadline_us=deadline_us,
-            boundary_wait_us=boundary_wait_us,
-            store_ttl_us=int(cfg["recovery"]["store_ttl_rtt"] * rtt_us),
-            proactive_after=cfg["recovery"]["proactive_nacks"],
-            claim_owd_us=_ms(topo["direct"]["delay_ms"]
-                             + topo["direct"]["jitter_ms"])), run_log)
+            deadline_us=cfg.deadline_us,
+            boundary_wait_us=coding.cross_flush_us + topo.inter_dc.delay_us,
+            store_ttl_us=cfg.store_ttl_us,
+            proactive_after=cfg.recovery.proactive_nacks,
+            claim_owd_us=topo.direct.max_delay_us), run_log)
         sim.add_node("dc2", egress)
 
-        det_cfg = cfg["detector"]
-        flows_cfg = cfg["flows"]
-        interval_us = _ms(flows_cfg["interval_ms"])
+        flows = cfg.flows
         detector = DetectorConfig(
-            kind=det_cfg["kind"],
-            small_timeout_us=_ms(det_cfg["small_ms"]),
-            long_timeout_us=int(det_cfg["long_rtt"] * rtt_us),
-            burst_factor=det_cfg["burst_factor"],
-            nominal_gap_us=interval_us,
-            giveup_after=det_cfg["giveup_nacks"])
-        strag = cfg.get("straggler")
+            kind=cfg.detector.kind,
+            small_timeout_us=cfg.detector.small_us,
+            long_timeout_us=cfg.long_timeout_us,
+            burst_factor=cfg.detector.burst_factor,
+            nominal_gap_us=flows.interval_us,
+            giveup_after=cfg.detector.giveup_nacks)
+        strag = cfg.straggler
 
-        stop_us = _s(cfg["duration_s"] - cfg["cooldown_s"])
         senders = []
         for i in range(n):
             ingress.register_flow(i, "dc2")
@@ -158,16 +106,16 @@ def run_seed(cfg: dict, seed: int, trace_path: str | None = None) -> metrics.Run
                                      ctrl_link=f"dc2>r{i}:ctrl")
             sender = Sender(f"s{i}", SenderConfig(
                 flow_id=i,
-                packet_size=flows_cfg["packet_size"],
-                interval_us=interval_us,
+                packet_size=flows.packet_size,
+                interval_us=flows.interval_us,
                 direct_link=f"s{i}>r{i}",
                 dup_link=f"s{i}>dc1",
-                on_us=_s(flows_cfg["on_s"]),
-                off_mean_us=_s(flows_cfg["off_mean_s"]),
-                duplication=flows_cfg["duplication"],
-                selective_first_n=flows_cfg["selective_first_n"],
-                start_us=int(round(i * _ms(flows_cfg["stagger_ms"]))),
-                stop_us=stop_us), run_log)
+                on_us=flows.on_us,
+                off_mean_us=flows.off_mean_us,
+                duplication=flows.duplication,
+                selective_first_n=flows.selective_first_n,
+                start_us=i * flows.stagger_us,
+                stop_us=cfg.stop_us), run_log)
             sim.add_node(f"s{i}", sender)
             senders.append(sender)
             receiver = Receiver(f"r{i}", ReceiverConfig(
@@ -176,20 +124,20 @@ def run_seed(cfg: dict, seed: int, trace_path: str | None = None) -> metrics.Run
                 dc2_data_link=f"r{i}>dc2",
                 dc2_ctrl_link=f"r{i}>dc2:ctrl",
                 detector=detector,
-                reorder_grace_us=2 * _ms(topo["direct"]["jitter_ms"]),
-                renack_after_us=deadline_us,
-                cache_packets=cfg["recovery"]["cache_packets"],
-                cache_ttl_us=int(cfg["recovery"]["cache_ttl_rtt"] * rtt_us),
-                abandon_after_us=int(cfg["recovery"]["store_ttl_rtt"] * rtt_us),
-                straggler_delay_us=(_ms(strag["delay_ms"])
-                                    if strag and strag["receiver"] == i else 0)),
+                reorder_grace_us=2 * topo.direct.jitter_us,
+                renack_after_us=cfg.deadline_us,
+                cache_packets=cfg.recovery.cache_packets,
+                cache_ttl_us=cfg.cache_ttl_us,
+                abandon_after_us=cfg.store_ttl_us,
+                straggler_delay_us=(strag.delay_us
+                                    if strag and strag.receiver == i else 0)),
                 run_log)
             sim.add_node(f"r{i}", receiver)
 
         for sender in senders:
             sim.at(sender.config.start_us, sender.name, ("burst",))
 
-        sim.run(until_us=_s(cfg["duration_s"]))
+        sim.run(until_us=cfg.duration_us)
         sim.check_conservation()
 
         direct_losses = {
@@ -202,9 +150,9 @@ def run_seed(cfg: dict, seed: int, trace_path: str | None = None) -> metrics.Run
                 f"lossless run moved {dc2_recovery} recovery bytes out of DC2")
 
         return metrics.analyze_run(
-            cfg["name"], seed, cfg["duration_s"], rtt_us, run_log,
+            cfg.name, seed, cfg.duration_s, cfg.rtt_us, run_log,
             direct_losses,
-            {i: _ms(topo["direct"]["delay_ms"]) for i in range(n)},
+            {i: topo.direct.delay_us for i in range(n)},
             outage_by_flow,
             dc1_egress_bytes=sim.links["dc1>dc2"].sent_bytes,
             dc2_egress_recovery_bytes=dc2_recovery,
@@ -215,16 +163,16 @@ def run_seed(cfg: dict, seed: int, trace_path: str | None = None) -> metrics.Run
             trace_file.close()
 
 
-def run_scenario(cfg: dict, out_dir: str, seeds: list[int] | None = None,
+def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
                  trace: bool = False) -> list[metrics.RunMetrics]:
     """Run every seed and write the artifact set into out_dir."""
-    seeds = list(seeds) if seeds else list(cfg["seeds"])
+    seeds = list(seeds) if seeds else list(cfg.seeds)
     os.makedirs(out_dir, exist_ok=True)
     runs = []
     for seed in seeds:
         trace_path = os.path.join(out_dir, f"trace-seed{seed}.jsonl") if trace else None
         runs.append(run_seed(cfg, seed, trace_path))
-    price = cfg["cost"]["price_per_gb"]
+    price = cfg.cost.price_per_gb
     metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs)
     metrics.write_episodes_csv(os.path.join(out_dir, "episodes.csv"), runs)
     metrics.write_fec_csv(os.path.join(out_dir, "fec_whatif.csv"), runs)

@@ -1,271 +1,383 @@
-"""Scenario files: schema, loading, validation, overrides.
+"""Scenario files: the typed config tree, loading, validation, overrides.
 
 A scenario is a YAML document describing one experiment: topology
 delays and loss processes, the flow workload, coding and recovery
-knobs, and the seed list.  Validation is strict; unknown keys are
-rejected so a typo fails loudly instead of silently running with a
-default.
+knobs, and the seed list.  Each YAML section maps to one frozen
+dataclass below, and each field declares its YAML name (the attribute
+name), type, bounds and default once; the name's suffix is its unit
+(``_ms``, ``_s``, or ``_rtt`` for multiples of the direct-path RTT).
+Fields keep the value the YAML parsed; the ``*_us`` attributes convert
+them to integer microseconds of virtual time.
+
+Validation is strict; unknown keys are rejected so a typo fails loudly
+instead of silently running with a default.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import re
+from dataclasses import MISSING, dataclass
 from importlib import resources
 
-import jsonschema
 import yaml
+
+from . import netsim
+from .codec import CodingParams, InvalidParams
 
 
 class ScenarioError(Exception):
     """Invalid scenario document; message lists every problem found."""
 
 
-_LOSS = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "p"],
-            "properties": {
-                "kind": {"const": "bernoulli"},
-                "p": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "p_good_bad", "p_bad_good", "loss_good", "loss_bad"],
-            "properties": {
-                "kind": {"const": "gilbert_elliott"},
-                "p_good_bad": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_bad_good": {"type": "number", "minimum": 0, "maximum": 1},
-                "loss_good": {"type": "number", "minimum": 0, "maximum": 1},
-                "loss_bad": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "google_burst"},
-                "p_first": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_cont": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-    ]
-}
-
-_LINK = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["delay_ms"],
-    "properties": {
-        "delay_ms": {"type": "number", "exclusiveMinimum": 0},
-        "jitter_ms": {"type": "number", "minimum": 0},
-        "loss": _LOSS,
-        "bandwidth_mbps": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "duration_s", "seeds", "topology", "flows", "coding"],
-    "properties": {
-        "name": {"type": "string", "pattern": "^[a-z0-9_]+$"},
-        "description": {"type": "string"},
-        "duration_s": {"type": "number", "exclusiveMinimum": 0},
-        "cooldown_s": {"type": "number", "minimum": 0},
-        "seeds": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "topology": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["direct", "access", "inter_dc", "recovery"],
-            "properties": {
-                "direct": _LINK,
-                "access": _LINK,
-                "inter_dc": _LINK,
-                "recovery": _LINK,
-            },
-        },
-        "outages": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["flow", "start_s", "end_s"],
-                "properties": {
-                    "flow": {"type": "integer", "minimum": 0},
-                    "start_s": {"type": "number", "minimum": 0},
-                    "end_s": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "flows": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["count", "packet_size", "interval_ms", "on_s"],
-            "properties": {
-                "count": {"type": "integer", "minimum": 1},
-                "packet_size": {"type": "integer", "minimum": 0, "maximum": 65503},
-                "interval_ms": {"type": "number", "exclusiveMinimum": 0},
-                "on_s": {"type": "number", "exclusiveMinimum": 0},
-                "off_mean_s": {"type": "number", "minimum": 0},
-                "stagger_ms": {"type": "number", "minimum": 0},
-                "duplication": {"enum": ["full", "selective"]},
-                "selective_first_n": {"type": "integer", "minimum": 1},
-            },
-        },
-        "coding": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["k_max", "parity_cross"],
-            "properties": {
-                "k_max": {"type": "integer", "minimum": 2, "maximum": 251},
-                "parity_cross": {"type": "integer", "minimum": 1, "maximum": 4},
-                "parity_in": {"type": "integer", "minimum": 0, "maximum": 4},
-                "in_block": {"type": "integer", "minimum": 0, "maximum": 64},
-                "cross_flush_ms": {"type": "number", "exclusiveMinimum": 0},
-                "in_flush_ms": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "recovery": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "deadline_rtt": {"type": "number", "exclusiveMinimum": 0},
-                "store_ttl_rtt": {"type": "number", "exclusiveMinimum": 0},
-                "proactive_nacks": {"type": "integer", "minimum": 1},
-                "cache_packets": {"type": "integer", "minimum": 1},
-                "cache_ttl_rtt": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "detector": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["two_state", "fixed_small"]},
-                "small_ms": {"type": "number", "exclusiveMinimum": 0},
-                "long_rtt": {"type": "number", "exclusiveMinimum": 0},
-                "burst_factor": {"type": "number", "exclusiveMinimum": 0},
-                "giveup_nacks": {"type": "integer", "minimum": 1},
-            },
-        },
-        "straggler": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["receiver", "delay_ms"],
-            "properties": {
-                "receiver": {"type": "integer", "minimum": 0},
-                "delay_ms": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "cost": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "price_per_gb": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}
-
-DEFAULTS = {
-    "cooldown_s": 2.0,
-    "outages": [],
-    "flows": {
-        "off_mean_s": 0.0,
-        "stagger_ms": 0.0,
-        "duplication": "full",
-        "selective_first_n": 1,
-    },
-    "coding": {
-        "parity_in": 1,
-        "in_block": 5,
-        "cross_flush_ms": 30.0,
-        "in_flush_ms": 50.0,
-    },
-    "recovery": {
-        "deadline_rtt": 1.0,
-        "store_ttl_rtt": 4.0,
-        "proactive_nacks": 3,
-        "cache_packets": 2048,
-        "cache_ttl_rtt": 4.0,
-    },
-    "detector": {
-        "kind": "two_state",
-        "small_ms": 25.0,
-        "long_rtt": 1.0,
-        "burst_factor": 4.0,
-        "giveup_nacks": 8,
-    },
-    "cost": {
-        "price_per_gb": 0.087,
-    },
-    "topology_link": {
-        "jitter_ms": 0.0,
-    },
-}
+# -- field declarations -------------------------------------------------------
+# Each declarator returns a dataclass field whose metadata holds its
+# parser: parse(value, path, problems) returns the typed value, or
+# appends "path: problem" lines to problems.
 
 
-def _merge_defaults(cfg: dict) -> dict:
-    out = copy.deepcopy(cfg)
-    out.setdefault("cooldown_s", DEFAULTS["cooldown_s"])
-    out.setdefault("outages", copy.deepcopy(DEFAULTS["outages"]))
-    out.setdefault("description", "")
-    for section in ("flows", "coding", "recovery", "detector", "cost"):
-        block = out.setdefault(section, {})
-        for key, val in DEFAULTS.get(section, {}).items():
-            block.setdefault(key, val)
-    for link in out.get("topology", {}).values():
-        if isinstance(link, dict):
-            for key, val in DEFAULTS["topology_link"].items():
-                link.setdefault(key, val)
-    return out
+def _field(parse, default=MISSING):
+    return dataclasses.field(default=default, metadata={"parse": parse})
 
 
-def _semantic_checks(cfg: dict) -> list[str]:
+def _scalar(types, what, default, gt=None, ge=None, le=None):
+    def parse(value, path, problems):
+        # bool subclasses int, but true is not a number
+        if isinstance(value, bool) or not isinstance(value, types):
+            problems.append(f"{path}: {value!r} is not {what}")
+        elif gt is not None and not value > gt:
+            problems.append(f"{path}: {value!r} must be > {gt}")
+        elif ge is not None and not value >= ge:
+            problems.append(f"{path}: {value!r} must be >= {ge}")
+        elif le is not None and not value <= le:
+            problems.append(f"{path}: {value!r} must be <= {le}")
+        return value
+    return _field(parse, default)
+
+
+def number(default=MISSING, **bounds):
+    return _scalar((int, float), "a number", default, **bounds)
+
+
+def integer(default=MISSING, **bounds):
+    return _scalar(int, "an integer", default, **bounds)
+
+
+def text(default=MISSING, pattern=".*"):
+    def parse(value, path, problems):
+        if not isinstance(value, str) or not re.search(pattern, value):
+            problems.append(f"{path}: {value!r} is not a string matching {pattern!r}")
+        return value
+    return _field(parse, default)
+
+
+def choice(*options):
+    """One of the given strings; the first is the default."""
+    def parse(value, path, problems):
+        if not isinstance(value, str) or value not in options:
+            problems.append(f"{path}: {value!r} is not one of {', '.join(options)}")
+        return value
+    return _field(parse, options[0])
+
+
+def section(cls, default=MISSING):
+    return _field(lambda value, path, problems: _build(cls, value, path, problems),
+                  default)
+
+
+def tagged(kinds, default=MISSING):
+    """A mapping whose ``kind`` key picks the class, from {kind: cls}."""
+    def parse(value, path, problems):
+        if not isinstance(value, dict):
+            problems.append(f"{path}: expected a mapping, got {value!r}")
+            return None
+        body = dict(value)
+        kind = body.pop("kind", None)
+        if not isinstance(kind, str) or kind not in kinds:
+            problems.append(f"{path}.kind: {kind!r} is not one of {', '.join(kinds)}")
+            return None
+        return _build(kinds[kind], body, path, problems)
+    return _field(parse, default)
+
+
+def listof(item, default=MISSING, min_items=0):
+    def parse(value, path, problems):
+        if not isinstance(value, list):
+            problems.append(f"{path}: {value!r} is not a list")
+            return None
+        if len(value) < min_items:
+            problems.append(f"{path}: needs at least {min_items} item(s)")
+        return tuple(item.metadata["parse"](v, f"{path}.{i}", problems)
+                     for i, v in enumerate(value))
+    return _field(parse, default)
+
+
+def _build(cls, raw, path, problems):
+    """The ``cls`` instance a YAML mapping describes, or None if it has problems."""
+    if not isinstance(raw, dict):
+        problems.append(f"{path or '<root>'}: expected a mapping, got {raw!r}")
+        return None
+    before = len(problems)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        if key not in fields:
+            problems.append(f"{prefix}{key}: unknown key")
+    values = {}
+    for name, f in fields.items():
+        if name in raw:
+            values[name] = f.metadata["parse"](raw[name], prefix + name, problems)
+        elif f.default is MISSING:
+            problems.append(f"{prefix}{name}: required key missing")
+    return cls(**values) if len(problems) == before else None
+
+
+class _Micros:
+    """Integer microseconds of the duration field named ``source``."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.scale = 1000 if source.endswith("_ms") else 1_000_000
+
+    def __get__(self, obj, owner=None) -> int:
+        if obj is None:
+            return self
+        return int(round(getattr(obj, self.source) * self.scale))
+
+
+_frozen = dataclass(frozen=True, kw_only=True)
+
+
+# -- the tree -----------------------------------------------------------------
+
+
+@_frozen
+class BernoulliLoss:
+    p: float = number(ge=0, le=1)
+
+    def model(self, rng) -> netsim.LossModel:
+        return netsim.Bernoulli(self.p, rng)
+
+
+@_frozen
+class GilbertElliottLoss:
+    p_good_bad: float = number(ge=0, le=1)
+    p_bad_good: float = number(ge=0, le=1)
+    loss_good: float = number(ge=0, le=1)
+    loss_bad: float = number(ge=0, le=1)
+
+    def model(self, rng) -> netsim.LossModel:
+        return netsim.GilbertElliott(self.p_good_bad, self.p_bad_good,
+                                     self.loss_good, self.loss_bad, rng)
+
+
+@_frozen
+class GoogleBurstLoss:
+    p_first: float = number(0.01, ge=0, le=1)
+    p_cont: float = number(0.5, ge=0, le=1)
+
+    def model(self, rng) -> netsim.LossModel:
+        return netsim.GoogleBurst(rng, self.p_first, self.p_cont)
+
+
+LOSS_KINDS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss,
+              "google_burst": GoogleBurstLoss}
+
+
+@_frozen
+class Link:
+    delay_ms: float = number(gt=0)
+    jitter_ms: float = number(0.0, ge=0)
+    loss: BernoulliLoss | GilbertElliottLoss | GoogleBurstLoss | None = tagged(LOSS_KINDS, None)
+    bandwidth_mbps: float | None = number(None, gt=0)
+
+    delay_us = _Micros("delay_ms")
+    jitter_us = _Micros("jitter_ms")
+
+    @property
+    def max_delay_us(self) -> int:
+        """Largest one-way delay, jitter included."""
+        return int(round((self.delay_ms + self.jitter_ms) * 1000))
+
+    @property
+    def bandwidth_bps(self) -> int | None:
+        return int(self.bandwidth_mbps * 1_000_000) if self.bandwidth_mbps else None
+
+    def loss_model(self, rng) -> netsim.LossModel | None:
+        return self.loss.model(rng) if self.loss else None
+
+
+@_frozen
+class Topology:
+    direct: Link = section(Link)
+    access: Link = section(Link)
+    inter_dc: Link = section(Link)
+    recovery: Link = section(Link)
+
+
+@_frozen
+class Outage:
+    flow: int = integer(ge=0)
+    start_s: float = number(ge=0)
+    end_s: float = number(gt=0)
+
+    start_us = _Micros("start_s")
+    end_us = _Micros("end_s")
+
+
+@_frozen
+class Flows:
+    count: int = integer(ge=1)
+    packet_size: int = integer(ge=0, le=65503)
+    interval_ms: float = number(gt=0)
+    on_s: float = number(gt=0)
+    off_mean_s: float = number(0.0, ge=0)
+    stagger_ms: float = number(0.0, ge=0)
+    duplication: str = choice("full", "selective")
+    selective_first_n: int = integer(1, ge=1)
+
+    interval_us = _Micros("interval_ms")
+    on_us = _Micros("on_s")
+    off_mean_us = _Micros("off_mean_s")
+    stagger_us = _Micros("stagger_ms")
+
+
+@_frozen
+class Coding:
+    k_max: int = integer(ge=2, le=251)
+    parity_cross: int = integer(ge=1, le=4)
+    parity_in: int = integer(1, ge=0, le=4)
+    in_block: int = integer(5, ge=0, le=64)
+    cross_flush_ms: float = number(30.0, gt=0)
+    in_flush_ms: float = number(50.0, gt=0)
+
+    cross_flush_us = _Micros("cross_flush_ms")
+    in_flush_us = _Micros("in_flush_ms")
+
+    @property
+    def params(self) -> CodingParams:
+        """The codec's parameters; raises ``InvalidParams`` outside its envelope."""
+        return CodingParams(k_max=self.k_max, num_parity_cross=self.parity_cross,
+                            num_parity_in=self.parity_in if self.in_block else 0,
+                            in_block=self.in_block)
+
+
+@_frozen
+class Recovery:
+    deadline_rtt: float = number(1.0, gt=0)
+    store_ttl_rtt: float = number(4.0, gt=0)
+    proactive_nacks: int = integer(3, ge=1)
+    cache_packets: int = integer(2048, ge=1)
+    cache_ttl_rtt: float = number(4.0, gt=0)
+
+
+@_frozen
+class Detector:
+    kind: str = choice("two_state", "fixed_small")
+    small_ms: float = number(25.0, gt=0)
+    long_rtt: float = number(1.0, gt=0)
+    burst_factor: float = number(4.0, gt=0)
+    giveup_nacks: int = integer(8, ge=1)
+
+    small_us = _Micros("small_ms")
+
+
+@_frozen
+class Straggler:
+    receiver: int = integer(ge=0)
+    delay_ms: float = number(gt=0)
+
+    delay_us = _Micros("delay_ms")
+
+
+@_frozen
+class Cost:
+    price_per_gb: float = number(0.087, ge=0)
+
+
+@_frozen
+class Scenario:
+    name: str = text(pattern="^[a-z0-9_]+$")
+    description: str = text("")
+    duration_s: float = number(gt=0)
+    cooldown_s: float = number(2.0, ge=0)
+    seeds: tuple[int, ...] = listof(integer(ge=0), min_items=1)
+    topology: Topology = section(Topology)
+    outages: tuple[Outage, ...] = listof(section(Outage), ())
+    flows: Flows = section(Flows)
+    coding: Coding = section(Coding)
+    recovery: Recovery = section(Recovery, Recovery())
+    detector: Detector = section(Detector, Detector())
+    straggler: Straggler | None = section(Straggler, None)
+    cost: Cost = section(Cost, Cost())
+
+    duration_us = _Micros("duration_s")
+
+    @property
+    def stop_us(self) -> int:
+        """When senders stop: the cooldown before the end is left to drain."""
+        return int(round((self.duration_s - self.cooldown_s) * 1_000_000))
+
+    @property
+    def rtt_us(self) -> int:
+        return 2 * self.topology.direct.delay_us
+
+    def _rtts(self, multiple: float) -> int:
+        """An ``*_rtt`` knob in microseconds, truncated."""
+        return int(multiple * self.rtt_us)
+
+    @property
+    def deadline_us(self) -> int:
+        return self._rtts(self.recovery.deadline_rtt)
+
+    @property
+    def store_ttl_us(self) -> int:
+        return self._rtts(self.recovery.store_ttl_rtt)
+
+    @property
+    def cache_ttl_us(self) -> int:
+        return self._rtts(self.recovery.cache_ttl_rtt)
+
+    @property
+    def long_timeout_us(self) -> int:
+        return self._rtts(self.detector.long_rtt)
+
+
+def _cross_checks(cfg: Scenario) -> list[str]:
+    """Problems that span fields, on a tree whose fields are each valid."""
     problems = []
-    flows = cfg["flows"]["count"]
-    for i, outage in enumerate(cfg["outages"]):
-        if outage["flow"] >= flows:
-            problems.append(f"outages[{i}].flow {outage['flow']} out of range "
+    flows = cfg.flows.count
+    for i, outage in enumerate(cfg.outages):
+        if outage.flow >= flows:
+            problems.append(f"outages[{i}].flow {outage.flow} out of range "
                             f"(only {flows} flows)")
-        if outage["end_s"] <= outage["start_s"]:
+        if outage.end_s <= outage.start_s:
             problems.append(f"outages[{i}] is empty or reversed")
-    if cfg["coding"]["in_block"] and cfg["coding"]["parity_in"] < 1:
-        problems.append("coding.parity_in must be >= 1 when in_block > 0")
-    strag = cfg.get("straggler")
-    if strag and strag["receiver"] >= flows:
-        problems.append(f"straggler.receiver {strag['receiver']} out of range")
-    if cfg["cooldown_s"] >= cfg["duration_s"]:
+    try:
+        cfg.coding.params
+    except InvalidParams as e:
+        problems.append(f"coding: {e}")
+    if cfg.straggler and cfg.straggler.receiver >= flows:
+        problems.append(f"straggler.receiver {cfg.straggler.receiver} out of range")
+    if cfg.cooldown_s >= cfg.duration_s:
         problems.append("cooldown_s must be shorter than duration_s")
-    for link_name, link in cfg["topology"].items():
-        if link["jitter_ms"] > link["delay_ms"]:
-            problems.append(f"topology.{link_name}: jitter exceeds delay")
+    for f in dataclasses.fields(cfg.topology):
+        link = getattr(cfg.topology, f.name)
+        if link.jitter_ms > link.delay_ms:
+            problems.append(f"topology.{f.name}: jitter exceeds delay")
     return problems
 
 
-def validate(cfg: dict) -> dict:
-    """Validate a raw scenario dict; returns it with defaults applied."""
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    msgs = []
-    for err in errors:
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        msgs.append(f"{path}: {err.message}")
-    if msgs:
-        raise ScenarioError("\n".join(msgs))
-    merged = _merge_defaults(cfg)
-    problems = _semantic_checks(merged)
+def validate(cfg: dict) -> Scenario:
+    """Validate a raw scenario dict; returns its typed tree, defaults filled."""
+    problems: list[str] = []
+    tree = _build(Scenario, cfg, "", problems)
+    if tree is not None:
+        problems = _cross_checks(tree)
     if problems:
         raise ScenarioError("\n".join(problems))
-    return merged
+    return tree
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -299,7 +411,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return out
 
 
-def load(path: str, overrides: list[str] | None = None) -> dict:
+def load(path: str, overrides: list[str] | None = None) -> Scenario:
     """Load, override, and validate a scenario file."""
     try:
         with open(path) as f:

@@ -123,9 +123,6 @@ class CodedPacket:
             object.__setattr__(self, "member_ts",
                                (self.send_ts_us,) * len(self.members))
 
-    def covers(self, flow_id: int, seq: int) -> bool:
-        return any(m[0] == flow_id and m[1] == seq for m in self.members)
-
 
 @dataclass(frozen=True, slots=True)
 class Nack:

@@ -108,9 +108,9 @@ def test_criterion_02_twenty_flow_recovery_rate(lab):
 
 def test_criterion_03_wide_area_latency(lab):
     cfg = scenario.load(scenario.bundled_path("wide_area_cbr"))
-    direct = cfg["topology"]["direct"]["delay_ms"]
-    recovery = cfg["topology"]["recovery"]["delay_ms"]
-    inter_dc = cfg["topology"]["inter_dc"]["delay_ms"]
+    direct = cfg.topology.direct.delay_ms
+    recovery = cfg.topology.recovery.delay_ms
+    inter_dc = cfg.topology.inter_dc.delay_ms
     assert 2 * recovery <= 0.2 * (2 * direct)       # receiver<->DC2 RTT cap
     assert inter_dc <= 0.6 * direct                 # DC1->DC2 one-way cap
     _, _, pooled, _ = lab.run("wide_area_cbr")
@@ -192,7 +192,7 @@ def test_criterion_08_lossless_runs_move_no_recovery_bytes():
     for name in scenario.bundled_names():
         cfg = scenario.load(scenario.bundled_path(name),
                             list(LOSSLESS_OVERRIDES))
-        m = runner.run_seed(cfg, cfg["seeds"][0])
+        m = runner.run_seed(cfg, cfg.seeds[0])
         assert m.lost == 0, name
         assert m.dc2_egress_recovery_bytes == 0, name
     print(f"criterion 8: {len(scenario.bundled_names())} lossless variants "

@@ -48,7 +48,7 @@ def make_sender(**kw):
     sender = Sender("s0", SenderConfig(**defaults), log)
     env = StubEnv()
     env.attach(sender)
-    sender.start()
+    env.schedule(sender.config.start_us, ("burst",))
     return sender, env, log
 
 

@@ -202,6 +202,11 @@ def test_pool_runs_pools_packets():
     assert summary_row(pooled, "all")["seed"] == "all"
 
 
+def test_pool_runs_rejects_no_runs():
+    with pytest.raises(ValueError):
+        pool_runs([])
+
+
 def test_summary_csv_shape_and_determinism(tmp_path):
     runs = two_runs()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

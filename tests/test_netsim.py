@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -221,6 +224,30 @@ def test_empty_topology_run_is_a_noop():
     sim.run(1_000)
     assert sim.now == 1_000
     sim.check_conservation()
+
+
+TAMPERED_RUN = """
+from caspr import netsim
+assert False, "this child must run with asserts stripped"
+sim = netsim.Simulator(0)
+sim.add_link("a>b", "a", "b", delay_us=10)
+sim.links["a>b"].{counter} += 1
+try:
+    sim.check_conservation()
+except netsim.InvariantViolation as e:
+    print("raised:", e)
+"""
+
+
+@pytest.mark.parametrize("counter", ["sent_count", "sent_bytes"])
+def test_conservation_check_survives_python_O(counter):
+    src = os.path.dirname(os.path.dirname(netsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_RUN.format(counter=counter)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: link a>b"), proc.stdout
 
 
 def test_unknown_link_send_raises():

@@ -138,6 +138,18 @@ def test_cli_validate_rejects_bad_file(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["coding.k_max=40", "coding.parity_cross=4"],
+    ["flows.count=2.0"],
+])
+def test_cli_run_rejects_overrides_the_run_cannot_use(tmp_path, capsys, overrides):
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    rc = main(["run", "selective_duplication", "--out", str(tmp_path / "o"), *sets])
+    assert rc == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_unknown_scenario_name(capsys):
     rc = main(["run", "no_such_thing"])
     assert rc == 2
