@@ -11,10 +11,17 @@ Topology per scenario (one ingress, one egress DC):
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that
 not a single recovery byte left DC2 toward the receivers.
+
+Seeds are independent simulations, so ``run_scenario`` runs them in
+forked worker processes, one per CPU this process may use, and collects
+their metrics in seed order.  The artifacts are byte-identical to a
+serial run; one seed or one usable CPU (``taskset -c 0``) runs in
+process.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from . import metrics, netsim
@@ -163,15 +170,55 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             trace_file.close()
 
 
+def _worker_count(n_seeds: int) -> int:
+    """Processes to run n_seeds on: one per seed, at most one per usable CPU."""
+    if not hasattr(os, "fork"):  # the pool needs the fork start method
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_seeds, cpus)
+
+
+def _run_seed_job(cfg: Scenario, seed: int, trace_path: str | None) -> metrics.RunMetrics:
+    # sent to workers by name; run_seed is looked up when the job runs,
+    # so a replaced runner.run_seed (which may not pickle) runs there too
+    return run_seed(cfg, seed, trace_path)
+
+
 def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
                  trace: bool = False) -> list[metrics.RunMetrics]:
-    """Run every seed and write the artifact set into out_dir."""
+    """Run every seed and write the artifact set into out_dir.
+
+    With more than one seed and more than one usable CPU, the seeds run
+    in forked worker processes; their metrics come back in seed order, so
+    the artifacts are the same as a serial run's.  An exception raised by
+    a seed reaches the caller with its type and message.  Repeated seeds
+    raise ValueError, since they would share a trace file.
+    """
     seeds = list(seeds) if seeds else list(cfg.seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds repeat: {seeds}")
     os.makedirs(out_dir, exist_ok=True)
-    runs = []
-    for seed in seeds:
-        trace_path = os.path.join(out_dir, f"trace-seed{seed}.jsonl") if trace else None
-        runs.append(run_seed(cfg, seed, trace_path))
+    trace_paths = [os.path.join(out_dir, f"trace-seed{seed}.jsonl") if trace else None
+                   for seed in seeds]
+    jobs = (itertools.repeat(cfg), seeds, trace_paths)
+    workers = _worker_count(len(seeds))
+    if workers > 1:
+        # imported here so a serial run and a cold import of this module
+        # do not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: workers skip the cold import and see the modules as the
+        # caller left them, replaced attributes included.  The pool forks
+        # before it starts its own threads, and caspr starts none.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            runs = list(pool.map(_run_seed_job, *jobs))
+    else:
+        runs = list(map(_run_seed_job, *jobs))
     price = cfg.cost.price_per_gb
     metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs)
     metrics.write_episodes_csv(os.path.join(out_dir, "episodes.csv"), runs)

@@ -101,15 +101,21 @@ def tagged(kinds, default=MISSING):
     return _field(parse, default)
 
 
-def listof(item, default=MISSING, min_items=0):
+def listof(item, default=MISSING, min_items=0, unique=False):
     def parse(value, path, problems):
         if not isinstance(value, list):
             problems.append(f"{path}: {value!r} is not a list")
             return None
         if len(value) < min_items:
             problems.append(f"{path}: needs at least {min_items} item(s)")
-        return tuple(item.metadata["parse"](v, f"{path}.{i}", problems)
-                     for i, v in enumerate(value))
+        before = len(problems)
+        items = tuple(item.metadata["parse"](v, f"{path}.{i}", problems)
+                      for i, v in enumerate(value))
+        if unique and len(problems) == before:
+            repeated = sorted({v for v in items if items.count(v) > 1})
+            if repeated:
+                problems.append(f"{path}: {', '.join(map(str, repeated))} repeated")
+        return items
     return _field(parse, default)
 
 
@@ -302,7 +308,9 @@ class Scenario:
     description: str = text("")
     duration_s: float = number(gt=0)
     cooldown_s: float = number(2.0, ge=0)
-    seeds: tuple[int, ...] = listof(integer(ge=0), min_items=1)
+    # unique: each seed writes its own trace file, and the pooled row
+    # would count a repeated seed twice
+    seeds: tuple[int, ...] = listof(integer(ge=0), min_items=1, unique=True)
     topology: Topology = section(Topology)
     outages: tuple[Outage, ...] = listof(section(Outage), ())
     flows: Flows = section(Flows)

@@ -7,8 +7,9 @@ import os
 import pytest
 import yaml
 
+from caspr import netsim, runner
 from caspr.cli import main
-from caspr.runner import run_scenario, run_seed
+from caspr.runner import InvariantViolation, run_scenario, run_seed
 from caspr.scenario import validate
 
 TINY = {
@@ -86,6 +87,97 @@ def test_run_scenario_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_run_scenario_rejects_repeated_seeds(tmp_path):
+    with pytest.raises(ValueError, match="repeat"):
+        run_scenario(tiny(), str(tmp_path / "r"), seeds=[4, 4])
+    assert not (tmp_path / "r").exists()
+
+
+# -- seeds in worker processes -------------------------------------------------
+
+
+def workers(monkeypatch, n):
+    """Run every multi-seed call below on n processes, whatever the CPU count."""
+    monkeypatch.setattr(runner, "_worker_count", lambda n_seeds: min(n_seeds, n))
+
+
+def test_worker_count_follows_usable_cpus_and_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [runner._worker_count(n) for n in (1, 3, 10)] == [1, 3, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert runner._worker_count(10) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert runner._worker_count(10) == 3
+    monkeypatch.delattr(os, "fork")
+    assert runner._worker_count(10) == 1
+
+
+def test_pooled_and_serial_runs_write_identical_files(tmp_path, monkeypatch):
+    cfg = tiny(seeds=[3, 1, 2])
+    workers(monkeypatch, 2)
+    run_scenario(cfg, str(tmp_path / "pooled"), trace=True)
+    workers(monkeypatch, 1)
+    run_scenario(cfg, str(tmp_path / "serial"), trace=True)
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert names == ["cost.csv", "episodes.csv", "fec_whatif.csv", "summary.csv",
+                     "summary.txt", "trace-seed1.jsonl", "trace-seed2.jsonl",
+                     "trace-seed3.jsonl"]
+    assert sorted(os.listdir(tmp_path / "pooled")) == names
+    for name in names:
+        assert ((tmp_path / "pooled" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes()), name
+
+
+def break_conservation_at_seed(monkeypatch, seed):
+    """The real conservation check fails in the simulation of one seed."""
+    original = netsim.Simulator.check_conservation
+
+    def check_conservation(sim):
+        if sim.master_seed == seed:
+            sim.links["dc1>dc2"].sent_bytes += 1
+        original(sim)
+
+    monkeypatch.setattr(netsim.Simulator, "check_conservation", check_conservation)
+
+
+def test_worker_exception_keeps_type_and_message(tmp_path, monkeypatch):
+    workers(monkeypatch, 2)
+    break_conservation_at_seed(monkeypatch, 2)
+    with pytest.raises(InvariantViolation) as info:
+        run_scenario(tiny(), str(tmp_path / "r"))
+    assert type(info.value) is InvariantViolation
+    assert str(info.value) == "link dc1>dc2: bytes not conserved"
+
+
+def test_cli_run_exits_1_on_invariant_violation_in_a_worker(tmp_path, monkeypatch, capsys):
+    workers(monkeypatch, 2)
+    break_conservation_at_seed(monkeypatch, 1)
+    rc = main(["run", write_tiny(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert ("invariant violated: link dc1>dc2: bytes not conserved"
+            in capsys.readouterr().err)
+
+
+def test_replaced_run_seed_closure_runs_in_the_workers(tmp_path, monkeypatch):
+    # the benchmark's pattern: a local closure, which cannot be pickled,
+    # replaces runner.run_seed for the length of a call
+    workers(monkeypatch, 2)
+    original = runner.run_seed
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+
+    def run_seed(cfg, seed, trace_path=None):
+        (pid_dir / str(seed)).write_text(str(os.getpid()))
+        return original(cfg, seed, trace_path)
+
+    monkeypatch.setattr(runner, "run_seed", run_seed)
+    runs = run_scenario(tiny(), str(tmp_path / "r"))
+    assert [m.seed for m in runs] == [1, 2]
+    pids = {int((pid_dir / s).read_text()) for s in ("1", "2")}
+    assert os.getpid() not in pids
+
+
 def test_trace_artifact(tmp_path):
     out = tmp_path / "t"
     run_scenario(tiny(), str(out), seeds=[1], trace=True)
@@ -141,6 +233,7 @@ def test_cli_validate_rejects_bad_file(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     ["coding.k_max=40", "coding.parity_cross=4"],
     ["flows.count=2.0"],
+    ["seeds=[4, 4]"],
 ])
 def test_cli_run_rejects_overrides_the_run_cannot_use(tmp_path, capsys, overrides):
     sets = [arg for o in overrides for arg in ("--set", o)]

@@ -256,6 +256,8 @@ REJECTED = [
     # cost
     ("cost.price_per_gb", -0.01, "cost.price_per_gb"),
     ("cost.currency", "usd", "currency"),
+    # appended, so the ids of the cases above stay as they were
+    ("seeds", [4, 1, 4], "seeds: 4 repeated"),
 ]
 
 
