@@ -94,7 +94,6 @@ class StoredBatch:
 
 @dataclass
 class _Orphan:
-    receiver: str
     created_us: int
     nack_ts: int = 0          # latest claim with no admissible coverage
     confirmed: bool | None = None
@@ -103,7 +102,6 @@ class _Orphan:
 @dataclass
 class _ReceiverPort:
     receiver_id: str
-    flows: tuple[int, ...]
     data_link: str
     ctrl_link: str
     consec_nacks: int = 0
@@ -121,19 +119,16 @@ class EgressRecovery:
         self.store: dict[int, StoredBatch] = {}
         self.by_entry: dict[Entry, set[int]] = {}
         self.orphans: dict[Entry, _Orphan] = {}
-        self.ports: dict[str, _ReceiverPort] = {}
-        self._flow_port: dict[int, _ReceiverPort] = {}
+        self._flow_port: dict[int, _ReceiverPort] = {}  # each flow has one receiver
 
-    def register_receiver(self, receiver_id: str, flows, data_link: str,
+    def register_receiver(self, receiver_id: str, flow_id: int, data_link: str,
                           ctrl_link: str) -> None:
-        if receiver_id in self.ports:
+        if any(p.receiver_id == receiver_id for p in self._flow_port.values()):
             raise ValueError(f"receiver {receiver_id} registered twice")
-        port = _ReceiverPort(receiver_id, tuple(flows), data_link, ctrl_link)
-        self.ports[receiver_id] = port
-        for f in port.flows:
-            if f in self._flow_port:
-                raise ValueError(f"flow {f} already owned by {self._flow_port[f].receiver_id}")
-            self._flow_port[f] = port
+        if flow_id in self._flow_port:
+            raise ValueError(f"flow {flow_id} already owned by "
+                             f"{self._flow_port[flow_id].receiver_id}")
+        self._flow_port[flow_id] = _ReceiverPort(receiver_id, data_link, ctrl_link)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -247,13 +242,12 @@ class EgressRecovery:
             self.run_log.bump("proactive_mode_entries")
             # parity already in the store covers losses the dead direct
             # path can no longer provoke NACKs for; open those too
-            flows = set(port.flows)
             for bid in sorted(self.store):
                 batch = self.store[bid]
                 if not batch.cross:
                     continue
                 for e in batch.entries():
-                    if (e[0] in flows and e not in batch.decoded
+                    if (e[0] == msg.flow_id and e not in batch.decoded
                             and e not in batch.lost):
                         self.run_log.bump("proactive_entries")
                         self._recover_via_cross(batch, e, now)
@@ -318,7 +312,7 @@ class EgressRecovery:
         if orphan is not None:
             orphan.nack_ts = max(orphan.nack_ts, claim_ts)
         else:
-            orphan = _Orphan(self._flow_port[entry[0]].receiver_id, now, claim_ts)
+            orphan = _Orphan(now, claim_ts)
             self.orphans[entry] = orphan
             self.env.schedule(self.config.boundary_wait_us,
                               ("boundary", entry[0], entry[1], now))
@@ -356,20 +350,21 @@ class EgressRecovery:
         self._try_decode(batch, now)
 
     def _send_coop_requests(self, batch: StoredBatch, now: int) -> None:
-        lost_receivers = {self._flow_port[f].receiver_id for f, s in batch.lost}
+        lost_flows = {f for f, s in batch.lost}
         wanted: dict[str, list[Entry]] = {}
         for f, s, _ in batch.members:
             port = self._flow_port.get(f)
-            if port is None or port.receiver_id in lost_receivers:
-                continue
-            if port.receiver_id in batch.requested or (f, s) in batch.decoded:
+            if (port is None or f in lost_flows
+                    or port.receiver_id in batch.requested
+                    or (f, s) in batch.decoded):
                 continue
             wanted.setdefault(port.receiver_id, []).append((f, s))
+        # receiver-name order fixes the send order, and so the trace
         for rid in sorted(wanted):
             batch.requested.add(rid)
-            self.env.send(self.ports[rid].data_link,
-                          CoopRequest(entries=tuple(sorted(wanted[rid])),
-                                      send_ts_us=now))
+            entries = tuple(sorted(wanted[rid]))
+            self.env.send(self._flow_port[entries[0][0]].data_link,
+                          CoopRequest(entries=entries, send_ts_us=now))
             self.run_log.bump("coop_reqs")
 
     # -- helper responses -------------------------------------------------------

@@ -47,6 +47,8 @@ from .wire import (
 # dedupe/NACK bookkeeping beyond the frontier is capped per flow; a
 # 2s outage at 100 pps stays well inside this
 MAX_TRACKED_GAP = 4096
+# forwarded in-stream blocks held for decode; the oldest go first
+MAX_HELD_BLOCKS = 512
 
 _PATTERN = bytes(range(256)) * 257  # long enough for any 16-bit payload
 
@@ -163,8 +165,8 @@ class _FlowState:
 
 @dataclass
 class ReceiverConfig:
-    flows: tuple[int, ...]
-    direct_links: dict[int, str]     # flow -> incoming direct link name
+    flow_id: int
+    direct_link: str                 # incoming direct link name
     dc2_data_link: str               # outgoing toward the recovery DC
     dc2_ctrl_link: str
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -174,7 +176,6 @@ class ReceiverConfig:
     cache_ttl_us: int = 600_000
     abandon_after_us: int = 600_000  # stop chasing holes older than this
     straggler_delay_us: int = 0      # cooperative responses held this long
-    max_held_blocks: int = 512
 
 
 class Receiver:
@@ -183,7 +184,7 @@ class Receiver:
         self.config = config
         self.run_log = run_log
         self.env = None
-        self.flows = {f: _FlowState() for f in config.flows}
+        self.state = _FlowState()
         self.cache: OrderedDict = OrderedDict()  # (flow, seq) -> (payload, ts)
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
@@ -196,8 +197,8 @@ class Receiver:
     def on_message(self, msg, link_name: str) -> None:
         now = self.env.now
         if isinstance(msg, DataPacket):
-            direct = link_name == self.config.direct_links.get(msg.flow_id)
-            self._on_data(msg, recovered=not direct, now=now)
+            self._on_data(msg, recovered=link_name != self.config.direct_link,
+                          now=now)
         elif isinstance(msg, CodedPacket):
             self._on_parity(msg, now)
         elif isinstance(msg, CoopRequest):
@@ -208,10 +209,9 @@ class Receiver:
     def on_timer(self, token) -> None:
         kind = token[0]
         if kind == "det":
-            self._on_detector_timer(token[1], token[2])
+            self._on_detector_timer(token[1])
         elif kind == "gap":
-            _, flow_id, seqs = token
-            self._nack_missing(flow_id, seqs, "gap_nacks")
+            self._nack_missing(token[1], "gap_nacks")
         elif kind == "resp":
             msg = self._pending_resp.pop(token[1])
             self.env.send(self.config.dc2_data_link, msg)
@@ -227,16 +227,14 @@ class Receiver:
     # -- data path ------------------------------------------------------------
 
     def _on_data(self, pkt: DataPacket, recovered: bool, now: int) -> None:
-        state = self.flows.get(pkt.flow_id)
-        if state is None:
-            return
+        state = self.state
         ack_due = not recovered and self.nack_streak > 0
         already = pkt.seq < state.frontier or pkt.seq in state.beyond
         if already:
             if ack_due:
-                self._ack_alive(pkt.flow_id, state, now)
+                self._ack_alive(now)
             self.run_log.bump("dup_arrivals")
-            self._note_arrival(state, pkt.flow_id, now)
+            self._note_arrival(now)
             return
         expected = payload_bytes(pkt.flow_id, pkt.seq,
                                  self.run_log.flows[pkt.flow_id].packet_size)
@@ -273,27 +271,28 @@ class Receiver:
         if ack_due:
             # after the frontier move, so cum_seq covers this arrival; before
             # the gap NACKs, so those count as a fresh unanswered streak
-            self._ack_alive(pkt.flow_id, state, now)
+            self._ack_alive(now)
         if missing:
             if self.config.reorder_grace_us > 0:
                 self.env.schedule(self.config.reorder_grace_us,
-                                  ("gap", pkt.flow_id, tuple(missing)))
+                                  ("gap", tuple(missing)))
             else:
-                self._nack_missing(pkt.flow_id, tuple(missing), "gap_nacks")
-        self._note_arrival(state, pkt.flow_id, now)
-        self._retry_held(pkt.flow_id, now)
+                self._nack_missing(tuple(missing), "gap_nacks")
+        self._note_arrival(now)
+        self._retry_held(now)
 
-    def _ack_alive(self, flow_id: int, state: _FlowState, now: int) -> None:
+    def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
         self.env.send(self.config.dc2_data_link,
-                      Ack(flow_id=flow_id,
-                          cum_seq=max(0, state.frontier - 1),
+                      Ack(flow_id=self.config.flow_id,
+                          cum_seq=max(0, self.state.frontier - 1),
                           send_ts_us=now))
         self.nack_streak = 0
         self.run_log.bump("acks_sent")
 
-    def _note_arrival(self, state: _FlowState, flow_id: int, now: int) -> None:
+    def _note_arrival(self, now: int) -> None:
         det = self.config.detector
+        state = self.state
         state.parked = False
         state.unanswered = 0
         if state.last_arrival_us is not None:
@@ -306,7 +305,7 @@ class Receiver:
             state.mode = BURST
         state.last_arrival_us = now
         state.timer_gen += 1
-        self.env.schedule(self._timeout(state), ("det", flow_id, state.timer_gen))
+        self.env.schedule(self._timeout(state), ("det", state.timer_gen))
 
     def _gap_estimate(self, state: _FlowState) -> float:
         det = self.config.detector
@@ -321,14 +320,14 @@ class Receiver:
             return det.small_timeout_us
         return det.long_timeout_us
 
-    def _on_detector_timer(self, flow_id: int, gen: int) -> None:
-        state = self.flows[flow_id]
+    def _on_detector_timer(self, gen: int) -> None:
+        state = self.state
         det = self.config.detector
         if gen != state.timer_gen or state.parked:
             return
         # a timeout is a fresh loss signal each time it fires; pacing
         # comes from the timer itself, not the re-NACK window
-        self._nack_missing(flow_id, (state.frontier,), "timer_nacks",
+        self._nack_missing((state.frontier,), "timer_nacks",
                            respect_window=False)
         if state.mode == BURST:
             state.mode = IDLE_STATE
@@ -337,11 +336,12 @@ class Receiver:
             state.parked = True
             return
         state.timer_gen += 1
-        self.env.schedule(self._timeout(state), ("det", flow_id, state.timer_gen))
+        self.env.schedule(self._timeout(state), ("det", state.timer_gen))
 
-    def _nack_missing(self, flow_id: int, seqs, counter: str,
+    def _nack_missing(self, seqs, counter: str,
                       respect_window: bool = True) -> None:
-        state = self.flows[flow_id]
+        state = self.state
+        flow_id = self.config.flow_id
         now = self.env.now
         todo = []
         stale = False
@@ -416,6 +416,7 @@ class Receiver:
 
     def _on_coop_request(self, msg: CoopRequest, now: int) -> None:
         det = self.config.detector
+        state = self.state
         for flow_id, seq in msg.entries:
             payload = self._cached(flow_id, seq, now)
             if payload is not None:
@@ -423,8 +424,7 @@ class Receiver:
                                              payload=payload, send_ts_us=now),
                                 positive=True)
                 continue
-            state = self.flows.get(flow_id)
-            if state is not None and seq > state.max_seen:
+            if seq > state.max_seen:
                 # nothing this new has arrived yet, so it is not lost, just
                 # not here: proactive recovery rides the DC path, which may
                 # beat the direct one.  Answer when the packet lands, or
@@ -451,9 +451,7 @@ class Receiver:
             self.env.send(self.config.dc2_data_link, resp)
 
     def _on_confirm_query(self, msg: Ctrl, now: int) -> None:
-        state = self.flows.get(msg.flow_id)
-        if state is None:
-            return
+        state = self.state
         missing = (msg.seq >= state.frontier and msg.seq not in state.beyond)
         really_lost = missing and state.max_seen > msg.seq
         if missing and not really_lost:
@@ -471,21 +469,17 @@ class Receiver:
     def _on_parity(self, msg: CodedPacket, now: int) -> None:
         if msg.cross:
             return  # cross parity is decoded in the DC, never here
-        flows = {f for f, s, _ in msg.members}
-        if not flows & set(self.flows):
-            return
         block = self.held.get(msg.batch_id)
         if block is None:
             block = {"members": msg.members, "parity": {}, "since": now}
             self.held[msg.batch_id] = block
-            while len(self.held) > self.config.max_held_blocks:
+            while len(self.held) > MAX_HELD_BLOCKS:
                 self.held.popitem(last=False)
         block["parity"][msg.parity_index] = msg
         self._try_block(msg.batch_id, now)
 
-    def _retry_held(self, flow_id: int, now: int) -> None:
-        for batch_id in [b for b, blk in self.held.items()
-                         if any(f == flow_id for f, s, _ in blk["members"])]:
+    def _retry_held(self, now: int) -> None:
+        for batch_id in list(self.held):
             self._try_block(batch_id, now)
 
     def _try_block(self, batch_id: int, now: int) -> None:

@@ -4,16 +4,12 @@ Field with primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the
 usual choice for byte-oriented storage codes.  Parity generation and
 reconstruction both reduce to matrix products over the field, and those
 inner loops over payload bytes are the hot path of the whole package:
-everything else is control logic.  The product kernel therefore has two
-interchangeable implementations, a numba-compiled loop and a pure-numpy
-gather, selected once at import: numba is an optional extra, and
-CASPR_NUMBA=0 forces the numpy path even where it is installed.
-``perfbench/kernel.py`` times whichever kernel is active.
+everything else is control logic.  The product kernel is a numpy gather
+through a full 256x256 product table, one table row per nonzero matrix
+coefficient; ``perfbench/kernel.py`` times it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -51,12 +47,6 @@ def gf_inv(a: int) -> int:
     return int(EXP[ORDER - LOG[a]])
 
 
-def gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        return 0 if n else 1
-    return int(EXP[(LOG[a] * n) % ORDER])
-
-
 def _matmul_numpy(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     """GF matrix product, (p,k) x (k,L) -> (p,L), via table gathers."""
     p, k = mat.shape
@@ -69,34 +59,9 @@ def _matmul_numpy(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out
 
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via CASPR_NUMBA=0 instead
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _matmul_jit(mat, data, mul):  # pragma: no cover - compiled
-        p, k = mat.shape
-        n = data.shape[1]
-        out = np.zeros((p, n), dtype=np.uint8)
-        for i in range(p):
-            for j in range(k):
-                c = mat[i, j]
-                if c:
-                    row = mul[c]
-                    for t in range(n):
-                        out[i, t] ^= row[data[j, t]]
-        return out
-
-    def _matmul_numba(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
-        return _matmul_jit(mat, data, MUL)
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("CASPR_NUMBA", "1") != "0"
-gf_matmul = _matmul_numba if USE_NUMBA else _matmul_numpy
+# perfbench records the backend in its environment block; numpy is the only one
+USE_NUMBA = False
+gf_matmul = _matmul_numpy
 
 
 def parity_matrix(k: int, num_parity: int) -> np.ndarray:

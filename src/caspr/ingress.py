@@ -1,14 +1,15 @@
 """Ingress-side encoder living in the first datacenter.
 
 Duplicated sender traffic lands here and is folded into parity two ways:
-cross-stream batches mix packets from different flows headed for the
-same egress DC, in-stream batches cover consecutive packets of a single
-flow.  Only parity crosses the inter-DC link; source packets are
-dropped once they have been mixed in, which is what keeps inter-DC
-egress at r = parity/k of the data volume.
+cross-stream batches mix packets from different flows, in-stream
+batches cover consecutive packets of a single flow.  All parity leaves
+on the one link to the egress DC.  Only parity crosses it; source
+packets are dropped once they have been mixed in, which is what keeps
+inter-DC egress at r = parity/k of the data volume.
 
-Cross-stream placement is round-robin over k_max open queues per flow
-group with the constraint that no queue holds two packets of the same
+Flows join groups of k_max in registration order.  Cross-stream
+placement is round-robin over k_max open queues per flow group with the
+constraint that no queue holds two packets of the same
 flow.  When a packet's flow is already present everywhere, the probe
 wraps around to the queue it started at: that queue is flushed early if
 it holds at least two packets, otherwise its lone packet is evicted
@@ -55,7 +56,6 @@ class _Queue:
 @dataclass
 class FlowGroup:
     group_id: int
-    egress_id: str
     k_max: int
     members: list[int] = field(default_factory=list)
     queues: list[_Queue] = field(default_factory=list)
@@ -66,39 +66,29 @@ class FlowGroup:
 
 
 class IngressCoder:
-    """One DC1 node: groups flows per egress and runs both encoders."""
+    """One DC1 node: groups flows and runs both encoders."""
 
-    def __init__(self, name: str, params: CodingParams, run_log,
+    def __init__(self, name: str, params: CodingParams, run_log, out_link: str,
                  cross_flush_us: int, in_flush_us: int):
         self.name = name
         self.params = params
         self.run_log = run_log
+        self.out_link = out_link  # toward the egress DC
         self.cross_flush_us = cross_flush_us
         self.in_flush_us = in_flush_us
         self.env = None  # attached by the simulator
         self.groups: list[FlowGroup] = []
-        self.out_links: dict[str, str] = {}  # egress id -> link name
         self._flow_group: dict[int, FlowGroup] = {}
         self._rr: dict[int, int] = {}
         self._in_queues: dict[int, _Queue] = {}
         self._next_batch = 0
 
-    def add_egress(self, egress_id: str, link_name: str) -> None:
-        self.out_links[egress_id] = link_name
-
-    def register_flow(self, flow_id: int, egress_id: str) -> FlowGroup:
+    def register_flow(self, flow_id: int) -> FlowGroup:
         if flow_id in self._flow_group:
             raise DuplicateFlow(f"flow {flow_id} already registered")
-        if egress_id not in self.out_links:
-            raise IngressError(f"no link to egress {egress_id!r}")
-        group = None
-        for g in self.groups:
-            if g.egress_id == egress_id and len(g.members) < g.k_max:
-                group = g
-                break
-        if group is None:
-            group = FlowGroup(len(self.groups), egress_id, self.params.k_max)
-            self.groups.append(group)
+        if not self.groups or len(self.groups[-1].members) == self.params.k_max:
+            self.groups.append(FlowGroup(len(self.groups), self.params.k_max))
+        group = self.groups[-1]
         group.members.append(flow_id)
         self._flow_group[flow_id] = group
         # first probe of the round-robin lands on queue 0
@@ -121,7 +111,7 @@ class IngressCoder:
             if q.gen != gen:
                 return
             if len(q.symbols) >= 2:
-                self._emit_cross(group, q)
+                self._emit(q, cross=True)
             elif q.symbols:
                 self.run_log.bump("evictions", len(q.symbols))
                 q.reset()
@@ -130,7 +120,7 @@ class IngressCoder:
             q = self._in_queues[flow_id]
             if q.gen != gen or not q.symbols:
                 return
-            self._emit_in(flow_id, q)
+            self._emit(q, cross=False)
 
     # -- the placement algorithm ----------------------------------------
 
@@ -155,7 +145,7 @@ class IngressCoder:
             if idx == start:
                 # flow is in every queue; make room in the starting one
                 if len(q.symbols) > 1:
-                    self._emit_cross(group, q)
+                    self._emit(q, cross=True)
                 else:
                     self.run_log.bump("evictions", len(q.symbols))
                     q.reset()
@@ -167,7 +157,7 @@ class IngressCoder:
             self.env.schedule(self.cross_flush_us,
                               ("xq", group.group_id, idx, q.gen))
         if len(q.symbols) >= 2 and len(q.symbols) == len(group.members):
-            self._emit_cross(group, q)
+            self._emit(q, cross=True)
 
     def _push_in(self, flow_id: int, sym: SourceSymbol, sent_ts: int) -> None:
         q = self._in_queues[flow_id]
@@ -176,32 +166,20 @@ class IngressCoder:
         if len(q.symbols) == 1:
             self.env.schedule(self.in_flush_us, ("iq", flow_id, q.gen))
         if len(q.symbols) >= self.params.in_block:
-            self._emit_in(flow_id, q)
+            self._emit(q, cross=False)
 
     # -- emission --------------------------------------------------------
 
-    def _emit_cross(self, group: FlowGroup, q: _Queue) -> None:
+    def _emit(self, q: _Queue, cross: bool) -> None:
         batch_id = self._next_batch
         self._next_batch += 1
-        parities = encode_batch(batch_id, q.symbols, self.params.num_parity_cross)
-        link = self.out_links[group.egress_id]
+        num_parity = (self.params.num_parity_cross if cross
+                      else self.params.num_parity_in)
         member_ts = tuple(q.sent_ts)
-        for p in parities:
-            self.env.send(link, coded_from_parity(p, cross=True,
-                                                  send_ts_us=self.env.now,
-                                                  member_ts=member_ts))
-        self.run_log.bump("cross_batches")
-        q.reset()
-
-    def _emit_in(self, flow_id: int, q: _Queue) -> None:
-        batch_id = self._next_batch
-        self._next_batch += 1
-        parities = encode_batch(batch_id, q.symbols, self.params.num_parity_in)
-        link = self.out_links[self._flow_group[flow_id].egress_id]
-        member_ts = tuple(q.sent_ts)
-        for p in parities:
-            self.env.send(link, coded_from_parity(p, cross=False,
-                                                  send_ts_us=self.env.now,
-                                                  member_ts=member_ts))
-        self.run_log.bump("in_batches")
+        for p in encode_batch(batch_id, q.symbols, num_parity):
+            self.env.send(self.out_link,
+                          coded_from_parity(p, cross=cross,
+                                            send_ts_us=self.env.now,
+                                            member_ts=member_ts))
+        self.run_log.bump("cross_batches" if cross else "in_batches")
         q.reset()

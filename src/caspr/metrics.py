@@ -37,8 +37,7 @@ FEC_BLOCK = 5
 class FlowTruth:
     flow_id: int
     packet_size: int
-    sends: list[tuple[int, int]] = field(default_factory=list)  # (seq, ts_us)
-    send_ts: dict[int, int] = field(default_factory=dict)
+    send_ts: dict[int, int] = field(default_factory=dict)  # seq -> ts_us, in send order
 
 
 class RunLog:
@@ -55,9 +54,7 @@ class RunLog:
         self.deliveries[flow_id] = []
 
     def record_send(self, flow_id: int, seq: int, ts_us: int) -> None:
-        truth = self.flows[flow_id]
-        truth.sends.append((seq, ts_us))
-        truth.send_ts[seq] = ts_us
+        self.flows[flow_id].send_ts[seq] = ts_us
 
     def record_delivery(self, flow_id: int, seq: int, ts_us: int, recovered: bool) -> None:
         self.deliveries[flow_id].append((seq, ts_us, recovered))
@@ -204,13 +201,6 @@ class RunMetrics:
     def recovery_rate(self) -> float:
         return self.recovered_1rtt / self.lost if self.lost else 1.0
 
-    def recovery_rate_at(self, rtt_multiple: float) -> float:
-        """Recovery rate under a tighter (or looser) deadline rule."""
-        if not self.lost:
-            return 1.0
-        n = sum(1 for f in self.flow_stats for r in f.ratios if r <= rtt_multiple)
-        return n / self.lost
-
     @property
     def all_ratios(self) -> list[float]:
         return [r for f in self.flow_stats for r in f.ratios]
@@ -245,8 +235,8 @@ def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
     for flow_id in sorted(run_log.flows):
         truth = run_log.flows[flow_id]
         lost = direct_losses.get(flow_id, set())
-        send_seqs = [s for s, _ in truth.sends]
-        data_wire_bytes += sum(32 + truth.packet_size for _ in send_seqs)
+        send_seqs = list(truth.send_ts)
+        data_wire_bytes += len(send_seqs) * (32 + truth.packet_size)
         recovered_at: dict[int, int] = {}
         for seq, ts, recovered in run_log.deliveries[flow_id]:
             if recovered and seq in lost and seq not in recovered_at:

@@ -82,11 +82,10 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2", topo.recovery, None)
 
         coding = cfg.coding
-        ingress = IngressCoder("dc1", coding.params, run_log,
+        ingress = IngressCoder("dc1", coding.params, run_log, "dc1>dc2",
                                cross_flush_us=coding.cross_flush_us,
                                in_flush_us=coding.in_flush_us)
         sim.add_node("dc1", ingress)
-        ingress.add_egress("dc2", "dc1>dc2")
 
         egress = EgressRecovery("dc2", EgressConfig(
             deadline_us=cfg.deadline_us,
@@ -108,8 +107,8 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
 
         senders = []
         for i in range(n):
-            ingress.register_flow(i, "dc2")
-            egress.register_receiver(f"r{i}", [i], data_link=f"dc2>r{i}",
+            ingress.register_flow(i)
+            egress.register_receiver(f"r{i}", i, data_link=f"dc2>r{i}",
                                      ctrl_link=f"dc2>r{i}:ctrl")
             sender = Sender(f"s{i}", SenderConfig(
                 flow_id=i,
@@ -126,8 +125,8 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             sim.add_node(f"s{i}", sender)
             senders.append(sender)
             receiver = Receiver(f"r{i}", ReceiverConfig(
-                flows=(i,),
-                direct_links={i: f"s{i}>r{i}"},
+                flow_id=i,
+                direct_link=f"s{i}>r{i}",
                 dc2_data_link=f"r{i}>dc2",
                 dc2_ctrl_link=f"r{i}>dc2:ctrl",
                 detector=detector,

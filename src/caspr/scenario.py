@@ -388,6 +388,17 @@ def validate(cfg: dict) -> Scenario:
     return tree
 
 
+def _list_index(items: list, key: str, path: str) -> int:
+    try:
+        index = int(key)
+    except ValueError:
+        raise ScenarioError(f"override {path!r}: list index {key!r} is not an integer")
+    if not -len(items) <= index < len(items):
+        raise ScenarioError(f"override {path!r}: list index {index} is out of range "
+                            f"for a list of {len(items)}")
+    return index
+
+
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     """Apply ``dotted.path=value`` overrides; values parse as YAML."""
     out = copy.deepcopy(cfg)
@@ -405,15 +416,14 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         node = out
         for key in keys[:-1]:
             if isinstance(node, list):
-                key = int(key)
-                node = node[key]
+                node = node[_list_index(node, key, path)]
             else:
                 node = node.setdefault(key, {})
             if not isinstance(node, (dict, list)):
                 raise ScenarioError(f"override {path!r} descends through a scalar")
         last = keys[-1]
         if isinstance(node, list):
-            node[int(last)] = value
+            node[_list_index(node, last, path)] = value
         else:
             node[last] = value
     return out

@@ -54,7 +54,6 @@ TYPE_NAMES = {
 FLAG_SELECTIVE_DUP = 0x0001
 FLAG_COOP_NEGATIVE = 0x0002
 
-CTRL_FLOW_REGISTER = 1
 CTRL_CONFIRM_QUERY = 2
 CTRL_CONFIRM_RESP = 3
 

@@ -32,7 +32,7 @@ def make_engine(n_receivers=4, config=CFG):
     env = StubEnv()
     env.attach(eng)
     for i in range(n_receivers):
-        eng.register_receiver(f"r{i}", [i], data_link=f"dc2>r{i}",
+        eng.register_receiver(f"r{i}", i, data_link=f"dc2>r{i}",
                               ctrl_link=f"dc2>r{i}:ctrl")
     return eng, env, log
 
@@ -282,6 +282,6 @@ def test_unknown_flow_nack_ignored():
 def test_duplicate_receiver_registration_rejected():
     eng, env, log = make_engine(n_receivers=1)
     with pytest.raises(ValueError):
-        eng.register_receiver("r0", [5], "a", "b")
+        eng.register_receiver("r0", 5, "a", "b")
     with pytest.raises(ValueError):
-        eng.register_receiver("r9", [0], "a", "b")
+        eng.register_receiver("r9", 0, "a", "b")

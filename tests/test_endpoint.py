@@ -61,7 +61,7 @@ def test_cbr_full_duplication():
     assert [p.send_ts_us for p in direct] == [0, 10_000, 20_000, 30_000, 40_000]
     assert dup == direct
     assert all(p.payload == payload_bytes(0, p.seq, 64) for p in direct)
-    assert log.flows[0].sends == [(s, s * 10_000) for s in range(5)]
+    assert list(log.flows[0].send_ts.items()) == [(s, s * 10_000) for s in range(5)]
 
 
 def test_seq_continues_across_bursts():
@@ -114,18 +114,15 @@ DET = DetectorConfig(kind="two_state", small_timeout_us=25_000,
                      nominal_gap_us=10_000, giveup_after=8)
 
 
-def make_receiver(flows=(0,), det=DET, **kw):
-    defaults = dict(flows=tuple(flows),
-                    direct_links={f: f"s{f}>r0" for f in flows},
+def make_receiver(det=DET, **kw):
+    defaults = dict(flow_id=0, direct_link="s0>r0",
                     dc2_data_link="r0>dc2", dc2_ctrl_link="r0>dc2:ctrl",
                     detector=det, reorder_grace_us=0,
                     renack_after_us=150_000, cache_packets=64,
                     cache_ttl_us=600_000)
     defaults.update(kw)
     log = RunLog()
-    log.register_flow(flows[0], 64)
-    for f in flows[1:]:
-        log.register_flow(f, 64)
+    log.register_flow(0, 64)
     recv = Receiver("r0", ReceiverConfig(**defaults), log)
     env = StubEnv()
     env.attach(recv)
@@ -231,7 +228,7 @@ def test_stale_hole_abandoned_and_frontier_slides():
     deliver_direct(recv, env, 0, 5, 120_000)
     assert [m.entries for m in nacks_on(env)] == [((0, 1),)]
     assert log.counters["abandoned_holes"] == 1
-    assert recv.flows[0].frontier == 6
+    assert recv.state.frontier == 6
     # fresh holes are still reported
     deliver_direct(recv, env, 0, 7, 130_000)
     assert nacks_on(env)[-1].entries == ((0, 6),)
@@ -360,7 +357,7 @@ def test_confirm_query_answers():
     resps = [m for m in env.on("r0>dc2:ctrl")
              if isinstance(m, Ctrl) and m.kind == CTRL_CONFIRM_RESP]
     assert [(m.seq, m.arg) for m in resps] == [(1, 1), (0, 0), (9, 0)]
-    assert recv.flows[0].parked  # end-of-flow answer parks the detector
+    assert recv.state.parked  # end-of-flow answer parks the detector
     assert log.counters["confirm_yes"] == 1
     assert log.counters["confirm_no"] == 2
 
@@ -377,7 +374,7 @@ def test_in_stream_parity_completes_block():
     recv.on_message(parity[0], "dc2>r0")
     delivered = dict((s, (t, r)) for s, t, r in log.deliveries[0])
     assert delivered[2] == (30_000, True)
-    assert recv.flows[0].frontier == 5
+    assert recv.state.frontier == 5
 
 
 def test_parity_for_complete_block_discarded():

@@ -24,10 +24,9 @@ class StubEnv:
 def make_coder(params=None, **kw):
     params = params or CodingParams(k_max=4, num_parity_cross=2,
                                     num_parity_in=1, in_block=5)
-    coder = IngressCoder("dc1", params, RunLog(),
+    coder = IngressCoder("dc1", params, RunLog(), "dc1>dc2",
                          cross_flush_us=30_000, in_flush_us=50_000, **kw)
     coder.env = StubEnv()
-    coder.add_egress("dc2", "dc1>dc2")
     return coder
 
 
@@ -51,7 +50,7 @@ def test_group_assignment_greedy_fill():
     coder = make_coder(CodingParams(k_max=10, num_parity_cross=2,
                                     num_parity_in=0, in_block=0))
     for f in range(12):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     sizes = sorted(len(g.members) for g in coder.groups)
     assert sizes == [2, 10]
     assert coder.groups[0].members == list(range(10))
@@ -59,9 +58,9 @@ def test_group_assignment_greedy_fill():
 
 def test_duplicate_flow_rejected():
     coder = make_coder()
-    coder.register_flow(1, "dc2")
+    coder.register_flow(1)
     with pytest.raises(DuplicateFlow):
-        coder.register_flow(1, "dc2")
+        coder.register_flow(1)
 
 
 def test_unregistered_flow_rejected():
@@ -73,7 +72,7 @@ def test_unregistered_flow_rejected():
 def test_full_queue_emits_cross_batch():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     # one packet from each flow; all four probes start at queue 0
     for f in range(4):
         coder.process_packet(pkt(f, 0, bytes([f]) * 8))
@@ -88,7 +87,7 @@ def test_full_queue_emits_cross_batch():
 def test_queue_spread_no_flow_twice():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     # two packets per flow before any queue fills: they spread to
     # different queues, no queue ever holds a flow twice
     for seq in range(2):
@@ -107,7 +106,7 @@ def test_queue_spread_no_flow_twice():
 def test_single_flow_evicts_never_emits_cross():
     coder = make_coder(CodingParams(k_max=4, num_parity_cross=2,
                                     num_parity_in=0, in_block=0))
-    coder.register_flow(0, "dc2")
+    coder.register_flow(0)
     for seq in range(20):
         coder.process_packet(pkt(0, seq))
     assert cross_sent(coder.env) == []
@@ -118,7 +117,7 @@ def test_single_flow_evicts_never_emits_cross():
 def test_timer_flushes_partial_batch():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     coder.process_packet(pkt(0, 0))
     coder.process_packet(pkt(1, 0))
     assert cross_sent(coder.env) == []
@@ -134,7 +133,7 @@ def test_timer_flushes_partial_batch():
 def test_timer_evicts_single_packet():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     coder.process_packet(pkt(0, 0))
     coder.on_timer(cross_timers(coder.env)[0][1])
     assert cross_sent(coder.env) == []
@@ -144,7 +143,7 @@ def test_timer_evicts_single_packet():
 def test_stale_timer_is_noop():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     for f in range(4):
         coder.process_packet(pkt(f, 0))
     emitted = len(coder.env.sent)
@@ -156,7 +155,7 @@ def test_stale_timer_is_noop():
 
 def test_in_stream_emits_at_block_boundary():
     coder = make_coder()
-    coder.register_flow(0, "dc2")
+    coder.register_flow(0)
     for seq in range(5):
         coder.process_packet(pkt(0, seq, bytes([seq]) * 8))
     parities = in_sent(coder.env)
@@ -170,7 +169,7 @@ def test_in_stream_emits_at_block_boundary():
 
 def test_in_stream_timer_flushes_short_block():
     coder = make_coder()
-    coder.register_flow(0, "dc2")
+    coder.register_flow(0)
     coder.process_packet(pkt(0, 0))
     coder.process_packet(pkt(0, 1))
     in_timers = [(t, tok) for t, tok in coder.env.timers if tok[0] == "iq"]
@@ -185,7 +184,7 @@ def test_in_stream_disabled():
     coder = make_coder(CodingParams(k_max=4, num_parity_cross=2,
                                     num_parity_in=0, in_block=0))
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     for f in range(4):
         coder.process_packet(pkt(f, 0))
     assert in_sent(coder.env) == []
@@ -195,7 +194,7 @@ def test_in_stream_disabled():
 def test_batch_ids_monotone_and_distinct():
     coder = make_coder()
     for f in range(4):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     for seq in range(10):
         for f in range(4):
             coder.process_packet(pkt(f, seq))
@@ -212,7 +211,7 @@ def test_coding_latency_bounded_by_flush_timeout():
     coder = make_coder(CodingParams(k_max=6, num_parity_cross=1,
                                     num_parity_in=0, in_block=0))
     for f in range(3):
-        coder.register_flow(f, "dc2")
+        coder.register_flow(f)
     env = coder.env
     entered = {}
     t = 0

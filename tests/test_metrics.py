@@ -143,8 +143,6 @@ def test_analyze_run_recovery_ratio_join():
     assert m.all_ratios == [0.7]
     assert m.recovery_rate == 1.0
     assert m.within_half_rtt_frac == 0.0
-    assert m.recovery_rate_at(0.5) == 0.0
-    assert m.recovery_rate_at(0.7) == 1.0
     assert m.episodes == [Episode(0, 1, 1)]
     assert m.data_wire_bytes == 3 * 132
     assert m.counters == log.counters

@@ -234,6 +234,8 @@ def test_cli_validate_rejects_bad_file(tmp_path, capsys):
     ["coding.k_max=40", "coding.parity_cross=4"],
     ["flows.count=2.0"],
     ["seeds=[4, 4]"],
+    ["seeds.x=1"],
+    ["seeds.7=1"],
 ])
 def test_cli_run_rejects_overrides_the_run_cannot_use(tmp_path, capsys, overrides):
     sets = [arg for o in overrides for arg in ("--set", o)]
