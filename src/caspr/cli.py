@@ -36,11 +36,12 @@ def _cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else None
     out_dir = args.out or os.path.join("runs", cfg.name)
     try:
-        runs = runner.run_scenario(cfg, out_dir, seeds=seeds, trace=args.trace)
+        runner.run_scenario(cfg, out_dir, seeds=seeds, trace=args.trace)
     except runner.InvariantViolation as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 1
-    print(metrics.render_summary_text(runs, cfg.cost.price_per_gb), end="")
+    with open(os.path.join(out_dir, "summary.txt")) as f:
+        print(f.read(), end="")
     print(f"artifacts in {out_dir}/")
     return 0
 
@@ -56,17 +57,17 @@ def _load_all_row(run_dir: str) -> dict:
     try:
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise scenario.ScenarioError(f"cannot read {path}: {e}")
     if not rows:
         raise scenario.ScenarioError(f"{path} is empty")
-    schemas = {r["schema"] for r in rows}
+    schemas = {r.get("schema") for r in rows}
     if schemas != {metrics.SUMMARY_SCHEMA}:
         raise scenario.ScenarioError(
-            f"{path}: schema {sorted(schemas)} does not match "
+            f"{path}: schema {sorted(map(str, schemas))} does not match "
             f"{metrics.SUMMARY_SCHEMA}; regenerate the run")
     for row in rows:
-        if row["seed"] == "all":
+        if row.get("seed") == "all":
             return row
     raise scenario.ScenarioError(f"{path} has no pooled 'all' row")
 

@@ -81,12 +81,10 @@ class StoredBatch:
     member_sent: dict[Entry, int] = field(default_factory=dict)
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
-    negatives: set[Entry] = field(default_factory=set)
     lost: set[Entry] = field(default_factory=set)
     requested: set[str] = field(default_factory=set)
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
-    gen: int = 0
 
     def entries(self):
         return [(f, s) for f, s, _ in self.members]
@@ -151,9 +149,8 @@ class EgressRecovery:
         if kind == "ttl":
             self._expire_batch(token[1], now)
         elif kind == "task":
-            _, batch_id, gen = token
-            batch = self.store.get(batch_id)
-            if batch is not None and batch.gen == gen and batch.state == PENDING:
+            batch = self.store.get(token[1])
+            if batch is not None and batch.state == PENDING:
                 batch.state = FAILED
                 missing = [e for e in sorted(batch.lost) if e not in batch.decoded]
                 self.run_log.bump("failed_silent", len(missing))
@@ -239,7 +236,6 @@ class EgressRecovery:
         port.consec_nacks += 1
         if port.consec_nacks == self.config.proactive_after and not port.proactive:
             port.proactive = True
-            self.run_log.bump("proactive_mode_entries")
             # parity already in the store covers losses the dead direct
             # path can no longer provoke NACKs for; open those too
             for bid in sorted(self.store):
@@ -341,11 +337,10 @@ class EgressRecovery:
                 self.run_log.bump("cache_resends")
             return
         if batch.state == IDLE:
+            # a batch leaves IDLE once, so its one task timer needs no generation
             batch.state = PENDING
-            batch.gen += 1
             self.run_log.bump("tasks_opened")
-            self.env.schedule(self.config.deadline_us,
-                              ("task", batch.batch_id, batch.gen))
+            self.env.schedule(self.config.deadline_us, ("task", batch.batch_id))
         self._send_coop_requests(batch, now)
         self._try_decode(batch, now)
 
@@ -381,7 +376,6 @@ class EgressRecovery:
             self.run_log.bump("late_resps")
             return
         if msg.payload is None:
-            batch.negatives.add(entry)
             return
         batch.decoded[entry] = msg.payload
         if batch.state == PENDING:
@@ -430,4 +424,3 @@ class EgressRecovery:
         self.env.send(port.data_link,
                       DataPacket(flow_id=entry[0], seq=entry[1],
                                  send_ts_us=now, payload=payload))
-        self.run_log.bump("recovered_sent")

@@ -162,6 +162,12 @@ class _FlowState:
     nacked_at: dict[int, int] = field(default_factory=dict)
     first_nacked: dict[int, int] = field(default_factory=dict)
 
+    def advance(self) -> None:
+        """Move the frontier past seqs that already arrived beyond it."""
+        while self.frontier in self.beyond:
+            self.beyond.discard(self.frontier)
+            self.frontier += 1
+
 
 @dataclass
 class ReceiverConfig:
@@ -188,8 +194,6 @@ class Receiver:
         self.cache: OrderedDict = OrderedDict()  # (flow, seq) -> (payload, ts)
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
-        self._resp_id = 0
-        self._pending_resp: dict[int, CoopResponse] = {}
         self._coop_wait: dict[tuple[int, int], int] = {}
 
     # -- dispatch -----------------------------------------------------------
@@ -213,8 +217,7 @@ class Receiver:
         elif kind == "gap":
             self._nack_missing(token[1], "gap_nacks")
         elif kind == "resp":
-            msg = self._pending_resp.pop(token[1])
-            self.env.send(self.config.dc2_data_link, msg)
+            self.env.send(self.config.dc2_data_link, token[1])
         elif kind == "coopw":
             _, flow_id, seq = token
             n = self._coop_wait.pop((flow_id, seq), 0)
@@ -253,19 +256,13 @@ class Receiver:
         missing: list[int] = []
         if pkt.seq == state.frontier:
             state.frontier += 1
-            while state.frontier in state.beyond:
-                state.beyond.discard(state.frontier)
-                state.frontier += 1
+            state.advance()
         else:
             state.beyond.add(pkt.seq)
             if len(state.beyond) > MAX_TRACKED_GAP:
                 # runaway gap: slide the frontier forward, forget the hole
                 state.frontier = min(state.beyond)
-                state.beyond.discard(state.frontier)
-                state.frontier += 1
-                while state.frontier in state.beyond:
-                    state.beyond.discard(state.frontier)
-                    state.frontier += 1
+                state.advance()
             missing = [s for s in range(gap_start, pkt.seq)
                        if s not in state.beyond]
         if ack_due:
@@ -391,9 +388,7 @@ class Receiver:
             state.nacked_at.pop(state.frontier, None)
             self.run_log.bump("abandoned_holes")
             state.frontier += 1
-            while state.frontier in state.beyond:
-                state.beyond.discard(state.frontier)
-                state.frontier += 1
+            state.advance()
 
     # -- payload cache ----------------------------------------------------------
 
@@ -443,10 +438,7 @@ class Receiver:
         self.run_log.bump("coop_resps_pos" if positive
                           else "coop_resps_neg")
         if self.config.straggler_delay_us > 0:
-            self._resp_id += 1
-            self._pending_resp[self._resp_id] = resp
-            self.env.schedule(self.config.straggler_delay_us,
-                              ("resp", self._resp_id))
+            self.env.schedule(self.config.straggler_delay_us, ("resp", resp))
         else:
             self.env.send(self.config.dc2_data_link, resp)
 

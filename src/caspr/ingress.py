@@ -181,5 +181,4 @@ class IngressCoder:
                           coded_from_parity(p, cross=cross,
                                             send_ts_us=self.env.now,
                                             member_ts=member_ts))
-        self.run_log.bump("cross_batches" if cross else "in_batches")
         q.reset()

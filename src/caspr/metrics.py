@@ -7,6 +7,13 @@ the on-path FEC what-if, the egress cost model, CSV artifacts) is a pure
 function of the RunLog plus the simulator's per-link byte counters, so
 two runs with equal seeds produce byte-identical artifacts.
 
+Each seed's RunLog is analyzed once into a RunMetrics of run-wide totals.
+A scenario's seeds are then pooled once, by summing packets and bytes
+rather than averaging rates, into one more RunMetrics whose seed is
+"all".  summary.csv, fec_whatif.csv and cost.csv hold each seed's rows
+followed by the pooled rows, episodes.csv the seeds' rows only, and
+summary.txt renders the pooled run.
+
 The recovery-rate rule is strict: a lost packet counts as recovered only
 if it reached the application within one direct-path RTT of the time it
 would have arrived had it not been lost.
@@ -106,6 +113,12 @@ class FecLevel:
     lost_in_outage: int = 0
     recovered_in_outage: int = 0
 
+    def add(self, other: FecLevel) -> None:
+        self.lost += other.lost
+        self.recovered += other.recovered
+        self.lost_in_outage += other.lost_in_outage
+        self.recovered_in_outage += other.recovered_in_outage
+
     def rate(self) -> float:
         return self.recovered / self.lost if self.lost else 1.0
 
@@ -152,65 +165,40 @@ def fec_whatif(send_seqs: list[int], send_ts: dict[int, int], lost: set[int],
 
 
 @dataclass
-class FlowStats:
-    flow_id: int
-    sent: int
-    lost: int
-    recovered_1rtt: int
-    recovered_any: int
-    ratios: list[float]  # recovery time / RTT for every recovered loss
-
-
-@dataclass
 class RunMetrics:
+    """One seed's results, or several seeds pooled (seed "all")."""
     scenario: str
-    seed: int
+    seed: int | str
     duration_s: float
-    rtt_us: int
-    flow_stats: list[FlowStats]
-    episodes: list[Episode]
-    fec: dict[int, FecLevel]
-    counters: Counter
+    flows: int = 0
+    sent: int = 0
+    lost: int = 0                # on the direct path
+    recovered_1rtt: int = 0
+    recovered_any: int = 0
+    ratios: list[float] = field(default_factory=list)  # recovery time / RTT per recovered loss
+    episodes: list[Episode] = field(default_factory=list)
+    fec: dict[int, FecLevel] = field(
+        default_factory=lambda: {pct: FecLevel(pct) for pct in FEC_OVERHEADS})
+    counters: Counter = field(default_factory=Counter)
     # byte accounting
-    dc1_egress_bytes: int
-    dc2_egress_recovery_bytes: int
-    dc2_egress_ctrl_bytes: int
-    dup_bytes: int
-    data_wire_bytes: int  # all direct-path data, the full-relay baseline unit
+    dc1_egress_bytes: int = 0
+    dc2_egress_recovery_bytes: int = 0
+    dc2_egress_ctrl_bytes: int = 0
+    dup_bytes: int = 0
+    data_wire_bytes: int = 0     # all direct-path data, the full-relay baseline unit
     # losses whose send time fell inside a scheduled outage window
     in_outage_lost: int = 0
     in_outage_recovered_1rtt: int = 0
-
-    @property
-    def sent(self) -> int:
-        return sum(f.sent for f in self.flow_stats)
-
-    @property
-    def lost(self) -> int:
-        return sum(f.lost for f in self.flow_stats)
-
-    @property
-    def recovered_1rtt(self) -> int:
-        return sum(f.recovered_1rtt for f in self.flow_stats)
-
-    @property
-    def recovered_any(self) -> int:
-        return sum(f.recovered_any for f in self.flow_stats)
 
     @property
     def recovery_rate(self) -> float:
         return self.recovered_1rtt / self.lost if self.lost else 1.0
 
     @property
-    def all_ratios(self) -> list[float]:
-        return [r for f in self.flow_stats for r in f.ratios]
-
-    @property
     def within_half_rtt_frac(self) -> float | None:
-        ratios = self.all_ratios
-        if not ratios:
+        if not self.ratios:
             return None
-        return sum(1 for r in ratios if r <= 0.5) / len(ratios)
+        return sum(1 for r in self.ratios if r <= 0.5) / len(self.ratios)
 
     @property
     def in_outage_rate(self) -> float | None:
@@ -218,61 +206,79 @@ class RunMetrics:
             return None
         return self.in_outage_recovered_1rtt / self.in_outage_lost
 
+    @property
+    def caspr_bytes(self) -> int:
+        """Cloud egress of the system: inter-DC parity, recovery and control."""
+        return self.dc1_egress_bytes + self.dc2_egress_recovery_bytes + self.dc2_egress_ctrl_bytes
+
+    @property
+    def overlay_bytes(self) -> int:
+        """Cloud egress of a full overlay: all data leaves DC1 and then DC2."""
+        return 2 * self.data_wire_bytes
+
 
 def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
                 run_log: RunLog, direct_losses: dict[int, set[int]],
-                direct_one_way_us: dict[int, int],
+                direct_one_way_us: int,
                 outage_windows: dict[int, list[tuple[int, int]]],
                 dc1_egress_bytes: int, dc2_egress_recovery_bytes: int,
                 dc2_egress_ctrl_bytes: int, dup_bytes: int) -> RunMetrics:
     """Join ground truth with delivery logs into one run's metrics."""
-    flow_stats = []
-    episodes = []
-    fec_total: dict[int, FecLevel] = {pct: FecLevel(pct) for pct in FEC_OVERHEADS}
-    data_wire_bytes = 0
-    in_outage_lost = 0
-    in_outage_recovered = 0
+    m = RunMetrics(scenario_name, seed, duration_s, flows=len(run_log.flows),
+                   counters=Counter(run_log.counters),
+                   dc1_egress_bytes=dc1_egress_bytes,
+                   dc2_egress_recovery_bytes=dc2_egress_recovery_bytes,
+                   dc2_egress_ctrl_bytes=dc2_egress_ctrl_bytes, dup_bytes=dup_bytes)
     for flow_id in sorted(run_log.flows):
         truth = run_log.flows[flow_id]
         lost = direct_losses.get(flow_id, set())
+        windows = outage_windows.get(flow_id, [])
         send_seqs = list(truth.send_ts)
-        data_wire_bytes += len(send_seqs) * (32 + truth.packet_size)
+        m.sent += len(send_seqs)
+        m.lost += len(lost)
+        m.data_wire_bytes += len(send_seqs) * (32 + truth.packet_size)
+        in_outage = {s for s in lost
+                     if any(start <= truth.send_ts[s] < end for start, end in windows)}
+        m.in_outage_lost += len(in_outage)
         recovered_at: dict[int, int] = {}
         for seq, ts, recovered in run_log.deliveries[flow_id]:
             if recovered and seq in lost and seq not in recovered_at:
                 recovered_at[seq] = ts
-        ratios = []
-        rec_1rtt = 0
+        m.recovered_any += len(recovered_at)
         for seq, ts in sorted(recovered_at.items()):
-            expected = truth.send_ts[seq] + direct_one_way_us[flow_id]
+            expected = truth.send_ts[seq] + direct_one_way_us
             ratio = (ts - expected) / rtt_us
-            ratios.append(ratio)
+            m.ratios.append(ratio)
             if ratio <= 1.0:
-                rec_1rtt += 1
-        flow_stats.append(FlowStats(flow_id, len(send_seqs), len(lost),
-                                    rec_1rtt, len(recovered_at), ratios))
-        episodes.extend(classify_episodes(send_seqs, lost, flow_id))
-        windows = outage_windows.get(flow_id, [])
-        for seq in lost:
-            if any(start <= truth.send_ts[seq] < end for start, end in windows):
-                in_outage_lost += 1
-                ts = recovered_at.get(seq)
-                if ts is not None:
-                    expected = truth.send_ts[seq] + direct_one_way_us[flow_id]
-                    if (ts - expected) / rtt_us <= 1.0:
-                        in_outage_recovered += 1
-        flow_fec = fec_whatif(send_seqs, truth.send_ts, lost, windows)
-        for pct, level in flow_fec.items():
-            agg = fec_total[pct]
-            agg.lost += level.lost
-            agg.recovered += level.recovered
-            agg.lost_in_outage += level.lost_in_outage
-            agg.recovered_in_outage += level.recovered_in_outage
-    return RunMetrics(scenario_name, seed, duration_s, rtt_us, flow_stats,
-                      episodes, fec_total, Counter(run_log.counters),
-                      dc1_egress_bytes, dc2_egress_recovery_bytes,
-                      dc2_egress_ctrl_bytes, dup_bytes, data_wire_bytes,
-                      in_outage_lost, in_outage_recovered)
+                m.recovered_1rtt += 1
+                if seq in in_outage:
+                    m.in_outage_recovered_1rtt += 1
+        m.episodes.extend(classify_episodes(send_seqs, lost, flow_id))
+        for pct, level in fec_whatif(send_seqs, truth.send_ts, lost, windows).items():
+            m.fec[pct].add(level)
+    return m
+
+
+# run-wide totals that pool by summing
+_SUMMED = ("sent", "lost", "recovered_1rtt", "recovered_any", "dc1_egress_bytes",
+           "dc2_egress_recovery_bytes", "dc2_egress_ctrl_bytes", "dup_bytes",
+           "data_wire_bytes", "in_outage_lost", "in_outage_recovered_1rtt")
+
+
+def pool_runs(runs: list[RunMetrics]) -> RunMetrics:
+    """Aggregate seeds by pooling packets, not averaging rates."""
+    if not runs:
+        raise ValueError("pool_runs needs at least one run")
+    pooled = RunMetrics(runs[0].scenario, "all", sum(m.duration_s for m in runs),
+                        flows=max(m.flows for m in runs),  # seeds share the flow set
+                        **{name: sum(getattr(m, name) for m in runs) for name in _SUMMED})
+    for m in runs:
+        pooled.ratios.extend(m.ratios)
+        pooled.episodes.extend(m.episodes)
+        pooled.counters.update(m.counters)
+        for pct, level in m.fec.items():
+            pooled.fec[pct].add(level)
+    return pooled
 
 
 def egress_dollars(n_bytes: int, price_per_gb: float) -> float:
@@ -287,30 +293,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _counter_cols():
-    return ["nacks_sent", "gap_nacks", "timer_nacks", "acks_sent", "coop_reqs",
-            "coop_resps_pos", "coop_resps_neg", "late_resps", "confirm_queries",
-            "confirm_yes", "confirm_no", "tasks_opened", "tasks_decoded",
-            "failed_silent", "suppressed", "evictions", "in_forwards",
-            "proactive_entries", "dup_arrivals", "discarded_parity",
-            "cache_resends", "abandoned_holes", "claims_retracted"]
+def _write_csv(path, fields: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fields)
+        w.writeheader()
+        for row in rows:
+            w.writerow({k: _fmt(v) for k, v in row.items()})
 
+
+COUNTER_COLS = ["nacks_sent", "gap_nacks", "timer_nacks", "acks_sent", "coop_reqs",
+                "coop_resps_pos", "coop_resps_neg", "late_resps", "confirm_queries",
+                "confirm_yes", "confirm_no", "tasks_opened", "tasks_decoded",
+                "failed_silent", "suppressed", "evictions", "in_forwards",
+                "proactive_entries", "dup_arrivals", "discarded_parity",
+                "cache_resends", "abandoned_holes", "claims_retracted"]
 
 SUMMARY_FIELDS = (["schema", "scenario", "seed", "flows", "duration_s", "sent",
                    "direct_lost", "recovered_1rtt", "recovery_rate",
                    "recovered_any", "within_half_rtt_frac", "mean_ratio",
-                   "p95_ratio"] + _counter_cols() +
+                   "p95_ratio"] + COUNTER_COLS +
                   ["dc1_egress_bytes", "dc2_egress_recovery_bytes",
                    "dc2_egress_ctrl_bytes", "dup_bytes", "data_wire_bytes"])
 
 
-def summary_row(m: RunMetrics, seed_label=None) -> dict:
-    ratios = sorted(m.all_ratios)
+def summary_row(m: RunMetrics) -> dict:
+    ratios = sorted(m.ratios)
     row = {
         "schema": SUMMARY_SCHEMA,
         "scenario": m.scenario,
-        "seed": m.seed if seed_label is None else seed_label,
-        "flows": len(m.flow_stats),
+        "seed": m.seed,
+        "flows": m.flows,
         "duration_s": m.duration_s,
         "sent": m.sent,
         "direct_lost": m.lost,
@@ -326,75 +338,24 @@ def summary_row(m: RunMetrics, seed_label=None) -> dict:
         "dup_bytes": m.dup_bytes,
         "data_wire_bytes": m.data_wire_bytes,
     }
-    for name in _counter_cols():
+    for name in COUNTER_COLS:
         row[name] = m.counters.get(name, 0)
     return row
 
 
-def pool_runs(runs: list[RunMetrics]) -> RunMetrics:
-    """Aggregate seeds by pooling packets, not averaging rates."""
-    if not runs:
-        raise ValueError("pool_runs needs at least one run")
-    flows: dict[int, FlowStats] = {}
-    episodes = []
-    counters: Counter = Counter()
-    fec: dict[int, FecLevel] = {pct: FecLevel(pct) for pct in FEC_OVERHEADS}
-    for m in runs:
-        episodes.extend(m.episodes)
-        counters.update(m.counters)
-        for f in m.flow_stats:
-            cur = flows.get(f.flow_id)
-            if cur is None:
-                flows[f.flow_id] = FlowStats(f.flow_id, f.sent, f.lost,
-                                             f.recovered_1rtt, f.recovered_any,
-                                             list(f.ratios))
-            else:
-                cur.sent += f.sent
-                cur.lost += f.lost
-                cur.recovered_1rtt += f.recovered_1rtt
-                cur.recovered_any += f.recovered_any
-                cur.ratios.extend(f.ratios)
-        for pct, level in m.fec.items():
-            fec[pct].lost += level.lost
-            fec[pct].recovered += level.recovered
-            fec[pct].lost_in_outage += level.lost_in_outage
-            fec[pct].recovered_in_outage += level.recovered_in_outage
-    first = runs[0]
-    return RunMetrics(first.scenario, -1, sum(m.duration_s for m in runs),
-                      first.rtt_us, [flows[k] for k in sorted(flows)],
-                      episodes, fec, counters,
-                      sum(m.dc1_egress_bytes for m in runs),
-                      sum(m.dc2_egress_recovery_bytes for m in runs),
-                      sum(m.dc2_egress_ctrl_bytes for m in runs),
-                      sum(m.dup_bytes for m in runs),
-                      sum(m.data_wire_bytes for m in runs),
-                      sum(m.in_outage_lost for m in runs),
-                      sum(m.in_outage_recovered_1rtt for m in runs))
-
-
-def write_summary_csv(path, runs: list[RunMetrics]) -> None:
-    pooled = pool_runs(runs)
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, SUMMARY_FIELDS)
-        w.writeheader()
-        for m in runs:
-            w.writerow({k: _fmt(v) for k, v in summary_row(m).items()})
-        w.writerow({k: _fmt(v) for k, v in summary_row(pooled, "all").items()})
+def write_summary_csv(path, runs: list[RunMetrics], pooled: RunMetrics) -> None:
+    _write_csv(path, SUMMARY_FIELDS, map(summary_row, [*runs, pooled]))
 
 
 EPISODE_FIELDS = ["schema", "scenario", "seed", "flow", "start_seq", "length", "klass"]
 
 
 def write_episodes_csv(path, runs: list[RunMetrics]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, EPISODE_FIELDS)
-        w.writeheader()
-        for m in runs:
-            for ep in m.episodes:
-                w.writerow({"schema": EPISODES_SCHEMA, "scenario": m.scenario,
-                            "seed": m.seed, "flow": ep.flow_id,
-                            "start_seq": ep.start_seq, "length": ep.length,
-                            "klass": ep.klass})
+    _write_csv(path, EPISODE_FIELDS, (
+        {"schema": EPISODES_SCHEMA, "scenario": m.scenario, "seed": m.seed,
+         "flow": ep.flow_id, "start_seq": ep.start_seq, "length": ep.length,
+         "klass": ep.klass}
+        for m in runs for ep in m.episodes))
 
 
 FEC_FIELDS = ["schema", "scenario", "seed", "overhead_pct", "fec_rate",
@@ -402,7 +363,7 @@ FEC_FIELDS = ["schema", "scenario", "seed", "overhead_pct", "fec_rate",
               "fec_rate_in_outage", "caspr_rate_in_outage"]
 
 
-def fec_rows(m: RunMetrics, seed_label=None) -> list[dict]:
+def fec_rows(m: RunMetrics) -> list[dict]:
     rows = []
     caspr = m.recovery_rate
     in_outage_lost = sum(lv.lost_in_outage for lv in m.fec.values()) > 0
@@ -410,8 +371,7 @@ def fec_rows(m: RunMetrics, seed_label=None) -> list[dict]:
         level = m.fec[pct]
         fec_rate = level.rate()
         rows.append({
-            "schema": FEC_SCHEMA, "scenario": m.scenario,
-            "seed": m.seed if seed_label is None else seed_label,
+            "schema": FEC_SCHEMA, "scenario": m.scenario, "seed": m.seed,
             "overhead_pct": pct,
             "fec_rate": fec_rate,
             "caspr_rate": caspr,
@@ -423,69 +383,50 @@ def fec_rows(m: RunMetrics, seed_label=None) -> list[dict]:
     return rows
 
 
-def write_fec_csv(path, runs: list[RunMetrics]) -> None:
-    pooled = pool_runs(runs)
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, FEC_FIELDS)
-        w.writeheader()
-        for m in runs:
-            for row in fec_rows(m):
-                w.writerow({k: _fmt(v) for k, v in row.items()})
-        for row in fec_rows(pooled, "all"):
-            w.writerow({k: _fmt(v) for k, v in row.items()})
+def write_fec_csv(path, runs: list[RunMetrics], pooled: RunMetrics) -> None:
+    _write_csv(path, FEC_FIELDS, (row for m in [*runs, pooled] for row in fec_rows(m)))
 
 
 COST_FIELDS = ["schema", "scenario", "seed", "component", "bytes", "dollars",
                "ratio_to_full_overlay"]
 
 
-def cost_rows(m: RunMetrics, price_per_gb: float, seed_label=None) -> list[dict]:
-    caspr_total = m.dc1_egress_bytes + m.dc2_egress_recovery_bytes + m.dc2_egress_ctrl_bytes
-    overlay_interdc = m.data_wire_bytes
-    overlay_total = 2 * m.data_wire_bytes
-    seed = m.seed if seed_label is None else seed_label
-
+def cost_rows(m: RunMetrics, price_per_gb: float) -> list[dict]:
     def row(component, n_bytes, baseline=None):
-        return {"schema": COST_SCHEMA, "scenario": m.scenario, "seed": seed,
+        return {"schema": COST_SCHEMA, "scenario": m.scenario, "seed": m.seed,
                 "component": component, "bytes": n_bytes,
                 "dollars": egress_dollars(n_bytes, price_per_gb),
                 "ratio_to_full_overlay": (n_bytes / baseline) if baseline else None}
 
     return [
-        row("dc1_egress", m.dc1_egress_bytes, overlay_interdc),
+        row("dc1_egress", m.dc1_egress_bytes, m.data_wire_bytes),
         row("dc2_egress_recovery", m.dc2_egress_recovery_bytes),
         row("dc2_egress_ctrl", m.dc2_egress_ctrl_bytes),
-        row("caspr_total", caspr_total, overlay_total),
-        row("overlay_interdc_baseline", overlay_interdc),
-        row("overlay_total_baseline", overlay_total),
+        row("caspr_total", m.caspr_bytes, m.overlay_bytes),
+        row("overlay_interdc_baseline", m.data_wire_bytes),
+        row("overlay_total_baseline", m.overlay_bytes),
         row("sender_duplication", m.dup_bytes),
     ]
 
 
-def write_cost_csv(path, runs: list[RunMetrics], price_per_gb: float) -> None:
-    pooled = pool_runs(runs)
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, COST_FIELDS)
-        w.writeheader()
-        for m in runs:
-            for row in cost_rows(m, price_per_gb):
-                w.writerow({k: _fmt(v) for k, v in row.items()})
-        for row in cost_rows(pooled, price_per_gb, "all"):
-            w.writerow({k: _fmt(v) for k, v in row.items()})
+def write_cost_csv(path, runs: list[RunMetrics], pooled: RunMetrics,
+                   price_per_gb: float) -> None:
+    _write_csv(path, COST_FIELDS, (row for m in [*runs, pooled]
+                                   for row in cost_rows(m, price_per_gb)))
 
 
-def render_summary_text(runs: list[RunMetrics], price_per_gb: float) -> str:
-    m = pool_runs(runs)
+def render_summary_text(m: RunMetrics, seeds: int, price_per_gb: float) -> str:
+    """The human-readable summary.txt of a run, from its pooled metrics."""
     out = io.StringIO()
     p = lambda s="": print(s, file=out)
-    p(f"scenario {m.scenario}: {len(runs)} seed(s), "
-      f"{m.duration_s:.1f}s simulated, {len(m.flow_stats)} flows")
+    p(f"scenario {m.scenario}: {seeds} seed(s), "
+      f"{m.duration_s:.1f}s simulated, {m.flows} flows")
     p(f"  sent {m.sent} packets, lost {m.lost} on the direct path "
       f"({m.lost / m.sent * 100 if m.sent else 0:.2f}%)")
     p(f"  recovered within 1 RTT: {m.recovered_1rtt} "
       f"({m.recovery_rate * 100:.1f}% of losses); "
       f"recovered at any time: {m.recovered_any}")
-    if m.all_ratios:
+    if m.ratios:
         p(f"  of recovered: {m.within_half_rtt_frac * 100:.1f}% within 0.5 RTT")
     by_class = Counter(ep.klass for ep in m.episodes)
     p(f"  loss episodes: {by_class.get(RANDOM, 0)} random, "
@@ -495,14 +436,12 @@ def render_summary_text(runs: list[RunMetrics], price_per_gb: float) -> str:
       f"ACKs {m.counters.get('acks_sent', 0)}, "
       f"failed-silent {m.counters.get('failed_silent', 0)}, "
       f"evictions {m.counters.get('evictions', 0)}")
-    caspr_total = m.dc1_egress_bytes + m.dc2_egress_recovery_bytes + m.dc2_egress_ctrl_bytes
-    overlay = 2 * m.data_wire_bytes
     p("  cloud egress: "
       f"DC1 {m.dc1_egress_bytes} B (${egress_dollars(m.dc1_egress_bytes, price_per_gb):.4f}), "
       f"DC2 recovery {m.dc2_egress_recovery_bytes} B, ctrl {m.dc2_egress_ctrl_bytes} B")
     if m.data_wire_bytes:
-        p(f"  vs full overlay {overlay} B: "
-          f"{caspr_total / overlay * 100:.2f}% of baseline "
+        p(f"  vs full overlay {m.overlay_bytes} B: "
+          f"{m.caspr_bytes / m.overlay_bytes * 100:.2f}% of baseline "
           f"(inter-DC alone {m.dc1_egress_bytes / m.data_wire_bytes * 100:.2f}%)")
     for pct in sorted(m.fec):
         level = m.fec[pct]

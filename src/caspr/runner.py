@@ -44,8 +44,8 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
     topo = cfg.topology
 
     trace_file = open(trace_path, "w") if trace_path else None
+    sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
     try:
-        sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
         run_log = metrics.RunLog()
 
         def add_link(name, src, dst, link, loss):
@@ -157,14 +157,15 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
 
         return metrics.analyze_run(
             cfg.name, seed, cfg.duration_s, cfg.rtt_us, run_log,
-            direct_losses,
-            {i: topo.direct.delay_us for i in range(n)},
-            outage_by_flow,
+            direct_losses, topo.direct.delay_us, outage_by_flow,
             dc1_egress_bytes=sim.links["dc1>dc2"].sent_bytes,
             dc2_egress_recovery_bytes=dc2_recovery,
             dc2_egress_ctrl_bytes=dc2_ctrl,
             dup_bytes=sum(sim.links[f"s{i}>dc1"].sent_bytes for i in range(n)))
     finally:
+        # nodes reach the simulator through node.env; dropping them breaks
+        # that cycle, so the run is freed on return, not at the next GC pass
+        sim.nodes.clear()
         if trace_file:
             trace_file.close()
 
@@ -218,11 +219,12 @@ def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
             runs = list(pool.map(_run_seed_job, *jobs))
     else:
         runs = list(map(_run_seed_job, *jobs))
+    pooled = metrics.pool_runs(runs)
     price = cfg.cost.price_per_gb
-    metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs)
+    metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs, pooled)
     metrics.write_episodes_csv(os.path.join(out_dir, "episodes.csv"), runs)
-    metrics.write_fec_csv(os.path.join(out_dir, "fec_whatif.csv"), runs)
-    metrics.write_cost_csv(os.path.join(out_dir, "cost.csv"), runs, price)
+    metrics.write_fec_csv(os.path.join(out_dir, "fec_whatif.csv"), runs, pooled)
+    metrics.write_cost_csv(os.path.join(out_dir, "cost.csv"), runs, pooled, price)
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write(metrics.render_summary_text(runs, price))
+        f.write(metrics.render_summary_text(pooled, len(runs), price))
     return runs

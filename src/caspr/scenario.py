@@ -434,6 +434,8 @@ def load(path: str, overrides: list[str] | None = None) -> Scenario:
     try:
         with open(path) as f:
             raw = yaml.safe_load(f)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"cannot read {path}: {e}")
     except yaml.YAMLError as e:
         raise ScenarioError(f"{path}: YAML parse error: {e}")
     if not isinstance(raw, dict):

@@ -8,8 +8,11 @@ truncated next block counts as parity that never existed.
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caspr.metrics import (
+    COUNTER_COLS,
     Episode,
     FecLevel,
     MULTI,
@@ -18,7 +21,9 @@ from caspr.metrics import (
     RunLog,
     analyze_run,
     classify_episodes,
+    cost_rows,
     egress_dollars,
+    fec_rows,
     fec_whatif,
     pool_runs,
     summary_row,
@@ -136,11 +141,11 @@ def test_analyze_run_recovery_ratio_join():
     log.record_delivery(0, 1, 130_000, True)
     log.record_delivery(0, 1, 900_000, True)   # late duplicate is ignored
     log.record_delivery(0, 0, 60_000, True)    # recovered copy of a non-loss
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, {0: 50_000},
+    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
                     {}, 700, 100, 10, 1000)
     assert (m.sent, m.lost, m.recovered_1rtt, m.recovered_any) == (3, 1, 1, 1)
     # expected arrival 60_000, recovered at 130_000: 0.7 RTT late
-    assert m.all_ratios == [0.7]
+    assert m.ratios == [0.7]
     assert m.recovery_rate == 1.0
     assert m.within_half_rtt_frac == 0.0
     assert m.episodes == [Episode(0, 1, 1)]
@@ -152,7 +157,7 @@ def test_analyze_run_lossless():
     log = make_log()
     for seq in range(3):
         log.record_delivery(0, seq, seq * 10_000 + 50_000, False)
-    m = analyze_run("t", 1, 1.0, 100_000, log, {}, {0: 50_000}, {}, 0, 0, 0, 0)
+    m = analyze_run("t", 1, 1.0, 100_000, log, {}, 50_000, {}, 0, 0, 0, 0)
     assert m.lost == 0
     assert m.recovery_rate == 1.0
     assert m.episodes == []
@@ -163,7 +168,7 @@ def test_analyze_run_unrecovered_loss():
     log = make_log()
     log.record_delivery(0, 0, 50_000, False)
     log.record_delivery(0, 2, 70_000, False)
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, {0: 50_000},
+    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
                     {}, 0, 0, 0, 0)
     assert (m.lost, m.recovered_1rtt, m.recovered_any) == (1, 0, 0)
     assert m.recovery_rate == 0.0
@@ -182,7 +187,7 @@ def two_runs():
         log.record_delivery(0, loss_seq, loss_seq * 10_000 + 100_000, True)
         log.bump("nacks_sent")
         runs.append(analyze_run("t", seed, 1.0, 100_000, log,
-                                {0: {loss_seq}}, {0: 50_000}, {},
+                                {0: {loss_seq}}, 50_000, {},
                                 700, 100, 10, 1000))
     return runs
 
@@ -196,8 +201,8 @@ def test_pool_runs_pools_packets():
     assert pooled.duration_s == 2.0
     assert pooled.counters["nacks_sent"] == 2
     assert pooled.dc1_egress_bytes == 1400
-    assert len(pooled.all_ratios) == 2
-    assert summary_row(pooled, "all")["seed"] == "all"
+    assert len(pooled.ratios) == 2
+    assert summary_row(pooled)["seed"] == "all"
 
 
 def test_pool_runs_rejects_no_runs():
@@ -205,11 +210,67 @@ def test_pool_runs_rejects_no_runs():
         pool_runs([])
 
 
+@st.composite
+def random_runs(draw, seed):
+    """One analyzed run of a few short flows with random losses and repairs."""
+    log = RunLog()
+    losses, outages = {}, {}
+    for flow_id in range(draw(st.integers(1, 3))):
+        log.register_flow(flow_id, draw(st.integers(0, 64)))
+        ts = 0
+        losses[flow_id] = set()
+        for seq in range(draw(st.integers(0, 25))):
+            ts += draw(st.integers(1, 20_000))
+            log.record_send(flow_id, seq, ts)
+            if not draw(st.booleans()):
+                log.record_delivery(flow_id, seq, ts + 50_000, False)
+                continue
+            losses[flow_id].add(seq)
+            late = draw(st.none() | st.integers(-10_000, 300_000))
+            if late is not None:
+                log.record_delivery(flow_id, seq, ts + 50_000 + late, True)
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 300_000))
+            outages[flow_id] = [(start, start + draw(st.integers(1, 200_000)))]
+    for name in draw(st.lists(st.sampled_from(COUNTER_COLS), max_size=8)):
+        log.bump(name)
+    n_bytes = st.integers(0, 10**6)
+    return analyze_run("p", seed, draw(st.sampled_from([1, 2.5])), 100_000, log,
+                       losses, 50_000, outages, draw(n_bytes), draw(n_bytes),
+                       draw(n_bytes), draw(n_bytes))
+
+
+SUMMED_COLS = (["duration_s", "sent", "direct_lost", "recovered_1rtt", "recovered_any"]
+               + COUNTER_COLS + ["dc1_egress_bytes", "dc2_egress_recovery_bytes",
+                                 "dc2_egress_ctrl_bytes", "dup_bytes", "data_wire_bytes"])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*(random_runs(seed) for seed in range(1, n + 1)))))
+def test_pooled_row_sums_the_seed_rows(runs):
+    pooled = summary_row(pool_runs(list(runs)))
+    rows = [summary_row(m) for m in runs]
+    assert pooled["seed"] == "all"
+    assert pooled["flows"] == max(r["flows"] for r in rows)  # ids 0..n-1 in each seed
+    for col in SUMMED_COLS:
+        assert pooled[col] == sum(r[col] for r in rows), col
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(random_runs(7))
+def test_pooling_one_run_changes_only_the_seed(m):
+    pooled = pool_runs([m])
+    assert summary_row(pooled) == {**summary_row(m), "seed": "all"}
+    assert fec_rows(pooled) == [{**r, "seed": "all"} for r in fec_rows(m)]
+    assert cost_rows(pooled, 0.087) == [{**r, "seed": "all"} for r in cost_rows(m, 0.087)]
+
+
 def test_summary_csv_shape_and_determinism(tmp_path):
     runs = two_runs()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_summary_csv(a, runs)
-    write_summary_csv(b, runs)
+    write_summary_csv(a, runs, pool_runs(runs))
+    write_summary_csv(b, runs, pool_runs(runs))
     assert a.read_bytes() == b.read_bytes()
     rows = list(csv.DictReader(a.open()))
     assert [r["seed"] for r in rows] == ["1", "2", "all"]
@@ -228,7 +289,8 @@ def test_episodes_csv_rows(tmp_path):
 
 def test_fec_csv_carries_system_rate_and_outage_column(tmp_path):
     path = tmp_path / "f.csv"
-    write_fec_csv(path, two_runs())
+    runs = two_runs()
+    write_fec_csv(path, runs, pool_runs(runs))
     rows = list(csv.DictReader(path.open()))
     # per-seed rows for each level, then pooled rows labeled "all"
     assert len(rows) == 3 * 3
@@ -245,11 +307,11 @@ def test_analyze_run_in_outage_system_rate():
     log.record_delivery(0, 0, 50_000, False)
     log.record_delivery(0, 2, 70_000, False)
     log.record_delivery(0, 1, 100_000, True)   # 0.4 RTT late
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, {0: 50_000},
+    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
                     {0: [(10_000, 20_000)]}, 0, 0, 0, 0)
     assert (m.in_outage_lost, m.in_outage_recovered_1rtt) == (1, 1)
     assert m.in_outage_rate == 1.0
-    outside = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, {0: 50_000},
+    outside = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
                           {0: [(500_000, 600_000)]}, 0, 0, 0, 0)
     assert outside.in_outage_lost == 0
     assert outside.in_outage_rate is None
@@ -257,7 +319,8 @@ def test_analyze_run_in_outage_system_rate():
 
 def test_cost_csv_arithmetic(tmp_path):
     path = tmp_path / "c.csv"
-    write_cost_csv(path, two_runs(), price_per_gb=0.087)
+    runs = two_runs()
+    write_cost_csv(path, runs, pool_runs(runs), price_per_gb=0.087)
     rows = {(r["seed"], r["component"]): r
             for r in csv.DictReader(path.open())}
     total = rows[("all", "caspr_total")]

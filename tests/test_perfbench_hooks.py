@@ -1,0 +1,55 @@
+"""The benchmark under perfbench/ reaches into caspr by name.
+
+perfbench/tracer.py wraps the entry points listed in its LAYERS table,
+and perfbench/worker.py and perfbench/kernel.py read a few more names.
+A rename in src/caspr would otherwise surface only when the benchmark
+runs; this test resolves every one of those names the way the
+benchmark does.  It reads perfbench/ and changes nothing there.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(module: str, path: str):
+    # as tracer.Patch.set does: attribute walk, then the owner's own __dict__
+    owner = importlib.import_module(module)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner.__dict__[attr]
+
+
+@pytest.mark.parametrize("module, path", [
+    (module, path) for module, path, _, _ in load_tracer().LAYERS])
+def test_every_traced_layer_resolves(module, path):
+    assert callable(resolve(module, path))
+
+
+@pytest.mark.parametrize("module, path", [
+    ("caspr.runner", "run_seed"),
+    ("caspr.runner", "run_scenario"),
+    ("caspr.netsim", "Simulator.check_conservation"),
+    ("caspr.gf256", "USE_NUMBA"),
+    ("caspr.gf256", "gf_matmul"),
+    ("caspr.gf256", "_matmul_numpy"),
+    ("caspr.gf256", "parity_matrix"),
+    ("caspr.gf256", "gf_inv_matrix"),
+    ("caspr.scenario", "load"),
+    ("caspr.scenario", "bundled_path"),
+])
+def test_names_the_benchmark_reads_exist(module, path):
+    resolve(module, path)

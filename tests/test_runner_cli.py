@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import gc
 import os
+import weakref
 
 import pytest
 import yaml
@@ -65,6 +67,25 @@ def test_lossless_run_moves_no_recovery_bytes():
     assert m.counters["failed_silent"] == 0
     # coding still ran; parity crossed the inter-DC link
     assert m.dc1_egress_bytes > 0
+
+
+def test_run_seed_frees_its_simulation_without_the_cyclic_gc(monkeypatch):
+    built = []
+
+    class Recorded(netsim.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(netsim, "Simulator", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        run_seed(tiny(), seed=1)
+        assert len(built) == 1
+        assert built[0]() is None, "the run outlives run_seed until a GC pass"
+    finally:
+        gc.enable()
 
 
 def test_run_scenario_writes_artifact_set(tmp_path):
@@ -245,6 +266,15 @@ def test_cli_run_rejects_overrides_the_run_cannot_use(tmp_path, capsys, override
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_validate_rejects_unreadable_files(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.yaml"
+    not_utf8.write_bytes(b"name: caf\xe9\n")
+    for path in (tmp_path, not_utf8):
+        rc = main(["validate", str(path)])
+        assert rc == 2
+        assert "scenario error" in capsys.readouterr().err
+
+
 def test_cli_unknown_scenario_name(capsys):
     rc = main(["run", "no_such_thing"])
     assert rc == 2
@@ -280,6 +310,16 @@ def test_cli_compare_rejects_foreign_schema(tmp_path, capsys):
     rc = main(["compare", str(d)])
     assert rc == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_cli_compare_rejects_summary_without_schema_column(tmp_path, capsys):
+    d = tmp_path / "x"
+    d.mkdir()
+    (d / "summary.csv").write_text("scenario,seed\ntiny,all\n")
+    rc = main(["compare", str(d)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "does not match" in err
 
 
 def test_cli_compare_requires_pooled_row(tmp_path, capsys):
