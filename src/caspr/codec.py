@@ -143,10 +143,12 @@ def decode_batch(present: list[SourceSymbol],
                  parity: list[ParitySymbol]) -> list[SourceSymbol]:
     """Reconstruct the batch members absent from ``present``.
 
-    Present symbols not named in the parity metadata are ignored.
-    Returns the recovered symbols in batch order, payloads truncated to
-    their original lengths.  Raises InsufficientSymbols when more
-    members are missing than parity symbols are supplied.
+    Present symbols not named in the parity metadata are ignored, and
+    any object with ParitySymbol's fields (a ``wire.CodedPacket``, for
+    one) serves as a parity symbol.  Returns the recovered symbols in
+    batch order, payloads truncated to their original lengths.  Raises
+    InsufficientSymbols when more members are missing than parity
+    symbols are supplied.
     """
     if not parity:
         raise EmptyBatch("decode needs at least one parity symbol")

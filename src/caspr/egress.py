@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import InsufficientSymbols, SourceSymbol, decode_batch
+from .codec import SourceSymbol, decode_batch
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -53,7 +53,6 @@ from .wire import (
     Ctrl,
     DataPacket,
     Nack,
-    parity_from_coded,
 )
 
 IDLE, PENDING, DECODED, FAILED = "idle", "pending", "decoded", "failed"
@@ -103,7 +102,6 @@ class _ReceiverPort:
     data_link: str
     ctrl_link: str
     consec_nacks: int = 0
-    proactive: bool = False
 
 
 class EgressRecovery:
@@ -118,6 +116,7 @@ class EgressRecovery:
         self.by_entry: dict[Entry, set[int]] = {}
         self.orphans: dict[Entry, _Orphan] = {}
         self._flow_port: dict[int, _ReceiverPort] = {}  # each flow has one receiver
+        self._proactive: set[int] = set()  # flows whose receiver is in proactive mode
 
     def register_receiver(self, receiver_id: str, flow_id: int, data_link: str,
                           ctrl_link: str) -> None:
@@ -147,13 +146,11 @@ class EgressRecovery:
         kind = token[0]
         now = self.env.now
         if kind == "ttl":
-            self._expire_batch(token[1], now)
+            self._expire_batch(token[1])
         elif kind == "task":
             batch = self.store.get(token[1])
-            if batch is not None and batch.state == PENDING:
-                batch.state = FAILED
-                missing = [e for e in sorted(batch.lost) if e not in batch.decoded]
-                self.run_log.bump("failed_silent", len(missing))
+            if batch is not None:
+                self._give_up(batch)
         elif kind == "boundary":
             _, f, s, created = token
             orphan = self.orphans.get((f, s))
@@ -199,33 +196,40 @@ class EgressRecovery:
             elif self._claim_admissible(batch, e, orphan.nack_ts):
                 del self.orphans[e]
                 self._recover_entry(e, now, orphan.nack_ts)
-        if batch.cross:
-            for e in batch.entries():
-                port = self._flow_port.get(e[0])
-                if (port is not None and port.proactive
-                        and e not in batch.decoded and e not in batch.lost):
-                    self.run_log.bump("proactive_entries")
-                    self._recover_via_cross(batch, e, now)
+        self._open_proactive(batch, self._proactive, now)
         if batch.lost:
             if batch.cross:
                 self._try_decode(batch, now)
             else:
-                self._forward_in_parity(batch, now)
+                self._forward_in_parity(batch)
 
-    def _expire_batch(self, batch_id: int, now: int) -> None:
-        batch = self.store.get(batch_id)
-        if batch is None or now - batch.first_seen_us < self.config.store_ttl_us:
+    def _open_proactive(self, batch: StoredBatch, flows: set[int], now: int) -> None:
+        """Open recovery for the cross batch's unclaimed entries of
+        ``flows``: their dead direct path may never provoke a NACK."""
+        if not batch.cross:
             return
+        for e in batch.entries():
+            if e[0] in flows and e not in batch.decoded and e not in batch.lost:
+                self.run_log.bump("proactive_entries")
+                self._recover_via_cross(batch, e, now)
+
+    def _give_up(self, batch: StoredBatch) -> None:
+        """End a pending task; what it has not decoded fails silently."""
         if batch.state == PENDING:
-            missing = [e for e in sorted(batch.lost) if e not in batch.decoded]
-            self.run_log.bump("failed_silent", len(missing))
+            batch.state = FAILED
+            self.run_log.bump("failed_silent", len(batch.lost - batch.decoded.keys()))
+
+    def _expire_batch(self, batch_id: int) -> None:
+        # each batch arms one TTL timer when it is stored, and that timer
+        # is the only way out of the store
+        batch = self.store.pop(batch_id)
+        self._give_up(batch)
         for e in batch.entries():
             ids = self.by_entry.get(e)
             if ids is not None:
                 ids.discard(batch_id)
                 if not ids:
                     del self.by_entry[e]
-        del self.store[batch_id]
 
     # -- loss reports ---------------------------------------------------------
 
@@ -234,28 +238,19 @@ class EgressRecovery:
         if port is None:
             return
         port.consec_nacks += 1
-        if port.consec_nacks == self.config.proactive_after and not port.proactive:
-            port.proactive = True
+        if port.consec_nacks == self.config.proactive_after:
+            self._proactive.add(msg.flow_id)
             # parity already in the store covers losses the dead direct
             # path can no longer provoke NACKs for; open those too
             for bid in sorted(self.store):
-                batch = self.store[bid]
-                if not batch.cross:
-                    continue
-                for e in batch.entries():
-                    if (e[0] == msg.flow_id and e not in batch.decoded
-                            and e not in batch.lost):
-                        self.run_log.bump("proactive_entries")
-                        self._recover_via_cross(batch, e, now)
+                self._open_proactive(self.store[bid], {msg.flow_id}, now)
         for entry in msg.entries:
             self._recover_entry(entry, now, msg.send_ts_us)
 
     def _on_ack(self, msg: Ack) -> None:
-        port = self._flow_port.get(msg.flow_id)
-        if port is None:
-            return
+        port = self._flow_port[msg.flow_id]
         port.consec_nacks = 0
-        port.proactive = False
+        self._proactive.discard(msg.flow_id)
         # everything at or below the cumulative point reached the
         # receiver (or was given up on); pending claims there are moot
         stale = [e for e in self.orphans
@@ -293,7 +288,7 @@ class EgressRecovery:
         for batch in in_batches:
             batch.lost.add(entry)
             if len(batch.parity) >= len(batch.lost):
-                self._forward_in_parity(batch, now)
+                self._forward_in_parity(batch)
                 return
         cross = [self.store[b] for b in batch_ids if self.store[b].cross]
         if cross:
@@ -315,8 +310,8 @@ class EgressRecovery:
             self.env.schedule(self.config.deadline_us,
                               ("orphan", entry[0], entry[1], now))
 
-    def _forward_in_parity(self, batch: StoredBatch, now: int) -> None:
-        needed = len([e for e in batch.lost if e not in batch.decoded])
+    def _forward_in_parity(self, batch: StoredBatch) -> None:
+        needed = len(batch.lost)  # in-stream batches are never decoded in the DC
         if len(batch.parity) < needed:
             return
         port = self._flow_port[batch.members[0][0]]
@@ -330,11 +325,10 @@ class EgressRecovery:
             self.run_log.bump("in_forwards")
 
     def _recover_via_cross(self, batch: StoredBatch, entry: Entry, now: int) -> None:
+        # callers pass only undecoded entries and a DECODED batch has none,
+        # so a cached resend never starts here
         batch.lost.add(entry)
         if batch.state in (DECODED, FAILED):
-            if batch.state == DECODED and entry in batch.decoded:
-                self._send_data(entry, batch.decoded[entry], now)
-                self.run_log.bump("cache_resends")
             return
         if batch.state == IDLE:
             # a batch leaves IDLE once, so its one task timer needs no generation
@@ -378,8 +372,7 @@ class EgressRecovery:
         if msg.payload is None:
             return
         batch.decoded[entry] = msg.payload
-        if batch.state == PENDING:
-            self._try_decode(batch, now)
+        self._try_decode(batch, now)
 
     def _on_confirm_response(self, msg: Ctrl) -> None:
         entry = (msg.flow_id, msg.seq)
@@ -402,17 +395,13 @@ class EgressRecovery:
     def _try_decode(self, batch: StoredBatch, now: int) -> None:
         if batch.state != PENDING:
             return
+        # the one decode gate: past it, decode_batch has parity for every unknown
         unknown = [(f, s) for f, s, _ in batch.members if (f, s) not in batch.decoded]
         if len(unknown) > len(batch.parity):
             return
         present = [SourceSymbol(f, s, batch.decoded[(f, s)])
                    for f, s, _ in batch.members if (f, s) in batch.decoded]
-        parities = [parity_from_coded(batch.parity[i]) for i in sorted(batch.parity)]
-        try:
-            recovered = decode_batch(present, parities)
-        except InsufficientSymbols:
-            return
-        for sym in recovered:
+        for sym in decode_batch(present, list(batch.parity.values())):
             batch.decoded[(sym.flow_id, sym.seq)] = sym.payload
         batch.state = DECODED
         self.run_log.bump("tasks_decoded")

@@ -29,7 +29,7 @@ import statistics
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from .codec import InsufficientSymbols, SourceSymbol, decode_batch
+from .codec import SourceSymbol, decode_batch
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -41,7 +41,6 @@ from .wire import (
     DataPacket,
     FLAG_SELECTIVE_DUP,
     Nack,
-    parity_from_coded,
 )
 
 # dedupe/NACK bookkeeping beyond the frontier is capped per flow; a
@@ -93,9 +92,6 @@ class Sender:
         self._burst_end = 0
         run_log.register_flow(config.flow_id, config.packet_size)
 
-    def on_message(self, msg, link_name: str) -> None:
-        pass
-
     def on_timer(self, token) -> None:
         if token[0] == "burst":
             self.burst_index = 0
@@ -109,16 +105,15 @@ class Sender:
         now = self.env.now
         if cfg.stop_us is not None and now >= cfg.stop_us:
             return
-        pkt = DataPacket(flow_id=cfg.flow_id, seq=self.seq, send_ts_us=now,
-                         payload=payload_bytes(cfg.flow_id, self.seq,
-                                               cfg.packet_size))
-        self.run_log.record_send(cfg.flow_id, self.seq, now)
         duplicate = (cfg.duplication == FULL
                      or self.burst_index < cfg.selective_first_n)
-        if cfg.duplication == SELECTIVE:
-            pkt = DataPacket(flow_id=pkt.flow_id, seq=pkt.seq,
-                             send_ts_us=now, payload=pkt.payload,
-                             flags=FLAG_SELECTIVE_DUP if duplicate else 0)
+        # only selective duplication marks the packets it copies
+        flags = FLAG_SELECTIVE_DUP if duplicate and cfg.duplication == SELECTIVE else 0
+        pkt = DataPacket(flow_id=cfg.flow_id, seq=self.seq, send_ts_us=now,
+                         payload=payload_bytes(cfg.flow_id, self.seq,
+                                               cfg.packet_size),
+                         flags=flags)
+        self.run_log.record_send(cfg.flow_id, self.seq, now)
         self.env.send(cfg.direct_link, pkt)
         if duplicate:
             self.env.send(cfg.dup_link, pkt)
@@ -149,27 +144,6 @@ GAP_WINDOW = 15  # recent arrival gaps whose median is the burst gap estimate
 
 
 @dataclass
-class _FlowState:
-    frontier: int = 0                      # everything below is delivered
-    beyond: set = field(default_factory=set)
-    max_seen: int = -1
-    last_arrival_us: int | None = None
-    gaps: deque = field(default_factory=lambda: deque(maxlen=GAP_WINDOW))
-    mode: str = IDLE_STATE
-    timer_gen: int = 0
-    unanswered: int = 0
-    parked: bool = False                   # give-up or confirmed end of flow
-    nacked_at: dict[int, int] = field(default_factory=dict)
-    first_nacked: dict[int, int] = field(default_factory=dict)
-
-    def advance(self) -> None:
-        """Move the frontier past seqs that already arrived beyond it."""
-        while self.frontier in self.beyond:
-            self.beyond.discard(self.frontier)
-            self.frontier += 1
-
-
-@dataclass
 class ReceiverConfig:
     flow_id: int
     direct_link: str                 # incoming direct link name
@@ -190,7 +164,19 @@ class Receiver:
         self.config = config
         self.run_log = run_log
         self.env = None
-        self.state = _FlowState()
+        # delivery state of the one flow this receiver terminates
+        self.frontier = 0                 # everything below is delivered
+        self.beyond: set[int] = set()     # delivered seqs above the frontier
+        self.max_seen = -1
+        # loss detector
+        self.last_arrival_us: int | None = None
+        self.gaps: deque = deque(maxlen=GAP_WINDOW)
+        self.mode = IDLE_STATE
+        self.timer_gen = 0
+        self.unanswered = 0
+        self.parked = False               # give-up or confirmed end of flow
+        self.nacked_at: dict[int, int] = {}
+        self.first_nacked: dict[int, int] = {}
         self.cache: OrderedDict = OrderedDict()  # (flow, seq) -> (payload, ts)
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
@@ -230,9 +216,8 @@ class Receiver:
     # -- data path ------------------------------------------------------------
 
     def _on_data(self, pkt: DataPacket, recovered: bool, now: int) -> None:
-        state = self.state
         ack_due = not recovered and self.nack_streak > 0
-        already = pkt.seq < state.frontier or pkt.seq in state.beyond
+        already = pkt.seq < self.frontier or pkt.seq in self.beyond
         if already:
             if ack_due:
                 self._ack_alive(now)
@@ -251,20 +236,20 @@ class Receiver:
             self._send_resp(CoopResponse(entry=(pkt.flow_id, pkt.seq),
                                          payload=pkt.payload, send_ts_us=now),
                             positive=True)
-        state.max_seen = max(state.max_seen, pkt.seq)
-        gap_start = state.frontier
+        self.max_seen = max(self.max_seen, pkt.seq)
+        gap_start = self.frontier
         missing: list[int] = []
-        if pkt.seq == state.frontier:
-            state.frontier += 1
-            state.advance()
+        if pkt.seq == self.frontier:
+            self.frontier += 1
+            self._advance()
         else:
-            state.beyond.add(pkt.seq)
-            if len(state.beyond) > MAX_TRACKED_GAP:
+            self.beyond.add(pkt.seq)
+            if len(self.beyond) > MAX_TRACKED_GAP:
                 # runaway gap: slide the frontier forward, forget the hole
-                state.frontier = min(state.beyond)
-                state.advance()
+                self.frontier = min(self.beyond)
+                self._advance()
             missing = [s for s in range(gap_start, pkt.seq)
-                       if s not in state.beyond]
+                       if s not in self.beyond]
         if ack_due:
             # after the frontier move, so cum_seq covers this arrival; before
             # the gap NACKs, so those count as a fresh unanswered streak
@@ -278,96 +263,99 @@ class Receiver:
         self._note_arrival(now)
         self._retry_held(now)
 
+    def _advance(self) -> None:
+        """Move the frontier past seqs that already arrived beyond it."""
+        while self.frontier in self.beyond:
+            self.beyond.discard(self.frontier)
+            self.frontier += 1
+
     def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
         self.env.send(self.config.dc2_data_link,
                       Ack(flow_id=self.config.flow_id,
-                          cum_seq=max(0, self.state.frontier - 1),
+                          cum_seq=max(0, self.frontier - 1),
                           send_ts_us=now))
         self.nack_streak = 0
         self.run_log.bump("acks_sent")
 
     def _note_arrival(self, now: int) -> None:
         det = self.config.detector
-        state = self.state
-        state.parked = False
-        state.unanswered = 0
-        if state.last_arrival_us is not None:
-            gap = now - state.last_arrival_us
+        self.parked = False
+        self.unanswered = 0
+        if self.last_arrival_us is not None:
+            gap = now - self.last_arrival_us
             if gap < det.long_timeout_us:
-                state.gaps.append(gap)
-            if gap < self._burst_threshold(state):
-                state.mode = BURST
+                self.gaps.append(gap)
+            if gap < self._burst_threshold():
+                self.mode = BURST
         else:
-            state.mode = BURST
-        state.last_arrival_us = now
-        state.timer_gen += 1
-        self.env.schedule(self._timeout(state), ("det", state.timer_gen))
+            self.mode = BURST
+        self.last_arrival_us = now
+        self.timer_gen += 1
+        self.env.schedule(self._timeout(), ("det", self.timer_gen))
 
-    def _gap_estimate(self, state: _FlowState) -> float:
+    def _gap_estimate(self) -> float:
         det = self.config.detector
-        return statistics.median(state.gaps) if state.gaps else det.nominal_gap_us
+        return statistics.median(self.gaps) if self.gaps else det.nominal_gap_us
 
-    def _burst_threshold(self, state: _FlowState) -> float:
-        return self.config.detector.burst_factor * self._gap_estimate(state)
+    def _burst_threshold(self) -> float:
+        return self.config.detector.burst_factor * self._gap_estimate()
 
-    def _timeout(self, state: _FlowState) -> int:
+    def _timeout(self) -> int:
         det = self.config.detector
-        if det.kind == "fixed_small" or state.mode == BURST:
+        if det.kind == "fixed_small" or self.mode == BURST:
             return det.small_timeout_us
         return det.long_timeout_us
 
     def _on_detector_timer(self, gen: int) -> None:
-        state = self.state
         det = self.config.detector
-        if gen != state.timer_gen or state.parked:
+        if gen != self.timer_gen or self.parked:
             return
         # a timeout is a fresh loss signal each time it fires; pacing
         # comes from the timer itself, not the re-NACK window
-        self._nack_missing((state.frontier,), "timer_nacks",
+        self._nack_missing((self.frontier,), "timer_nacks",
                            respect_window=False)
-        if state.mode == BURST:
-            state.mode = IDLE_STATE
-        state.unanswered += 1
-        if state.unanswered >= det.giveup_after:
-            state.parked = True
+        if self.mode == BURST:
+            self.mode = IDLE_STATE
+        self.unanswered += 1
+        if self.unanswered >= det.giveup_after:
+            self.parked = True
             return
-        state.timer_gen += 1
-        self.env.schedule(self._timeout(state), ("det", state.timer_gen))
+        self.timer_gen += 1
+        self.env.schedule(self._timeout(), ("det", self.timer_gen))
 
     def _nack_missing(self, seqs, counter: str,
                       respect_window: bool = True) -> None:
-        state = self.state
         flow_id = self.config.flow_id
         now = self.env.now
         todo = []
         stale = False
         for s in seqs:
-            if s < state.frontier or s in state.beyond:
+            if s < self.frontier or s in self.beyond:
                 continue
-            first = state.first_nacked.get(s)
+            first = self.first_nacked.get(s)
             if (first is not None
                     and now - first >= self.config.abandon_after_us):
                 # the recovery store has forgotten this one by now;
                 # keeping the hole alive only burns NACKs
                 stale = True
                 continue
-            last = state.nacked_at.get(s)
+            last = self.nacked_at.get(s)
             if (respect_window and last is not None
                     and now - last < self.config.renack_after_us):
                 continue
             todo.append(s)
         if stale:
-            self._slide_abandoned(state, now)
+            self._slide_abandoned(now)
         if not todo:
             return
         for s in todo:
-            state.nacked_at[s] = now
-            state.first_nacked.setdefault(s, now)
-        if len(state.nacked_at) > 4 * MAX_TRACKED_GAP:
-            for s in [s for s in state.nacked_at if s < state.frontier]:
-                del state.nacked_at[s]
-                state.first_nacked.pop(s, None)
+            self.nacked_at[s] = now
+            self.first_nacked.setdefault(s, now)
+        if len(self.nacked_at) > 4 * MAX_TRACKED_GAP:
+            for s in [s for s in self.nacked_at if s < self.frontier]:
+                del self.nacked_at[s]
+                self.first_nacked.pop(s, None)
         for i in range(0, len(todo), 255):
             chunk = todo[i:i + 255]
             self.env.send(self.config.dc2_data_link,
@@ -378,17 +366,17 @@ class Receiver:
             self.run_log.bump(counter)
             self.nack_streak += 1
 
-    def _slide_abandoned(self, state: _FlowState, now: int) -> None:
+    def _slide_abandoned(self, now: int) -> None:
         while True:
-            first = state.first_nacked.get(state.frontier)
+            first = self.first_nacked.get(self.frontier)
             if (first is None
                     or now - first < self.config.abandon_after_us):
                 break
-            state.first_nacked.pop(state.frontier, None)
-            state.nacked_at.pop(state.frontier, None)
+            self.first_nacked.pop(self.frontier, None)
+            self.nacked_at.pop(self.frontier, None)
             self.run_log.bump("abandoned_holes")
-            state.frontier += 1
-            state.advance()
+            self.frontier += 1
+            self._advance()
 
     # -- payload cache ----------------------------------------------------------
 
@@ -411,7 +399,6 @@ class Receiver:
 
     def _on_coop_request(self, msg: CoopRequest, now: int) -> None:
         det = self.config.detector
-        state = self.state
         for flow_id, seq in msg.entries:
             payload = self._cached(flow_id, seq, now)
             if payload is not None:
@@ -419,12 +406,12 @@ class Receiver:
                                              payload=payload, send_ts_us=now),
                                 positive=True)
                 continue
-            if seq > state.max_seen:
+            if seq > self.max_seen:
                 # nothing this new has arrived yet, so it is not lost, just
                 # not here: proactive recovery rides the DC path, which may
                 # beat the direct one.  Answer when the packet lands, or
                 # after a cadence-scaled wait if it never does.
-                wait = ((seq - state.max_seen) * self._gap_estimate(state)
+                wait = ((seq - self.max_seen) * self._gap_estimate()
                         + det.small_timeout_us + self.config.reorder_grace_us)
                 key = (flow_id, seq)
                 self._coop_wait[key] = self._coop_wait.get(key, 0) + 1
@@ -443,13 +430,12 @@ class Receiver:
             self.env.send(self.config.dc2_data_link, resp)
 
     def _on_confirm_query(self, msg: Ctrl, now: int) -> None:
-        state = self.state
-        missing = (msg.seq >= state.frontier and msg.seq not in state.beyond)
-        really_lost = missing and state.max_seen > msg.seq
+        missing = (msg.seq >= self.frontier and msg.seq not in self.beyond)
+        really_lost = missing and self.max_seen > msg.seq
         if missing and not really_lost:
             # nothing newer ever arrived: the flow most likely just
             # stopped; stop poking the recovery path until it resumes
-            state.parked = True
+            self.parked = True
         self.env.send(self.config.dc2_ctrl_link,
                       Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=msg.flow_id,
                            seq=msg.seq, arg=1 if really_lost else 0,
@@ -459,8 +445,8 @@ class Receiver:
     # -- forwarded in-stream parity ----------------------------------------------
 
     def _on_parity(self, msg: CodedPacket, now: int) -> None:
-        if msg.cross:
-            return  # cross parity is decoded in the DC, never here
+        # the recovery DC forwards in-stream parity only; cross parity is
+        # decoded there
         block = self.held.get(msg.batch_id)
         if block is None:
             block = {"members": msg.members, "parity": {}, "since": now}
@@ -495,14 +481,8 @@ class Receiver:
             return
         if len(missing) > len(block["parity"]):
             return
-        try:
-            recovered = decode_batch(
-                present, [parity_from_coded(p)
-                          for _, p in sorted(block["parity"].items())])
-        except InsufficientSymbols:
-            return
         del self.held[batch_id]
-        for sym in recovered:
+        for sym in decode_batch(present, list(block["parity"].values())):
             self._on_data(DataPacket(flow_id=sym.flow_id, seq=sym.seq,
                                      send_ts_us=now, payload=sym.payload),
                           recovered=True, now=now)

@@ -26,6 +26,8 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .wire import HEADER_LEN
+
 SUMMARY_SCHEMA = "caspr.summary/1"
 EPISODES_SCHEMA = "caspr.episodes/1"
 FEC_SCHEMA = "caspr.fec_whatif/1"
@@ -236,7 +238,7 @@ def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
         send_seqs = list(truth.send_ts)
         m.sent += len(send_seqs)
         m.lost += len(lost)
-        m.data_wire_bytes += len(send_seqs) * (32 + truth.packet_size)
+        m.data_wire_bytes += len(send_seqs) * (HEADER_LEN + truth.packet_size)
         in_outage = {s for s in lost
                      if any(start <= truth.send_ts[s] < end for start, end in windows)}
         m.in_outage_lost += len(in_outage)

@@ -168,11 +168,6 @@ def coded_from_parity(sym: ParitySymbol, cross: bool, send_ts_us: int = 0,
                        sym.members, sym.payload, send_ts_us, member_ts)
 
 
-def parity_from_coded(msg: CodedPacket) -> ParitySymbol:
-    return ParitySymbol(msg.batch_id, msg.parity_index, msg.num_parity,
-                        msg.members, msg.payload)
-
-
 def _check_u(value: int, bits: int, what: str) -> int:
     if not 0 <= value < (1 << bits):
         raise FieldOverflow(f"{what} {value} does not fit in {bits} bits")

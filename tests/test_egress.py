@@ -285,3 +285,61 @@ def test_duplicate_receiver_registration_rejected():
         eng.register_receiver("r0", 5, "a", "b")
     with pytest.raises(ValueError):
         eng.register_receiver("r9", 0, "a", "b")
+
+
+def test_in_stream_parity_arriving_after_nack_is_forwarded():
+    # parity_in 2: the first symbol covers the first loss at once; the
+    # second loss waits for the second symbol and leaves with it
+    eng, env, log = make_engine(n_receivers=1)
+    first, second = in_parities(5, 0, range(5), num_parity=2)
+    eng.on_message(first, "dc1>dc2")
+    eng.on_message(nack(0, 1, 3), "r0>dc2")
+    assert [m.parity_index for m in env.on("dc2>r0")] == [0]
+    eng.on_message(second, "dc1>dc2")
+    assert [m.parity_index for m in env.on("dc2>r0")] == [0, 1]
+    assert log.counters["in_forwards"] == 2
+
+
+def test_in_stream_forwarding_waits_while_losses_outnumber_parity():
+    # three losses, two symbols: the second symbol alone cannot repair
+    # the two losses the first one left, so it stays in the store
+    eng, env, log = make_engine(n_receivers=1)
+    first, second = in_parities(5, 0, range(5), num_parity=2)
+    eng.on_message(first, "dc1>dc2")
+    eng.on_message(nack(0, 1, 2, 3), "r0>dc2")
+    eng.on_message(second, "dc1>dc2")
+    assert [m.parity_index for m in env.on("dc2>r0")] == [0]
+    assert log.counters["in_forwards"] == 1
+    assert eng.store[5].forwarded == {0}
+
+
+def test_parity_after_decode_is_not_decoded_again():
+    eng, env, log = make_engine()
+    first, second = cross_parities(7, [0, 1, 2, 3], num_parity=2)
+    eng.on_message(first, "dc1>dc2")
+    eng.on_message(nack(2, 0), "r2>dc2")
+    for f in (0, 1, 3):
+        eng.on_message(CoopResponse(entry=(f, 0), payload=payload_bytes(f, 0, 32)),
+                       f"r{f}>dc2")
+    assert log.counters["tasks_decoded"] == 1
+    eng.on_message(second, "dc1>dc2")
+    assert log.counters["tasks_decoded"] == 1
+    datas = [m for m in env.on("dc2>r2") if isinstance(m, DataPacket)]
+    assert [(m.flow_id, m.seq) for m in datas] == [(2, 0)]
+
+
+@pytest.mark.parametrize("deadline_us", [RTT, 8 * RTT])
+def test_unrecovered_entry_fails_silent_once(deadline_us):
+    # whichever of the task deadline and the store TTL comes first ends
+    # the task; the later one finds nothing left to count
+    config = EgressConfig(deadline_us=deadline_us, boundary_wait_us=75_000,
+                          store_ttl_us=4 * RTT, proactive_after=3)
+    eng, env, log = make_engine(config=config)
+    for p in cross_parities(7, [0, 1, 2, 3], num_parity=1):
+        eng.on_message(p, "dc1>dc2")
+    eng.on_message(nack(2, 0), "r2>dc2")
+    env.run_until(min(deadline_us, 4 * RTT) + 1)
+    assert log.counters["failed_silent"] == 1
+    env.run_until(8 * RTT + 1)
+    assert 7 not in eng.store
+    assert log.counters["failed_silent"] == 1

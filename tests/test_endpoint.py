@@ -3,9 +3,11 @@
 import pytest
 
 from _stub import StubEnv
+from caspr import endpoint
 from caspr.codec import SourceSymbol, encode_batch
 from caspr.endpoint import (
     DetectorConfig,
+    MAX_HELD_BLOCKS,
     Receiver,
     ReceiverConfig,
     Sender,
@@ -228,7 +230,7 @@ def test_stale_hole_abandoned_and_frontier_slides():
     deliver_direct(recv, env, 0, 5, 120_000)
     assert [m.entries for m in nacks_on(env)] == [((0, 1),)]
     assert log.counters["abandoned_holes"] == 1
-    assert recv.state.frontier == 6
+    assert recv.frontier == 6
     # fresh holes are still reported
     deliver_direct(recv, env, 0, 7, 130_000)
     assert nacks_on(env)[-1].entries == ((0, 6),)
@@ -357,7 +359,7 @@ def test_confirm_query_answers():
     resps = [m for m in env.on("r0>dc2:ctrl")
              if isinstance(m, Ctrl) and m.kind == CTRL_CONFIRM_RESP]
     assert [(m.seq, m.arg) for m in resps] == [(1, 1), (0, 0), (9, 0)]
-    assert recv.state.parked  # end-of-flow answer parks the detector
+    assert recv.parked  # end-of-flow answer parks the detector
     assert log.counters["confirm_yes"] == 1
     assert log.counters["confirm_no"] == 2
 
@@ -374,7 +376,7 @@ def test_in_stream_parity_completes_block():
     recv.on_message(parity[0], "dc2>r0")
     delivered = dict((s, (t, r)) for s, t, r in log.deliveries[0])
     assert delivered[2] == (30_000, True)
-    assert recv.state.frontier == 5
+    assert recv.frontier == 5
 
 
 def test_parity_for_complete_block_discarded():
@@ -403,3 +405,69 @@ def test_insufficient_parity_held_until_data_arrives():
     recv.on_message(data(0, 3), "dc2>r0")
     delivered = {s for s, _, _ in log.deliveries[0]}
     assert delivered == {0, 1, 2, 3, 4}
+
+
+def in_block(batch_id, seqs, num_parity=1):
+    syms = [SourceSymbol(0, s, payload_bytes(0, s, 64)) for s in seqs]
+    return [coded_from_parity(p, cross=False)
+            for p in encode_batch(batch_id, syms, num_parity)]
+
+
+def test_runaway_gap_slides_frontier(monkeypatch):
+    monkeypatch.setattr(endpoint, "MAX_TRACKED_GAP", 16)
+    recv, env, log = make_receiver()
+    deliver_direct(recv, env, 0, 0, 0)
+    peak = 0
+    for seq in range(2, 19):  # seq 1 never comes
+        deliver_direct(recv, env, 0, seq, seq * 1_000)
+        peak = max(peak, len(recv.beyond))
+    assert peak == 16
+    # the hole at 1 is forgotten, everything that arrived is behind the frontier
+    assert recv.frontier == 19 and not recv.beyond
+    deliver_direct(recv, env, 0, 1, 20_000)
+    assert log.counters["dup_arrivals"] == 1
+
+
+def test_nack_bookkeeping_pruned_below_frontier(monkeypatch):
+    monkeypatch.setattr(endpoint, "MAX_TRACKED_GAP", 8)
+    recv, env, log = make_receiver()
+    deliver_direct(recv, env, 0, 0, 0)
+    peak = 0
+    for i in range(40):
+        # every other packet is lost, NACKed and then repaired
+        deliver_direct(recv, env, 0, 2 * i + 2, (2 * i + 2) * 1_000)
+        peak = max(peak, len(recv.nacked_at), len(recv.first_nacked))
+        env.now += 500
+        recv.on_message(data(0, 2 * i + 1), "dc2>r0")
+    assert log.counters["gap_nacks"] == 40
+    assert recv.frontier == 81
+    assert peak == 4 * 8
+
+
+def test_held_blocks_capped_oldest_first():
+    recv, env, log = make_receiver()
+    blocks = MAX_HELD_BLOCKS + 8
+    peak = 0
+    for b in range(blocks):
+        # two members missing, one parity: every block waits
+        recv.on_message(in_block(b, (10 * b + 1, 10 * b + 2))[0], "dc2>r0")
+        peak = max(peak, len(recv.held))
+    assert peak == MAX_HELD_BLOCKS
+    assert list(recv.held) == list(range(8, blocks))
+
+
+def test_retry_skips_block_removed_by_nested_retry():
+    # hand-built overlapping blocks (the ingress never builds these):
+    # seq 1 lets block 20 decode seq 2, whose delivery completes block
+    # 21 inside the nested retry before the outer loop reaches it
+    recv, env, log = make_receiver()
+    for seq in (0, 3):
+        deliver_direct(recv, env, 0, seq, seq * 1_000)
+    recv.on_message(in_block(20, (1, 2))[0], "dc2>r0")
+    recv.on_message(in_block(21, (1, 2, 3))[0], "dc2>r0")
+    assert list(recv.held) == [20, 21]
+    deliver_direct(recv, env, 0, 1, 10_000)
+    assert not recv.held
+    assert log.counters["discarded_parity"] == 1
+    assert [(s, r) for s, _, r in log.deliveries[0]] == [
+        (0, False), (3, False), (1, False), (2, True)]

@@ -266,13 +266,18 @@ def test_pooling_one_run_changes_only_the_seed(m):
     assert cost_rows(pooled, 0.087) == [{**r, "seed": "all"} for r in cost_rows(m, 0.087)]
 
 
+def read_rows(path):
+    with path.open() as f:
+        return list(csv.DictReader(f))
+
+
 def test_summary_csv_shape_and_determinism(tmp_path):
     runs = two_runs()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_summary_csv(a, runs, pool_runs(runs))
     write_summary_csv(b, runs, pool_runs(runs))
     assert a.read_bytes() == b.read_bytes()
-    rows = list(csv.DictReader(a.open()))
+    rows = read_rows(a)
     assert [r["seed"] for r in rows] == ["1", "2", "all"]
     assert all(r["schema"] == "caspr.summary/1" for r in rows)
     assert rows[2]["sent"] == "6"
@@ -282,7 +287,7 @@ def test_summary_csv_shape_and_determinism(tmp_path):
 def test_episodes_csv_rows(tmp_path):
     path = tmp_path / "e.csv"
     write_episodes_csv(path, two_runs())
-    rows = list(csv.DictReader(path.open()))
+    rows = read_rows(path)
     assert [(r["seed"], r["start_seq"], r["klass"]) for r in rows] == [
         ("1", "1", "RANDOM"), ("2", "2", "RANDOM")]
 
@@ -291,7 +296,7 @@ def test_fec_csv_carries_system_rate_and_outage_column(tmp_path):
     path = tmp_path / "f.csv"
     runs = two_runs()
     write_fec_csv(path, runs, pool_runs(runs))
-    rows = list(csv.DictReader(path.open()))
+    rows = read_rows(path)
     # per-seed rows for each level, then pooled rows labeled "all"
     assert len(rows) == 3 * 3
     pooled = [r for r in rows if r["seed"] == "all"]
@@ -322,7 +327,7 @@ def test_cost_csv_arithmetic(tmp_path):
     runs = two_runs()
     write_cost_csv(path, runs, pool_runs(runs), price_per_gb=0.087)
     rows = {(r["seed"], r["component"]): r
-            for r in csv.DictReader(path.open())}
+            for r in read_rows(path)}
     total = rows[("all", "caspr_total")]
     # 2 x (700 + 100 + 10) bytes against 2 x data_wire = 2 x 2 x 396
     assert total["bytes"] == "1620"

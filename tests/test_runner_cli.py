@@ -95,7 +95,8 @@ def test_run_scenario_writes_artifact_set(tmp_path):
     for name in ("summary.csv", "episodes.csv", "fec_whatif.csv",
                  "cost.csv", "summary.txt"):
         assert (out / name).stat().st_size > 0
-    rows = list(csv.DictReader((out / "summary.csv").open()))
+    with (out / "summary.csv").open() as f:
+        rows = list(csv.DictReader(f))
     assert [r["seed"] for r in rows] == ["1", "2", "all"]
 
 
@@ -204,7 +205,8 @@ def test_trace_artifact(tmp_path):
     run_scenario(tiny(), str(out), seeds=[1], trace=True)
     trace = out / "trace-seed1.jsonl"
     assert trace.exists()
-    first = trace.open().readline()
+    with trace.open() as f:
+        first = f.readline()
     assert first.startswith("{")
 
 
@@ -238,7 +240,8 @@ def test_cli_set_override_reaches_the_run(tmp_path, capsys):
                "--out", str(tmp_path / "o"),
                "--set", "topology.direct.loss={kind: bernoulli, p: 0}"])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "o" / "summary.csv").open()))
+    with (tmp_path / "o" / "summary.csv").open() as f:
+        rows = list(csv.DictReader(f))
     assert all(r["direct_lost"] == "0" for r in rows)
     assert all(r["dc2_egress_recovery_bytes"] == "0" for r in rows)
 

@@ -372,7 +372,8 @@ def test_bundled_path_misses_return_none():
 
 def test_bundled_files_round_trip_defaults():
     cfg = load(bundled_path("straggler_ab"))
-    raw = yaml.safe_load(open(bundled_path("straggler_ab")))
+    with open(bundled_path("straggler_ab")) as f:
+        raw = yaml.safe_load(f)
     # defaults fill only what the file leaves unsaid
     assert dataclasses.asdict(cfg.straggler) == raw["straggler"]
     assert cfg.recovery.store_ttl_rtt == 4.0
