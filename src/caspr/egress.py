@@ -93,7 +93,7 @@ class StoredBatch:
 class _Orphan:
     created_us: int
     nack_ts: int = 0          # latest claim with no admissible coverage
-    confirmed: bool | None = None
+    confirmed: bool = False   # the receiver vouched for the hole
 
 
 @dataclass
@@ -154,7 +154,7 @@ class EgressRecovery:
         elif kind == "boundary":
             _, f, s, created = token
             orphan = self.orphans.get((f, s))
-            if orphan is not None and orphan.created_us == created and orphan.confirmed is None:
+            if orphan is not None and orphan.created_us == created and not orphan.confirmed:
                 port = self._flow_port[f]
                 self.env.send(port.ctrl_link,
                               Ctrl(kind=CTRL_CONFIRM_QUERY, flow_id=f, seq=s,
@@ -188,7 +188,7 @@ class EgressRecovery:
         # parity may resolve entries that were NACKed before coverage existed
         for e in batch.entries():
             orphan = self.orphans.get(e)
-            if orphan is None or orphan.confirmed is False:
+            if orphan is None:
                 continue
             if orphan.confirmed:
                 del self.orphans[e]

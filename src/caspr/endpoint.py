@@ -18,6 +18,12 @@ a row park the detector until something arrives; a confirm query from
 the recovery DC answering "nothing was lost, the flow just stopped"
 parks it too.
 
+The receiver tracks its holes, not its deliveries: one map, in seq
+order, of the undelivered seqs from the frontier on, each with the time
+of its first and last NACK once it has been NACKed.  A delivery deletes
+its hole, and with it the hole's NACK history; a hole first NACKed
+longer ago than the abandon horizon is dropped without a delivery.
+
 Receivers keep a small cache of recent payloads to answer cooperative
 requests for their own packets, and they hold forwarded in-stream
 parity until enough of the block is present to decode the rest.
@@ -28,6 +34,7 @@ from __future__ import annotations
 import statistics
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 
 from .codec import SourceSymbol, decode_batch
 from .wire import (
@@ -43,8 +50,8 @@ from .wire import (
     Nack,
 )
 
-# dedupe/NACK bookkeeping beyond the frontier is capped per flow; a
-# 2s outage at 100 pps stays well inside this
+# holes tracked per receiver; past this the oldest are forgotten.  A 2s
+# outage at 100 pps stays well inside it
 MAX_TRACKED_GAP = 4096
 # forwarded in-stream blocks held for decode; the oldest go first
 MAX_HELD_BLOCKS = 512
@@ -165,9 +172,11 @@ class Receiver:
         self.run_log = run_log
         self.env = None
         # delivery state of the one flow this receiver terminates
-        self.frontier = 0                 # everything below is delivered
-        self.beyond: set[int] = set()     # delivered seqs above the frontier
+        self.frontier = 0                 # everything below is delivered or given up
         self.max_seen = -1
+        # undelivered seqs from the frontier on, in seq order; the value is
+        # (first NACK time, last NACK time) once the seq has been NACKed
+        self.holes: dict[int, tuple[int, int] | None] = {}
         # loss detector
         self.last_arrival_us: int | None = None
         self.gaps: deque = deque(maxlen=GAP_WINDOW)
@@ -175,12 +184,10 @@ class Receiver:
         self.timer_gen = 0
         self.unanswered = 0
         self.parked = False               # give-up or confirmed end of flow
-        self.nacked_at: dict[int, int] = {}
-        self.first_nacked: dict[int, int] = {}
-        self.cache: OrderedDict = OrderedDict()  # (flow, seq) -> (payload, ts)
+        self.cache: OrderedDict = OrderedDict()  # seq -> (payload, ts)
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
-        self._coop_wait: dict[tuple[int, int], int] = {}
+        self._coop_wait: dict[int, int] = {}     # seq -> responses held for it
 
     # -- dispatch -----------------------------------------------------------
 
@@ -205,51 +212,53 @@ class Receiver:
         elif kind == "resp":
             self.env.send(self.config.dc2_data_link, token[1])
         elif kind == "coopw":
-            _, flow_id, seq = token
-            n = self._coop_wait.pop((flow_id, seq), 0)
-            for _ in range(n):
-                self._send_resp(CoopResponse(entry=(flow_id, seq),
+            seq = token[1]
+            for _ in range(self._coop_wait.pop(seq, 0)):
+                self._send_resp(CoopResponse(entry=(self.config.flow_id, seq),
                                              payload=None,
                                              send_ts_us=self.env.now),
                                 positive=False)
 
     # -- data path ------------------------------------------------------------
 
+    def _delivered(self, seq: int) -> bool:
+        return seq < self.frontier or (seq <= self.max_seen
+                                       and seq not in self.holes)
+
     def _on_data(self, pkt: DataPacket, recovered: bool, now: int) -> None:
+        seq = pkt.seq
         ack_due = not recovered and self.nack_streak > 0
-        already = pkt.seq < self.frontier or pkt.seq in self.beyond
-        if already:
+        if self._delivered(seq):
             if ack_due:
                 self._ack_alive(now)
             self.run_log.bump("dup_arrivals")
             self._note_arrival(now)
             return
-        expected = payload_bytes(pkt.flow_id, pkt.seq,
+        expected = payload_bytes(pkt.flow_id, seq,
                                  self.run_log.flows[pkt.flow_id].packet_size)
         if pkt.payload != expected:
             raise RuntimeError(
-                f"corrupt delivery flow={pkt.flow_id} seq={pkt.seq}")
-        self.run_log.record_delivery(pkt.flow_id, pkt.seq, now, recovered)
-        self._store(pkt.flow_id, pkt.seq, pkt.payload, now)
-        held = self._coop_wait.pop((pkt.flow_id, pkt.seq), 0)
-        for _ in range(held):
-            self._send_resp(CoopResponse(entry=(pkt.flow_id, pkt.seq),
+                f"corrupt delivery flow={pkt.flow_id} seq={seq}")
+        self.run_log.record_delivery(pkt.flow_id, seq, now, recovered)
+        self._store(seq, pkt.payload, now)
+        for _ in range(self._coop_wait.pop(seq, 0)):
+            self._send_resp(CoopResponse(entry=(pkt.flow_id, seq),
                                          payload=pkt.payload, send_ts_us=now),
                             positive=True)
-        self.max_seen = max(self.max_seen, pkt.seq)
-        gap_start = self.frontier
-        missing: list[int] = []
-        if pkt.seq == self.frontier:
-            self.frontier += 1
-            self._advance()
-        else:
-            self.beyond.add(pkt.seq)
-            if len(self.beyond) > MAX_TRACKED_GAP:
-                # runaway gap: slide the frontier forward, forget the hole
-                self.frontier = min(self.beyond)
-                self._advance()
-            missing = [s for s in range(gap_start, pkt.seq)
-                       if s not in self.beyond]
+        if seq > self.max_seen:
+            # everything skipped over is a new hole; a NACKed frontier
+            # past max_seen is already one and keeps its NACK times
+            for s in range(max(self.frontier, self.max_seen + 1), seq):
+                self.holes.setdefault(s, None)
+            self.max_seen = seq
+            excess = len(self.holes) - MAX_TRACKED_GAP
+            if excess > 0:
+                # runaway gap: forget the oldest holes
+                for s in list(islice(self.holes, excess)):
+                    del self.holes[s]
+        self.holes.pop(seq, None)
+        missing = tuple(takewhile(lambda s: s < seq, self.holes))
+        self._advance()
         if ack_due:
             # after the frontier move, so cum_seq covers this arrival; before
             # the gap NACKs, so those count as a fresh unanswered streak
@@ -257,17 +266,16 @@ class Receiver:
         if missing:
             if self.config.reorder_grace_us > 0:
                 self.env.schedule(self.config.reorder_grace_us,
-                                  ("gap", tuple(missing)))
+                                  ("gap", missing))
             else:
-                self._nack_missing(tuple(missing), "gap_nacks")
+                self._nack_missing(missing, "gap_nacks")
         self._note_arrival(now)
         self._retry_held(now)
 
     def _advance(self) -> None:
-        """Move the frontier past seqs that already arrived beyond it."""
-        while self.frontier in self.beyond:
-            self.beyond.discard(self.frontier)
-            self.frontier += 1
+        """Move the frontier to the first hole, or past everything seen."""
+        self.frontier = next(iter(self.holes),
+                             max(self.frontier, self.max_seen + 1))
 
     def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
@@ -331,31 +339,27 @@ class Receiver:
         todo = []
         stale = False
         for s in seqs:
-            if s < self.frontier or s in self.beyond:
+            if self._delivered(s):
                 continue
-            first = self.first_nacked.get(s)
-            if (first is not None
-                    and now - first >= self.config.abandon_after_us):
-                # the recovery store has forgotten this one by now;
-                # keeping the hole alive only burns NACKs
-                stale = True
-                continue
-            last = self.nacked_at.get(s)
-            if (respect_window and last is not None
-                    and now - last < self.config.renack_after_us):
-                continue
+            times = self.holes.get(s)
+            if times is not None:
+                first, last = times
+                if now - first >= self.config.abandon_after_us:
+                    # the recovery store has forgotten this one by now;
+                    # keeping the hole alive only burns NACKs
+                    stale = True
+                    continue
+                if respect_window and now - last < self.config.renack_after_us:
+                    continue
             todo.append(s)
         if stale:
             self._slide_abandoned(now)
         if not todo:
             return
         for s in todo:
-            self.nacked_at[s] = now
-            self.first_nacked.setdefault(s, now)
-        if len(self.nacked_at) > 4 * MAX_TRACKED_GAP:
-            for s in [s for s in self.nacked_at if s < self.frontier]:
-                del self.nacked_at[s]
-                self.first_nacked.pop(s, None)
+            # a timer NACK past max_seen adds the frontier itself as a hole
+            times = self.holes.get(s)
+            self.holes[s] = (times[0] if times else now, now)
         for i in range(0, len(todo), 255):
             chunk = todo[i:i + 255]
             self.env.send(self.config.dc2_data_link,
@@ -368,30 +372,28 @@ class Receiver:
 
     def _slide_abandoned(self, now: int) -> None:
         while True:
-            first = self.first_nacked.get(self.frontier)
-            if (first is None
-                    or now - first < self.config.abandon_after_us):
+            times = self.holes.get(self.frontier)
+            if times is None or now - times[0] < self.config.abandon_after_us:
                 break
-            self.first_nacked.pop(self.frontier, None)
-            self.nacked_at.pop(self.frontier, None)
+            del self.holes[self.frontier]
             self.run_log.bump("abandoned_holes")
             self.frontier += 1
             self._advance()
 
     # -- payload cache ----------------------------------------------------------
 
-    def _store(self, flow_id: int, seq: int, payload: bytes, now: int) -> None:
-        self.cache[(flow_id, seq)] = (payload, now)
+    def _store(self, seq: int, payload: bytes, now: int) -> None:
+        self.cache[seq] = (payload, now)
         while len(self.cache) > self.config.cache_packets:
             self.cache.popitem(last=False)
 
-    def _cached(self, flow_id: int, seq: int, now: int) -> bytes | None:
-        item = self.cache.get((flow_id, seq))
+    def _cached(self, seq: int, now: int) -> bytes | None:
+        item = self.cache.get(seq)
         if item is None:
             return None
         payload, ts = item
         if now - ts > self.config.cache_ttl_us:
-            del self.cache[(flow_id, seq)]
+            del self.cache[seq]
             return None
         return payload
 
@@ -400,7 +402,7 @@ class Receiver:
     def _on_coop_request(self, msg: CoopRequest, now: int) -> None:
         det = self.config.detector
         for flow_id, seq in msg.entries:
-            payload = self._cached(flow_id, seq, now)
+            payload = self._cached(seq, now)
             if payload is not None:
                 self._send_resp(CoopResponse(entry=(flow_id, seq),
                                              payload=payload, send_ts_us=now),
@@ -413,10 +415,9 @@ class Receiver:
                 # after a cadence-scaled wait if it never does.
                 wait = ((seq - self.max_seen) * self._gap_estimate()
                         + det.small_timeout_us + self.config.reorder_grace_us)
-                key = (flow_id, seq)
-                self._coop_wait[key] = self._coop_wait.get(key, 0) + 1
+                self._coop_wait[seq] = self._coop_wait.get(seq, 0) + 1
                 self.env.schedule(int(min(wait, det.long_timeout_us)),
-                                  ("coopw", flow_id, seq))
+                                  ("coopw", seq))
                 continue
             self._send_resp(CoopResponse(entry=(flow_id, seq), payload=None,
                                          send_ts_us=now), positive=False)
@@ -430,7 +431,7 @@ class Receiver:
             self.env.send(self.config.dc2_data_link, resp)
 
     def _on_confirm_query(self, msg: Ctrl, now: int) -> None:
-        missing = (msg.seq >= self.frontier and msg.seq not in self.beyond)
+        missing = not self._delivered(msg.seq)
         really_lost = missing and self.max_seen > msg.seq
         if missing and not really_lost:
             # nothing newer ever arrived: the flow most likely just
@@ -470,7 +471,7 @@ class Receiver:
         present = []
         missing = []
         for f, s, _ in block["members"]:
-            payload = self._cached(f, s, now)
+            payload = self._cached(s, now)
             if payload is not None:
                 present.append(SourceSymbol(f, s, payload))
             else:

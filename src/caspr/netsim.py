@@ -152,7 +152,7 @@ class Link:
         self.dropped_bytes = 0
         self.inflight_count = 0
         self.inflight_bytes = 0
-        self.drop_log: list[tuple[int, wire.Message]] = []
+        self.drop_log: list[int] = []  # seqs of the dropped DataPackets
 
 
 class Node(Protocol):
@@ -255,7 +255,8 @@ class Simulator:
         if link.loss is not None and link.loss.drop(self.now):
             link.dropped_count += 1
             link.dropped_bytes += size
-            link.drop_log.append((self.now, msg))
+            if isinstance(msg, wire.DataPacket):
+                link.drop_log.append(msg.seq)
             self._trace(link, msg, size, None)
             return
         delay = link.delay_us

@@ -147,7 +147,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         sim.check_conservation()
 
         direct_losses = {
-            i: {m.seq for _, m in sim.links[direct_links[i]].drop_log}
+            i: set(sim.links[direct_links[i]].drop_log)
             for i in range(n)}
         dc2_recovery = sum(sim.links[f"dc2>r{i}"].sent_bytes for i in range(n))
         dc2_ctrl = sum(sim.links[f"dc2>r{i}:ctrl"].sent_bytes for i in range(n))

@@ -418,30 +418,45 @@ def test_runaway_gap_slides_frontier(monkeypatch):
     recv, env, log = make_receiver()
     deliver_direct(recv, env, 0, 0, 0)
     peak = 0
-    for seq in range(2, 19):  # seq 1 never comes
+    for seq in range(2, 42, 2):  # every odd seq is lost: one hole per arrival
         deliver_direct(recv, env, 0, seq, seq * 1_000)
-        peak = max(peak, len(recv.beyond))
+        peak = max(peak, len(recv.holes))
     assert peak == 16
-    # the hole at 1 is forgotten, everything that arrived is behind the frontier
-    assert recv.frontier == 19 and not recv.beyond
-    deliver_direct(recv, env, 0, 1, 20_000)
+    # the four oldest holes are forgotten; the oldest kept one is the frontier
+    assert list(recv.holes) == list(range(9, 41, 2))
+    assert recv.frontier == 9
+    deliver_direct(recv, env, 0, 1, 50_000)
     assert log.counters["dup_arrivals"] == 1
 
 
-def test_nack_bookkeeping_pruned_below_frontier(monkeypatch):
-    monkeypatch.setattr(endpoint, "MAX_TRACKED_GAP", 8)
+def test_nack_bookkeeping_pruned_below_frontier():
     recv, env, log = make_receiver()
     deliver_direct(recv, env, 0, 0, 0)
     peak = 0
     for i in range(40):
         # every other packet is lost, NACKed and then repaired
         deliver_direct(recv, env, 0, 2 * i + 2, (2 * i + 2) * 1_000)
-        peak = max(peak, len(recv.nacked_at), len(recv.first_nacked))
+        peak = max(peak, len(recv.holes))
         env.now += 500
         recv.on_message(data(0, 2 * i + 1), "dc2>r0")
     assert log.counters["gap_nacks"] == 40
     assert recv.frontier == 81
-    assert peak == 4 * 8
+    # a repaired hole takes its NACK times with it
+    assert peak == 1 and not recv.holes
+
+
+def test_standing_hole_is_one_entry_and_renacked_by_window():
+    recv, env, log = make_receiver(abandon_after_us=10**9)
+    deliver_direct(recv, env, 0, 0, 0)
+    peak = 0
+    for seq in range(2, 4_002):  # seq 1 never comes
+        deliver_direct(recv, env, 0, seq, seq * 1_000)
+        peak = max(peak, len(recv.holes))
+    assert peak == 1 and list(recv.holes) == [1]
+    assert recv.frontier == 1 and recv.max_seen == 4_001
+    # the hole is NACKed on its first sighting, then once per re-NACK window
+    assert log.counters["gap_nacks"] == 27
+    assert {m.entries for m in nacks_on(env)} == {((0, 1),)}
 
 
 def test_held_blocks_capped_oldest_first():

@@ -6,6 +6,7 @@ duplication, detector and flow count.  Every run must hold four
 properties: no delivery of a corrupt or unsent packet, byte and packet
 conservation on every link, recovered_1rtt <= recovered_any <= lost,
 and not one recovery byte out of DC2 when the direct paths lost nothing.
+Each receiver's hole map must also match what it never delivered.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caspr import metrics, netsim, wire
+from caspr.endpoint import Receiver
 from caspr.runner import run_seed
 from caspr.scenario import bundled_names, bundled_path, load, validate
 
@@ -61,14 +63,31 @@ def small_scenarios(draw):
     return validate(doc)
 
 
+def check_holes(recv):
+    """The hole map holds, in seq order from the frontier on, exactly the
+    seqs up to max_seen that the receiver never delivered."""
+    keys = list(recv.holes)
+    assert keys == sorted(keys) and all(s >= recv.frontier for s in keys)
+    got = {seq for seq, _, _ in recv.run_log.deliveries[recv.config.flow_id]}
+    never = set(range(recv.frontier, recv.max_seen + 1)) - got
+    assert {s for s in keys if s <= recv.max_seen} == never, recv.name
+
+
 def run_observed(cfg):
-    """run_seed, plus the simulator and run log it built."""
+    """run_seed, plus the simulator and run log it built.  Each receiver's
+    hole map is checked at the end of the run, before run_seed lets go of
+    the nodes."""
     seen = {}
     check = netsim.Simulator.check_conservation
     analyze = metrics.analyze_run
 
     def keep_sim(sim):
         seen["sim"] = sim
+        receivers = [node for node in sim.nodes.values()
+                     if isinstance(node, Receiver)]
+        assert len(receivers) == cfg.flows.count
+        for recv in receivers:
+            check_holes(recv)
         check(sim)
 
     def keep_log(*args, **kwargs):
@@ -82,6 +101,8 @@ def run_observed(cfg):
     return m, seen["sim"], seen["log"]
 
 
+# derandomize seeds the examples from this test's source, so an edit to
+# its body draws a different set of 100 scenarios
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_scenarios())
 def test_random_runs_hold_the_run_invariants(cfg):
