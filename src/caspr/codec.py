@@ -105,6 +105,13 @@ def _check_envelope(k: int, p: int) -> None:
         raise InvalidParams(f"batch of {k} + {p} parity exceeds field size")
 
 
+def _stack(payloads, rows: int, symbol_len: int) -> np.ndarray:
+    """Read-only (rows, symbol_len) array of the payloads, each
+    zero-padded to symbol_len, staged in one copy."""
+    buf = b"".join(p.ljust(symbol_len, b"\0") for p in payloads)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(rows, symbol_len)
+
+
 def encode_batch(batch_id: int, sources: list[SourceSymbol],
                  num_parity: int) -> list[ParitySymbol]:
     """Produce the parity symbols for one batch.
@@ -126,10 +133,7 @@ def encode_batch(batch_id: int, sources: list[SourceSymbol],
 
     members = tuple((s.flow_id, s.seq, len(s.payload)) for s in sources)
     symbol_len = max(len(s.payload) for s in sources)
-    data = np.zeros((k, symbol_len), dtype=np.uint8)
-    for i, s in enumerate(sources):
-        if s.payload:
-            data[i, :len(s.payload)] = np.frombuffer(s.payload, dtype=np.uint8)
+    data = _stack((s.payload for s in sources), k, symbol_len)
 
     gen = gf256.parity_matrix(k, num_parity)
     parity = gf256.gf_matmul(gen, data)
@@ -186,23 +190,16 @@ def decode_batch(present: list[SourceSymbol],
     use = sorted(parity, key=lambda p: p.parity_index)[:len(missing)]
 
     # subtract the known sources' contribution from each parity row
-    rhs = np.zeros((len(use), symbol_len), dtype=np.uint8)
-    for r, p in enumerate(use):
-        rhs[r] = np.frombuffer(p.payload, dtype=np.uint8)
+    rows = [p.parity_index for p in use]
+    rhs = _stack((p.payload for p in use), len(use), symbol_len)
     if have:
-        rows = np.array([p.parity_index for p in use])
         known_idx = sorted(have)
-        sub = gen[np.ix_(rows, known_idx)]
-        known = np.zeros((len(known_idx), symbol_len), dtype=np.uint8)
-        for r, i in enumerate(known_idx):
-            buf = have[i]
-            if buf:
-                n = min(len(buf), symbol_len)
-                known[r, :n] = np.frombuffer(buf[:n], dtype=np.uint8)
-        rhs ^= gf256.gf_matmul(sub, known)
+        known = _stack((have[i][:symbol_len] for i in known_idx),
+                       len(known_idx), symbol_len)
+        rhs = rhs ^ gf256.gf_matmul(gen[np.ix_(rows, known_idx)], known)
 
     # solve the residual square system for the missing positions
-    a = gen[np.ix_([p.parity_index for p in use], missing)]
+    a = gen[np.ix_(rows, missing)]
     inv = gf256.gf_inv_matrix(a)
     solved = gf256.gf_matmul(inv, rhs)
 

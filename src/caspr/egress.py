@@ -84,9 +84,10 @@ class StoredBatch:
     requested: set[str] = field(default_factory=set)
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
+    entries: tuple[Entry, ...] = field(init=False)
 
-    def entries(self):
-        return [(f, s) for f, s, _ in self.members]
+    def __post_init__(self):
+        self.entries = tuple((f, s) for f, s, _ in self.members)
 
 
 @dataclass
@@ -175,18 +176,18 @@ class EgressRecovery:
             batch = StoredBatch(msg.batch_id, msg.cross, msg.members,
                                 msg.num_parity, now, sent_ts=msg.send_ts_us)
             self.store[msg.batch_id] = batch
-            for e in batch.entries():
+            for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)
             self.env.schedule(self.config.store_ttl_us, ("ttl", msg.batch_id))
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
         batch.sent_ts = min(batch.sent_ts, msg.send_ts_us)
-        for e, m_ts in zip(batch.entries(), msg.member_ts):
+        for e, m_ts in zip(batch.entries, msg.member_ts):
             known = batch.member_sent.get(e)
             batch.member_sent[e] = m_ts if known is None else min(known, m_ts)
         # parity may resolve entries that were NACKed before coverage existed
-        for e in batch.entries():
+        for e in batch.entries:
             orphan = self.orphans.get(e)
             if orphan is None:
                 continue
@@ -206,9 +207,9 @@ class EgressRecovery:
     def _open_proactive(self, batch: StoredBatch, flows: set[int], now: int) -> None:
         """Open recovery for the cross batch's unclaimed entries of
         ``flows``: their dead direct path may never provoke a NACK."""
-        if not batch.cross:
+        if not (batch.cross and flows):
             return
-        for e in batch.entries():
+        for e in batch.entries:
             if e[0] in flows and e not in batch.decoded and e not in batch.lost:
                 self.run_log.bump("proactive_entries")
                 self._recover_via_cross(batch, e, now)
@@ -224,7 +225,7 @@ class EgressRecovery:
         # is the only way out of the store
         batch = self.store.pop(batch_id)
         self._give_up(batch)
-        for e in batch.entries():
+        for e in batch.entries:
             ids = self.by_entry.get(e)
             if ids is not None:
                 ids.discard(batch_id)

@@ -188,7 +188,7 @@ class Simulator:
         self.trace_file = trace_file
         self._heap: list = []
         self._origin_idx: dict[str, int] = {}
-        self._origin_seq: dict[int, int] = {}
+        self._origin_seq: list[int] = []  # next sequence number per origin index
         self._prestart: list[tuple[int, str, tuple]] = []
         self._frozen = False
 
@@ -226,16 +226,15 @@ class Simulator:
     def _freeze(self) -> None:
         names = sorted(self.nodes) + sorted(self.links)
         self._origin_idx = {n: i for i, n in enumerate(names)}
-        self._origin_seq = {i: 0 for i in self._origin_idx.values()}
+        self._origin_seq = [0] * len(names)
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):
             if node_name not in self.nodes:
                 raise ValueError(f"unknown node {node_name!r}")
-            self._push(t_us, node_name, (_TIMER, node_name, token))
+            self._push(t_us, self._origin_idx[node_name], (_TIMER, node_name, token))
         self._prestart.clear()
 
-    def _push(self, t_us: int, origin_name: str, event: tuple) -> None:
-        idx = self._origin_idx[origin_name]
+    def _push(self, t_us: int, idx: int, event: tuple) -> None:
         seq = self._origin_seq[idx]
         self._origin_seq[idx] = seq + 1
         heapq.heappush(self._heap, (t_us, idx, seq, event))
@@ -243,7 +242,8 @@ class Simulator:
     def _schedule_timer(self, node_name: str, delay_us: int, token: tuple) -> None:
         if delay_us < 0:
             raise ValueError("cannot schedule into the past")
-        self._push(self.now + delay_us, node_name, (_TIMER, node_name, token))
+        self._push(self.now + delay_us, self._origin_idx[node_name],
+                   (_TIMER, node_name, token))
 
     def _send(self, link_name: str, msg: wire.Message) -> None:
         link = self.links.get(link_name)
@@ -261,7 +261,8 @@ class Simulator:
             return
         delay = link.delay_us
         if link.jitter_us:
-            delay += link.jitter_rng.randint(-link.jitter_us, link.jitter_us)
+            # randint(a, b) is randrange(a, b + 1): the same draws, one call less
+            delay += link.jitter_rng.randrange(-link.jitter_us, link.jitter_us + 1)
         queue_us = 0
         if link.bandwidth_bps:
             tx_us = (size * 8 * 1_000_000) // link.bandwidth_bps
@@ -271,7 +272,7 @@ class Simulator:
         arrive = self.now + queue_us + max(delay, 0)
         link.inflight_count += 1
         link.inflight_bytes += size
-        self._push(arrive, link.name, (_DELIVER, link.name, msg, size))
+        self._push(arrive, self._origin_idx[link.name], (_DELIVER, link, msg, size))
         self._trace(link, msg, size, arrive)
 
     def _trace(self, link: Link, msg: wire.Message, size: int, arrive: int | None) -> None:
@@ -296,13 +297,12 @@ class Simulator:
             t, _idx, _seq, event = heapq.heappop(heap)
             self.now = t
             if event[0] == _DELIVER:
-                _, link_name, msg, size = event
-                link = self.links[link_name]
+                _, link, msg, size = event
                 link.inflight_count -= 1
                 link.inflight_bytes -= size
                 link.delivered_count += 1
                 link.delivered_bytes += size
-                self.nodes[link.dst].on_message(msg, link_name)
+                self.nodes[link.dst].on_message(msg, link.name)
             else:
                 _, node_name, token = event
                 self.nodes[node_name].on_timer(token)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import oracle_gf
+from caspr import gf256
 from caspr.codec import (
     CodingParams,
     EmptyBatch,
@@ -67,6 +68,26 @@ def test_every_erasure_pattern_matches_oracle():
                     assert [g.payload for g in got] == [expect[i] for i in lost]
                     assert [(g.flow_id, g.seq) for g in got] == [
                         (srcs[i].flow_id, srcs[i].seq) for i in lost]
+
+
+def test_codec_products_go_through_the_kernel(monkeypatch):
+    # perfbench times the codec's field arithmetic by wrapping
+    # gf256.gf_matmul; a product computed anywhere else would be invisible
+    kernel = gf256.gf_matmul
+    shapes = []
+
+    def counted(mat, data):
+        shapes.append((mat.shape, data.shape))
+        return kernel(mat, data)
+
+    monkeypatch.setattr(gf256, "gf_matmul", counted)
+    srcs = batch([b"alpha", b"br", b"charlie!", b"d"])
+    parity = encode_batch(7, srcs, num_parity=2)
+    assert shapes == [((2, 4), (4, 8))]
+    shapes.clear()
+    assert decode_batch([srcs[0], srcs[2], srcs[3]], parity) == [srcs[1]]
+    # the known sources' contribution to parity row 0, then the 1x1 solve
+    assert shapes == [((1, 3), (3, 8)), ((1, 1), (1, 8))]
 
 
 def test_round_trip_all_supported_widths():

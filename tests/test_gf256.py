@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_gf
 from caspr import gf256
@@ -35,6 +39,51 @@ def test_zero_length_payload_matmul():
     mat = gf256.parity_matrix(3, 2)
     out = gf256.gf_matmul(mat, np.zeros((3, 0), dtype=np.uint8))
     assert out.shape == (2, 0)
+
+
+@st.composite
+def matmul_operands(draw):
+    """(mat, data) for gf_matmul: general (p,k) matrices with some rows
+    forced to all ones and zero and one coefficients drawn often, plus
+    1x1 and identity matrices."""
+    shape = draw(st.sampled_from(["general", "one_by_one", "identity"]))
+    if shape == "general":
+        p, k = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    elif shape == "one_by_one":
+        p = k = 1
+    else:
+        p = k = draw(st.integers(1, 4))
+    if shape == "identity":
+        mat = np.eye(p, dtype=np.uint8)
+    else:
+        coeff = st.one_of(st.just(0), st.just(1), st.integers(0, 255))
+        mat = np.array(draw(st.lists(st.lists(coeff, min_size=k, max_size=k),
+                                     min_size=p, max_size=p)), dtype=np.uint8)
+        for i in draw(st.sets(st.integers(0, p - 1))):
+            mat[i] = 1
+    length = draw(st.integers(0, 64))
+    raw = draw(st.binary(min_size=k * length, max_size=k * length))
+    return mat, np.frombuffer(raw, dtype=np.uint8).reshape(k, length)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matmul_operands())
+def test_matmul_matches_scalar_oracle(operands):
+    mat, data = operands
+    want = [[functools.reduce(operator.xor,
+                              (oracle_gf.mul(c, b) for c, b in zip(row, col)), 0)
+             for col in zip(*data.tolist())] for row in mat.tolist()]
+    got = gf256.gf_matmul(mat, data)
+    assert got.dtype == np.uint8 and got.shape == (mat.shape[0], data.shape[1])
+    assert got.tolist() == want
+
+
+def test_parity_matrix_is_one_shared_read_only_array():
+    gen = gf256.parity_matrix(7, 3)
+    assert gf256.parity_matrix(7, 3) is gen
+    assert not gen.flags.writeable
+    with pytest.raises(ValueError):
+        gen[1, 1] = 0
 
 
 def test_parity_matrix_first_row_all_ones():
