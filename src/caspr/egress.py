@@ -65,8 +65,8 @@ class EgressConfig:
     deadline_us: int          # cooperative-task budget, one direct RTT
     boundary_wait_us: int     # flush horizon before querying the receiver
     store_ttl_us: int
-    proactive_after: int = 3  # consecutive un-ACKed NACKs
-    claim_owd_us: int = 0     # direct one-way delay plus jitter bound
+    proactive_after: int      # consecutive un-ACKed NACKs
+    claim_owd_us: int         # direct one-way delay plus jitter bound
 
 
 @dataclass(eq=False)
@@ -75,7 +75,6 @@ class StoredBatch:
     cross: bool
     members: tuple
     num_parity: int
-    first_seen_us: int
     sent_ts: int = 0          # ingress transmit time, earliest parity copy
     member_sent: dict[Entry, int] = field(default_factory=dict)
     parity: dict[int, CodedPacket] = field(default_factory=dict)
@@ -174,7 +173,7 @@ class EgressRecovery:
         batch = self.store.get(msg.batch_id)
         if batch is None:
             batch = StoredBatch(msg.batch_id, msg.cross, msg.members,
-                                msg.num_parity, now, sent_ts=msg.send_ts_us)
+                                msg.num_parity, sent_ts=msg.send_ts_us)
             self.store[msg.batch_id] = batch
             for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import statistics
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, takewhile
 
 from .codec import SourceSymbol, decode_batch
@@ -81,11 +81,11 @@ class SenderConfig:
     direct_link: str
     dup_link: str
     on_us: int                    # burst duration
-    off_mean_us: int = 0          # 0: back-to-back bursts (continuous)
-    duplication: str = FULL
-    selective_first_n: int = 1
-    start_us: int = 0
-    stop_us: int | None = None    # no packets at or after this time
+    off_mean_us: int              # 0: back-to-back bursts (continuous)
+    duplication: str              # FULL or SELECTIVE
+    selective_first_n: int
+    start_us: int
+    stop_us: int                  # no packets at or after this time
 
 
 class Sender:
@@ -110,7 +110,7 @@ class Sender:
     def _tick(self) -> None:
         cfg = self.config
         now = self.env.now
-        if cfg.stop_us is not None and now >= cfg.stop_us:
+        if now >= cfg.stop_us:
             return
         duplicate = (cfg.duplication == FULL
                      or self.burst_index < cfg.selective_first_n)
@@ -138,12 +138,12 @@ class Sender:
 
 @dataclass
 class DetectorConfig:
-    kind: str = "two_state"       # or "fixed_small"
-    small_timeout_us: int = 25_000
-    long_timeout_us: int = 150_000
-    burst_factor: float = 4.0     # arrival gap below factor*median: in a burst
-    nominal_gap_us: int = 10_000
-    giveup_after: int = 8
+    kind: str                     # "two_state" or "fixed_small"
+    small_timeout_us: int
+    long_timeout_us: int
+    burst_factor: float           # arrival gap below factor*median: in a burst
+    nominal_gap_us: int
+    giveup_after: int
 
 
 BURST, IDLE_STATE = "burst", "idle"
@@ -156,13 +156,13 @@ class ReceiverConfig:
     direct_link: str                 # incoming direct link name
     dc2_data_link: str               # outgoing toward the recovery DC
     dc2_ctrl_link: str
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    reorder_grace_us: int = 0
-    renack_after_us: int = 150_000
-    cache_packets: int = 2048
-    cache_ttl_us: int = 600_000
-    abandon_after_us: int = 600_000  # stop chasing holes older than this
-    straggler_delay_us: int = 0      # cooperative responses held this long
+    detector: DetectorConfig
+    reorder_grace_us: int
+    renack_after_us: int
+    cache_packets: int
+    cache_ttl_us: int
+    abandon_after_us: int            # stop chasing holes older than this
+    straggler_delay_us: int          # cooperative responses held this long
 
 
 class Receiver:

@@ -23,8 +23,14 @@ NACK / ACK / cooperative messages use a recovery extension::
     entry_count(1) then entry_count * [flow_id(8) seq(8)]
 
 and control messages a 9-byte ``kind(1) arg(8)`` extension, with the
-header's flow/seq naming the subject packet.  Deserialization of
-arbitrary bytes raises only the error types defined here.
+header's flow/seq naming the subject packet.
+
+``serialize`` is the one description of each layout.  ``deserialize``
+unpacks the fields, then accepts the bytes only if re-serializing its
+result gives them back, so every message has exactly one encoding (the
+canonical-encoding rule of DER, ITU-T X.690): a field a type never
+writes, a count that disagrees with its array or a trailing byte is
+rejected, not dropped.  Arbitrary bytes raise only the errors below.
 """
 
 from __future__ import annotations
@@ -69,27 +75,27 @@ assert HEADER_LEN == 32
 
 
 class WireError(Exception):
-    pass
+    """Base of every error serialize and deserialize raise."""
 
 
 class FieldOverflow(WireError):
-    pass
+    """A value does not fit its field, or a member send offset predates time zero."""
 
 
 class Truncated(WireError):
-    pass
+    """The buffer ends inside the header or the body the header promises."""
 
 
 class BadVersion(WireError):
-    pass
+    """The header's version is not VERSION."""
 
 
 class UnknownType(WireError):
-    pass
+    """The header's pkt_type names no message type."""
 
 
 class LengthMismatch(WireError):
-    pass
+    """Not the serialized form of any message."""
 
 
 Entry = tuple[int, int]  # (flow_id, seq)
@@ -185,7 +191,46 @@ def _entries_ext(entries: tuple[Entry, ...]) -> bytes:
 
 
 def serialize(msg: Message) -> bytes:
-    pkt_type, flags, flow_id, seq, ext, payload = _encode_parts(msg)
+    flags = flow_id = seq = 0
+    ext = payload = b""
+    if isinstance(msg, DataPacket):
+        pkt_type, flags, flow_id, seq = DATA, msg.flags, msg.flow_id, msg.seq
+        payload = msg.payload
+    elif isinstance(msg, CodedPacket):
+        if not 1 <= len(msg.members) <= 255:
+            raise FieldOverflow(f"member count {len(msg.members)} out of range 1..255")
+        if len(msg.member_ts) != len(msg.members):
+            raise FieldOverflow(
+                f"{len(msg.member_ts)} member timestamps for {len(msg.members)} members")
+        parts = [_CODED_FIXED.pack(_check_u(msg.batch_id, 64, "batch_id"),
+                                   _check_u(msg.parity_index, 8, "parity_index"),
+                                   _check_u(msg.num_parity, 8, "num_parity"),
+                                   len(msg.members),
+                                   _check_u(len(msg.payload), 16, "symbol_len"))]
+        for m_flow, m_seq, orig_len in msg.members:
+            parts.append(_MEMBER.pack(_check_u(m_flow, 64, "member flow_id"),
+                                      _check_u(m_seq, 64, "member seq"),
+                                      _check_u(orig_len, 16, "member orig_len")))
+        for m_ts in msg.member_ts:
+            parts.append(_MEMBER_TS.pack(
+                _check_u(msg.send_ts_us - m_ts, 32, "member send offset")))
+        pkt_type = CROSS_CODED if msg.cross else IN_CODED
+        ext, payload = b"".join(parts), msg.payload
+    elif isinstance(msg, Nack):
+        pkt_type, flow_id, ext = NACK, msg.flow_id, _entries_ext(msg.entries)
+    elif isinstance(msg, Ack):
+        pkt_type, flow_id, seq = ACK, msg.flow_id, msg.cum_seq
+    elif isinstance(msg, CoopRequest):
+        pkt_type, ext = COOP_REQ, _entries_ext(msg.entries)
+    elif isinstance(msg, CoopResponse):
+        pkt_type, ext, payload = COOP_RESP, _entries_ext((msg.entry,)), msg.payload or b""
+        flags = FLAG_COOP_NEGATIVE if msg.payload is None else 0
+    elif isinstance(msg, Ctrl):
+        pkt_type, flow_id, seq = CTRL, msg.flow_id, msg.seq
+        ext = _CTRL_EXT.pack(_check_u(msg.kind, 8, "ctrl kind"),
+                             _check_u(msg.arg, 64, "ctrl arg"))
+    else:
+        raise TypeError(f"not a wire message: {type(msg).__name__}")
     _check_u(flags, 16, "flags")
     if len(payload) > 0xFFFF:
         raise FieldOverflow(f"payload of {len(payload)} bytes exceeds 65535")
@@ -197,46 +242,6 @@ def serialize(msg: Message) -> bytes:
                         _check_u(msg.send_ts_us, 64, "send_ts_us"),
                         len(payload), len(ext))
     return header + ext + payload
-
-
-def _encode_parts(msg: Message):
-    if isinstance(msg, DataPacket):
-        return DATA, msg.flags, msg.flow_id, msg.seq, b"", msg.payload
-    if isinstance(msg, CodedPacket):
-        if not 1 <= len(msg.members) <= 255:
-            raise FieldOverflow(f"member count {len(msg.members)} out of range 1..255")
-        if len(msg.member_ts) != len(msg.members):
-            raise FieldOverflow(
-                f"{len(msg.member_ts)} member timestamps for {len(msg.members)} members")
-        ext = [_CODED_FIXED.pack(_check_u(msg.batch_id, 64, "batch_id"),
-                                 _check_u(msg.parity_index, 8, "parity_index"),
-                                 _check_u(msg.num_parity, 8, "num_parity"),
-                                 len(msg.members),
-                                 _check_u(len(msg.payload), 16, "symbol_len"))]
-        for flow_id, seq, orig_len in msg.members:
-            ext.append(_MEMBER.pack(_check_u(flow_id, 64, "member flow_id"),
-                                    _check_u(seq, 64, "member seq"),
-                                    _check_u(orig_len, 16, "member orig_len")))
-        for m_ts in msg.member_ts:
-            ext.append(_MEMBER_TS.pack(
-                _check_u(msg.send_ts_us - m_ts, 32, "member send offset")))
-        ptype = CROSS_CODED if msg.cross else IN_CODED
-        return ptype, 0, 0, 0, b"".join(ext), msg.payload
-    if isinstance(msg, Nack):
-        return NACK, 0, msg.flow_id, 0, _entries_ext(msg.entries), b""
-    if isinstance(msg, Ack):
-        return ACK, 0, msg.flow_id, msg.cum_seq, b"", b""
-    if isinstance(msg, CoopRequest):
-        return COOP_REQ, 0, 0, 0, _entries_ext(msg.entries), b""
-    if isinstance(msg, CoopResponse):
-        flags = 0 if msg.payload is not None else FLAG_COOP_NEGATIVE
-        return (COOP_RESP, flags, 0, 0, _entries_ext((msg.entry,)),
-                msg.payload or b"")
-    if isinstance(msg, Ctrl):
-        ext = _CTRL_EXT.pack(_check_u(msg.kind, 8, "ctrl kind"),
-                             _check_u(msg.arg, 64, "ctrl arg"))
-        return CTRL, 0, msg.flow_id, msg.seq, ext, b""
-    raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
 def wire_size(msg: Message) -> int:
@@ -260,18 +265,6 @@ def wire_size(msg: Message) -> int:
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
-def _parse_entries(ext: bytes, what: str) -> tuple[Entry, ...]:
-    if len(ext) < 1:
-        raise LengthMismatch(f"{what} extension missing entry count")
-    count = ext[0]
-    if count < 1:
-        raise LengthMismatch(f"{what} entry count must be >= 1")
-    if len(ext) != 1 + _ENTRY.size * count:
-        raise LengthMismatch(
-            f"{what} extension is {len(ext)} bytes, expected {1 + _ENTRY.size * count}")
-    return tuple(_ENTRY.unpack_from(ext, 1 + _ENTRY.size * i) for i in range(count))
-
-
 def deserialize(buf: bytes) -> Message:
     if len(buf) < HEADER_LEN:
         raise Truncated(f"{len(buf)} bytes is shorter than the {HEADER_LEN}-byte header")
@@ -283,71 +276,42 @@ def deserialize(buf: bytes) -> Message:
     total = HEADER_LEN + ext_len + payload_len
     if len(buf) < total:
         raise Truncated(f"{len(buf)} bytes but header promises {total}")
-    if len(buf) > total:
-        raise LengthMismatch(f"{len(buf) - total} trailing bytes")
     ext = buf[HEADER_LEN:HEADER_LEN + ext_len]
     payload = buf[HEADER_LEN + ext_len:total]
 
-    if pkt_type == DATA:
-        if ext_len:
-            raise LengthMismatch("DATA must not carry an extension")
-        return DataPacket(flow_id, seq, ts, payload, flags)
+    # unpack leniently; the canonical check below rejects whatever this
+    # reading dropped or misread
+    try:
+        if pkt_type == DATA:
+            msg = DataPacket(flow_id, seq, ts, payload, flags)
+        elif pkt_type in (IN_CODED, CROSS_CODED):
+            batch_id, parity_index, num_parity, count, _ = _CODED_FIXED.unpack_from(ext)
+            ts_at = _CODED_FIXED.size + _MEMBER.size * count
+            members = tuple(_MEMBER.iter_unpack(ext[_CODED_FIXED.size:ts_at]))
+            offsets = [offset for offset, in _MEMBER_TS.iter_unpack(ext[ts_at:])]
+            if any(offset > ts for offset in offsets):
+                raise FieldOverflow("member send offset predates time zero")
+            msg = CodedPacket(pkt_type == CROSS_CODED, batch_id, parity_index,
+                              num_parity, members, payload, ts,
+                              tuple(ts - offset for offset in offsets))
+        elif pkt_type == NACK:
+            msg = Nack(flow_id, tuple(_ENTRY.iter_unpack(ext[1:])), ts)
+        elif pkt_type == ACK:
+            msg = Ack(flow_id, seq, ts)
+        elif pkt_type == COOP_REQ:
+            msg = CoopRequest(tuple(_ENTRY.iter_unpack(ext[1:])), ts)
+        elif pkt_type == COOP_RESP:
+            msg = CoopResponse(_ENTRY.unpack_from(ext, 1),
+                               None if flags & FLAG_COOP_NEGATIVE else payload, ts)
+        else:
+            kind, arg = _CTRL_EXT.unpack_from(ext)
+            msg = Ctrl(kind, flow_id, seq, arg, ts)
+    except struct.error as e:
+        raise LengthMismatch(f"{TYPE_NAMES[pkt_type]}: {e}") from None
 
-    if pkt_type in (IN_CODED, CROSS_CODED):
-        if len(ext) < _CODED_FIXED.size:
-            raise LengthMismatch("coded extension shorter than its fixed part")
-        batch_id, parity_index, num_parity, member_count, symbol_len = \
-            _CODED_FIXED.unpack_from(ext)
-        if member_count < 1:
-            raise LengthMismatch("coded member_count must be >= 1")
-        want = _CODED_FIXED.size + (_MEMBER.size + _MEMBER_TS.size) * member_count
-        if len(ext) != want:
-            raise LengthMismatch(f"coded extension is {len(ext)} bytes, expected {want}")
-        if symbol_len != payload_len:
-            raise LengthMismatch(f"symbol_len {symbol_len} != payload_len {payload_len}")
-        members = tuple(
-            _MEMBER.unpack_from(ext, _CODED_FIXED.size + _MEMBER.size * i)
-            for i in range(member_count))
-        ts_base = _CODED_FIXED.size + _MEMBER.size * member_count
-        member_ts = []
-        for i in range(member_count):
-            offset, = _MEMBER_TS.unpack_from(ext, ts_base + _MEMBER_TS.size * i)
-            if offset > ts:
-                raise FieldOverflow(
-                    f"member send offset {offset} predates time zero")
-            member_ts.append(ts - offset)
-        return CodedPacket(pkt_type == CROSS_CODED, batch_id, parity_index,
-                           num_parity, members, payload, ts, tuple(member_ts))
-
-    if pkt_type == NACK:
-        if payload_len:
-            raise LengthMismatch("NACK must not carry a payload")
-        return Nack(flow_id, _parse_entries(ext, "NACK"), ts)
-
-    if pkt_type == ACK:
-        if ext_len or payload_len:
-            raise LengthMismatch("ACK carries neither extension nor payload")
-        return Ack(flow_id, seq, ts)
-
-    if pkt_type == COOP_REQ:
-        if payload_len:
-            raise LengthMismatch("COOP_REQ must not carry a payload")
-        return CoopRequest(_parse_entries(ext, "COOP_REQ"), ts)
-
-    if pkt_type == COOP_RESP:
-        entries = _parse_entries(ext, "COOP_RESP")
-        if len(entries) != 1:
-            raise LengthMismatch("COOP_RESP answers exactly one entry")
-        if flags & FLAG_COOP_NEGATIVE:
-            if payload_len:
-                raise LengthMismatch("negative COOP_RESP must not carry a payload")
-            return CoopResponse(entries[0], None, ts)
-        return CoopResponse(entries[0], payload, ts)
-
-    # CTRL
-    if payload_len:
-        raise LengthMismatch("CTRL must not carry a payload")
-    if ext_len != _CTRL_EXT.size:
-        raise LengthMismatch(f"CTRL extension is {ext_len} bytes, expected {_CTRL_EXT.size}")
-    kind, arg = _CTRL_EXT.unpack(ext)
-    return Ctrl(kind, flow_id, seq, arg, ts)
+    try:
+        if serialize(msg) == buf:
+            return msg
+    except FieldOverflow:
+        pass
+    raise LengthMismatch(f"not the serialized form of any {TYPE_NAMES[pkt_type]}")

@@ -1,6 +1,8 @@
 """Recovery-engine behavior: task lifecycle, cheapest-path choice,
 boundary confirmation, proactive mode."""
 
+from dataclasses import replace
+
 import pytest
 
 from _stub import StubEnv
@@ -23,7 +25,7 @@ from caspr.wire import (
 
 RTT = 150_000
 CFG = EgressConfig(deadline_us=RTT, boundary_wait_us=75_000,
-                   store_ttl_us=4 * RTT, proactive_after=3)
+                   store_ttl_us=4 * RTT, proactive_after=3, claim_owd_us=0)
 
 
 def make_engine(n_receivers=4, config=CFG):
@@ -332,8 +334,7 @@ def test_parity_after_decode_is_not_decoded_again():
 def test_unrecovered_entry_fails_silent_once(deadline_us):
     # whichever of the task deadline and the store TTL comes first ends
     # the task; the later one finds nothing left to count
-    config = EgressConfig(deadline_us=deadline_us, boundary_wait_us=75_000,
-                          store_ttl_us=4 * RTT, proactive_after=3)
+    config = replace(CFG, deadline_us=deadline_us)
     eng, env, log = make_engine(config=config)
     for p in cross_parities(7, [0, 1, 2, 3], num_parity=1):
         eng.on_message(p, "dc1>dc2")

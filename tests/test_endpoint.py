@@ -1,5 +1,7 @@
 """Sender pacing and duplication, receiver detection and serving."""
 
+from dataclasses import replace
+
 import pytest
 
 from _stub import StubEnv
@@ -44,7 +46,8 @@ def test_payload_bytes_shape():
 def make_sender(**kw):
     defaults = dict(flow_id=0, packet_size=64, interval_us=10_000,
                     direct_link="s0>r0", dup_link="s0>dc1",
-                    on_us=50_000, off_mean_us=0)
+                    on_us=50_000, off_mean_us=0, duplication="full",
+                    selective_first_n=1, start_us=0, stop_us=10**12)
     defaults.update(kw)
     log = RunLog()
     sender = Sender("s0", SenderConfig(**defaults), log)
@@ -121,7 +124,8 @@ def make_receiver(det=DET, **kw):
                     dc2_data_link="r0>dc2", dc2_ctrl_link="r0>dc2:ctrl",
                     detector=det, reorder_grace_us=0,
                     renack_after_us=150_000, cache_packets=64,
-                    cache_ttl_us=600_000)
+                    cache_ttl_us=600_000, abandon_after_us=600_000,
+                    straggler_delay_us=0)
     defaults.update(kw)
     log = RunLog()
     log.register_flow(0, 64)
@@ -195,8 +199,7 @@ def test_burst_timer_fires_small_then_goes_idle():
 
 
 def test_fixed_detector_keeps_firing_fast():
-    det = DetectorConfig(kind="fixed_small", small_timeout_us=25_000,
-                         long_timeout_us=150_000, giveup_after=8)
+    det = replace(DET, kind="fixed_small")
     recv, env, log = make_receiver(det=det, renack_after_us=0)
     deliver_direct(recv, env, 0, 0, 0)
     env.run_until(200_000)

@@ -145,12 +145,24 @@ message_st = st.one_of(
 def test_round_trip(msg):
     raw = serialize(msg)
     assert len(raw) == wire_size(msg)
-    back = deserialize(raw)
-    if isinstance(msg, CodedPacket) and msg.payload == b"":
-        # symbol_len 0 survives; payload identity still holds
-        assert back == msg
-    else:
-        assert back == msg
+    assert deserialize(raw) == msg
+
+
+@settings(max_examples=300, derandomize=True)
+@given(message_st, st.data())
+def test_only_canonical_bytes_parse(msg, data):
+    # whatever deserialize accepts, serialize writes back byte for byte
+    raw = bytearray(serialize(msg))
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                         st.integers(0, 255)), max_size=4))
+    for i, value in flips:
+        raw[i] = value
+    buf = bytes(raw[:data.draw(st.none() | st.integers(0, len(raw)))])
+    try:
+        back = deserialize(buf)
+    except WireError:
+        return
+    assert serialize(back) == buf
 
 
 def test_truncated_header():
@@ -220,6 +232,17 @@ def test_field_overflow_on_serialize():
         serialize(CodedPacket(True, 0, 256, 2, ((1, 1, 1),), b""))
     with pytest.raises(FieldOverflow):
         serialize(DataPacket(0, 0, -1))
+
+
+@pytest.mark.parametrize("name, offset", [
+    ("golden_nack_one_entry.hex", 3),  # a flag bit NACK never sets
+    ("golden_in_coded.hex", 19),       # header seq, which coded packets leave 0
+])
+def test_header_field_a_type_never_writes_rejected(name, offset):
+    raw = bytearray(golden(name))
+    raw[offset] = 1
+    with pytest.raises(LengthMismatch):
+        deserialize(bytes(raw))
 
 
 def test_negative_coop_resp_with_payload_rejected():
