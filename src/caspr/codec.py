@@ -118,7 +118,8 @@ def encode_batch(batch_id: int, sources: list[SourceSymbol],
 
     Sources are used in the given order; position in the batch is what
     the math binds to, the (flow_id, seq) pairs are just labels carried
-    in the metadata.
+    in the metadata.  Any object with SourceSymbol's fields (a
+    ``wire.DataPacket``, for one) serves as a source.
     """
     if not sources:
         raise EmptyBatch("cannot encode an empty batch")

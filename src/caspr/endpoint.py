@@ -31,7 +31,6 @@ parity until enough of the block is present to decode the rest.
 
 from __future__ import annotations
 
-import statistics
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import islice, takewhile
@@ -256,8 +255,10 @@ class Receiver:
                 # runaway gap: forget the oldest holes
                 for s in list(islice(self.holes, excess)):
                     del self.holes[s]
-        self.holes.pop(seq, None)
-        missing = tuple(takewhile(lambda s: s < seq, self.holes))
+        missing = ()
+        if self.holes:
+            self.holes.pop(seq, None)
+            missing = tuple(takewhile(seq.__gt__, self.holes))
         self._advance()
         if ack_due:
             # after the frontier move, so cum_seq covers this arrival; before
@@ -270,7 +271,8 @@ class Receiver:
             else:
                 self._nack_missing(missing, "gap_nacks")
         self._note_arrival(now)
-        self._retry_held(now)
+        if self.held:
+            self._retry_held(now)
 
     def _advance(self) -> None:
         """Move the frontier to the first hole, or past everything seen."""
@@ -303,8 +305,12 @@ class Receiver:
         self.env.schedule(self._timeout(), ("det", self.timer_gen))
 
     def _gap_estimate(self) -> float:
-        det = self.config.detector
-        return statistics.median(self.gaps) if self.gaps else det.nominal_gap_us
+        """Median of the recent gaps, as statistics.median computes it."""
+        if not self.gaps:
+            return self.config.detector.nominal_gap_us
+        gaps = sorted(self.gaps)
+        mid = len(gaps) // 2
+        return gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
 
     def _burst_threshold(self) -> float:
         return self.config.detector.burst_factor * self._gap_estimate()

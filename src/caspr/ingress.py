@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import CodingParams, SourceSymbol, encode_batch
+from .codec import CodingParams, encode_batch
 from .wire import DataPacket, coded_from_parity
 
 
@@ -41,14 +41,13 @@ class UnknownFlow(IngressError):
 
 @dataclass(eq=False)
 class _Queue:
-    symbols: list[SourceSymbol] = field(default_factory=list)
-    sent_ts: list[int] = field(default_factory=list)  # aligned with symbols
+    # the DataPackets themselves serve as encode_batch's source symbols
+    symbols: list[DataPacket] = field(default_factory=list)
     flows: set[int] = field(default_factory=set)
     gen: int = 0
 
     def reset(self) -> None:
         self.symbols = []
-        self.sent_ts = []
         self.flows = set()
         self.gen += 1
 
@@ -128,13 +127,11 @@ class IngressCoder:
         group = self._flow_group.get(pkt.flow_id)
         if group is None:
             raise UnknownFlow(f"packet for unregistered flow {pkt.flow_id}")
-        sym = SourceSymbol(pkt.flow_id, pkt.seq, pkt.payload)
         if self.params.in_block:
-            self._push_in(pkt.flow_id, sym, pkt.send_ts_us)
-        self._push_cross(group, pkt.flow_id, sym, pkt.send_ts_us)
+            self._push_in(pkt.flow_id, pkt)
+        self._push_cross(group, pkt.flow_id, pkt)
 
-    def _push_cross(self, group: FlowGroup, flow_id: int, sym: SourceSymbol,
-                    sent_ts: int) -> None:
+    def _push_cross(self, group: FlowGroup, flow_id: int, pkt: DataPacket) -> None:
         n = group.k_max
         idx = self._rr[flow_id] = (self._rr[flow_id] + 1) % n
         start = idx
@@ -150,8 +147,7 @@ class IngressCoder:
                     self.run_log.bump("evictions", len(q.symbols))
                     q.reset()
                 break
-        q.symbols.append(sym)
-        q.sent_ts.append(sent_ts)
+        q.symbols.append(pkt)
         q.flows.add(flow_id)
         if len(q.symbols) == 1:
             self.env.schedule(self.cross_flush_us,
@@ -159,10 +155,9 @@ class IngressCoder:
         if len(q.symbols) >= 2 and len(q.symbols) == len(group.members):
             self._emit(q, cross=True)
 
-    def _push_in(self, flow_id: int, sym: SourceSymbol, sent_ts: int) -> None:
+    def _push_in(self, flow_id: int, pkt: DataPacket) -> None:
         q = self._in_queues[flow_id]
-        q.symbols.append(sym)
-        q.sent_ts.append(sent_ts)
+        q.symbols.append(pkt)
         if len(q.symbols) == 1:
             self.env.schedule(self.in_flush_us, ("iq", flow_id, q.gen))
         if len(q.symbols) >= self.params.in_block:
@@ -175,7 +170,7 @@ class IngressCoder:
         self._next_batch += 1
         num_parity = (self.params.num_parity_cross if cross
                       else self.params.num_parity_in)
-        member_ts = tuple(q.sent_ts)
+        member_ts = tuple(pkt.send_ts_us for pkt in q.symbols)
         for p in encode_batch(batch_id, q.symbols, num_parity):
             self.env.send(self.out_link,
                           coded_from_parity(p, cross=cross,

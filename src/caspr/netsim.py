@@ -1,11 +1,19 @@
 """Deterministic discrete-event network simulator.
 
 Virtual time is integer microseconds; nothing reads the wall clock.
-Events sit in a min-heap keyed by (time, origin index, per-origin
-sequence number).  Origin indices are assigned by sorting origin names
-when the topology freezes, so two runs wired in different node orders
-process identical event sequences: the tiebreak is a schedule counter,
-just scoped per origin instead of global.
+Events sit in a min-heap of ``(time, origin index, per-origin seq,
+event)`` entries.  Origin indices are assigned by sorting origin names
+when the topology freezes, nodes first and then links, so two runs
+wired in different node orders process identical event sequences: the
+tiebreak is a schedule counter, just scoped per origin instead of
+global.  A node's timer event is its token; a link's delivery event is
+``(link, msg, size)``.
+
+Handlers are bound once, at freeze: each link keeps its destination's
+``on_message`` and the simulator keeps each node's ``on_timer`` in a
+list indexed by origin, so the loop looks nothing up by name.  Those
+bound methods close a cycle (node -> env -> simulator), and ``close()``
+breaks it by dropping the nodes, the handlers and the pending events.
 
 Every link owns two private random streams (loss and jitter), seeded by
 hashing the master seed with the link's name, so adding or reseeding
@@ -15,15 +23,13 @@ one link never perturbs the draws of another.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import random
+from heapq import heappop, heappush
+from itertools import count
 from typing import IO, Protocol
 
 from . import wire
-
-_DELIVER = 0
-_TIMER = 1
 
 
 def derive_rng(master_seed: int, *scope: str) -> random.Random:
@@ -143,6 +149,12 @@ class Link:
         self.loss = loss
         self.bandwidth_bps = bandwidth_bps
         self.jitter_rng = jitter_rng
+        # randint(-j, j) draws getrandbits(bits) until the value is below span
+        self.jitter_span = 2 * jitter_us + 1
+        self.jitter_bits = self.jitter_span.bit_length()
+        self.deliver = None  # the destination's on_message, bound at freeze
+        self.idx = -1        # origin index, assigned at freeze
+        self.seq = count()   # per-origin tiebreak for its deliveries
         self.tx_free_us = 0
         self.sent_count = 0
         self.sent_bytes = 0
@@ -165,6 +177,9 @@ class SimEnv:
 
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
+        self._heap = sim._heap
+        self._idx = -1  # origin index, assigned at freeze
+        self._seq = count()
         self.name = name
         self.rng = derive_rng(sim.master_seed, "node", name)
 
@@ -176,7 +191,10 @@ class SimEnv:
         self._sim._send(link_name, msg)
 
     def schedule(self, delay_us: int, token: tuple) -> None:
-        self._sim._schedule_timer(self.name, delay_us, token)
+        if delay_us < 0:
+            raise ValueError("cannot schedule into the past")
+        heappush(self._heap,
+                 (self._sim.now + delay_us, self._idx, next(self._seq), token))
 
 
 class Simulator:
@@ -187,8 +205,7 @@ class Simulator:
         self.links: dict[str, Link] = {}
         self.trace_file = trace_file
         self._heap: list = []
-        self._origin_idx: dict[str, int] = {}
-        self._origin_seq: list[int] = []  # next sequence number per origin index
+        self._on_timer: list = []  # each node's on_timer, by origin index
         self._prestart: list[tuple[int, str, tuple]] = []
         self._frozen = False
 
@@ -224,26 +241,36 @@ class Simulator:
         self._prestart.append((t_us, node_name, token))
 
     def _freeze(self) -> None:
-        names = sorted(self.nodes) + sorted(self.links)
-        self._origin_idx = {n: i for i, n in enumerate(names)}
-        self._origin_seq = [0] * len(names)
+        names = sorted(self.nodes)
+        for idx, name in enumerate(names):
+            self.nodes[name].env._idx = idx
+        self._on_timer = [self.nodes[name].on_timer for name in names]
+        for idx, name in enumerate(sorted(self.links), len(names)):
+            link = self.links[name]
+            if link.dst not in self.nodes:
+                raise ValueError(f"link {name}: unknown node {link.dst!r}")
+            link.idx = idx
+            link.deliver = self.nodes[link.dst].on_message
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):
             if node_name not in self.nodes:
                 raise ValueError(f"unknown node {node_name!r}")
-            self._push(t_us, self._origin_idx[node_name], (_TIMER, node_name, token))
+            env = self.nodes[node_name].env
+            heappush(self._heap, (t_us, env._idx, next(env._seq), token))
         self._prestart.clear()
 
-    def _push(self, t_us: int, idx: int, event: tuple) -> None:
-        seq = self._origin_seq[idx]
-        self._origin_seq[idx] = seq + 1
-        heapq.heappush(self._heap, (t_us, idx, seq, event))
+    def close(self) -> None:
+        """Drop the nodes, their bound handlers and the pending events.
 
-    def _schedule_timer(self, node_name: str, delay_us: int, token: tuple) -> None:
-        if delay_us < 0:
-            raise ValueError("cannot schedule into the past")
-        self._push(self.now + delay_us, self._origin_idx[node_name],
-                   (_TIMER, node_name, token))
+        Each node reaches the simulator through its env, so until then a
+        finished run is freed only by the cyclic GC.  The links and their
+        counters stay readable; the simulator cannot run again.
+        """
+        self.nodes.clear()
+        self._on_timer = []
+        self._heap.clear()
+        for link in self.links.values():
+            link.deliver = None
 
     def _send(self, link_name: str, msg: wire.Message) -> None:
         link = self.links.get(link_name)
@@ -252,32 +279,36 @@ class Simulator:
         size = wire.wire_size(msg)
         link.sent_count += 1
         link.sent_bytes += size
-        if link.loss is not None and link.loss.drop(self.now):
+        now = self.now
+        if link.loss is not None and link.loss.drop(now):
             link.dropped_count += 1
             link.dropped_bytes += size
             if isinstance(msg, wire.DataPacket):
                 link.drop_log.append(msg.seq)
-            self._trace(link, msg, size, None)
+            if self.trace_file is not None:
+                self._trace(link, msg, size, None)
             return
-        delay = link.delay_us
+        # Link rejects jitter above the delay, so arrive is never before now
+        arrive = now + link.delay_us
         if link.jitter_us:
-            # randint(a, b) is randrange(a, b + 1): the same draws, one call less
-            delay += link.jitter_rng.randrange(-link.jitter_us, link.jitter_us + 1)
-        queue_us = 0
+            # randint(-j, j) as CPython 3.11 draws it, without its two frames
+            getrandbits = link.jitter_rng.getrandbits
+            r = getrandbits(link.jitter_bits)
+            while r >= link.jitter_span:
+                r = getrandbits(link.jitter_bits)
+            arrive += r - link.jitter_us
         if link.bandwidth_bps:
             tx_us = (size * 8 * 1_000_000) // link.bandwidth_bps
-            start = max(self.now, link.tx_free_us)
+            start = max(now, link.tx_free_us)
             link.tx_free_us = start + tx_us
-            queue_us = (start - self.now) + tx_us
-        arrive = self.now + queue_us + max(delay, 0)
+            arrive += start - now + tx_us
         link.inflight_count += 1
         link.inflight_bytes += size
-        self._push(arrive, self._origin_idx[link.name], (_DELIVER, link, msg, size))
-        self._trace(link, msg, size, arrive)
+        heappush(self._heap, (arrive, link.idx, next(link.seq), (link, msg, size)))
+        if self.trace_file is not None:
+            self._trace(link, msg, size, arrive)
 
     def _trace(self, link: Link, msg: wire.Message, size: int, arrive: int | None) -> None:
-        if self.trace_file is None:
-            return
         rec = {"ts": self.now, "link": link.name, "type": type(msg).__name__,
                "size": size,
                "outcome": "delivered" if arrive is not None else "dropped",
@@ -293,19 +324,20 @@ class Simulator:
         if not self._frozen:
             self._freeze()
         heap = self._heap
+        on_timer = self._on_timer
+        n_nodes = len(on_timer)  # node origins come before link origins
         while heap and heap[0][0] <= until_us:
-            t, _idx, _seq, event = heapq.heappop(heap)
+            t, idx, _seq, event = heappop(heap)
             self.now = t
-            if event[0] == _DELIVER:
-                _, link, msg, size = event
+            if idx < n_nodes:
+                on_timer[idx](event)
+            else:
+                link, msg, size = event
                 link.inflight_count -= 1
                 link.inflight_bytes -= size
                 link.delivered_count += 1
                 link.delivered_bytes += size
-                self.nodes[link.dst].on_message(msg, link.name)
-            else:
-                _, node_name, token = event
-                self.nodes[node_name].on_timer(token)
+                link.deliver(msg, link.name)
         self.now = until_us
 
     def check_conservation(self) -> None:

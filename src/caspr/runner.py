@@ -163,9 +163,10 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             dc2_egress_ctrl_bytes=dc2_ctrl,
             dup_bytes=sum(sim.links[f"s{i}>dc1"].sent_bytes for i in range(n)))
     finally:
-        # nodes reach the simulator through node.env; dropping them breaks
-        # that cycle, so the run is freed on return, not at the next GC pass
-        sim.nodes.clear()
+        # nodes and their bound handlers reach the simulator through
+        # node.env; closing breaks that cycle, so the run is freed on
+        # return, not at the next GC pass
+        sim.close()
         if trace_file:
             trace_file.close()
 

@@ -1,8 +1,11 @@
 """Sender pacing and duplication, receiver detection and serving."""
 
+import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _stub import StubEnv
 from caspr import endpoint
@@ -180,6 +183,18 @@ def test_reorder_grace_swallows_reordering():
     env.run_until(46_000)
     sent = nacks_on(env)
     assert len(sent) == 1 and sent[0].entries == ((0, 3), (0, 4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 150_000), max_size=endpoint.GAP_WINDOW))
+def test_gap_estimate_is_the_median_of_the_window(gaps):
+    # written out to skip statistics.median's per-call overhead; the
+    # value must stay the same, odd and even windows alike
+    recv, _, _ = make_receiver()
+    recv.gaps.extend(gaps)
+    want = statistics.median(gaps) if gaps else DET.nominal_gap_us
+    got = recv._gap_estimate()
+    assert got == want and type(got) is type(want)
 
 
 def test_burst_timer_fires_small_then_goes_idle():

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caspr import netsim, wire
 from caspr.netsim import (
@@ -140,6 +145,32 @@ def test_jitter_bounds_and_determinism():
     sim2, _, b2 = build(seed=9, delay_us=1000, jitter_us=200)
     sim2.run(1_000_000)
     assert [t for t, _, _ in b2.messages] == [t for t, _, _ in b.messages]
+
+
+# jitters whose span 2j + 1 sits just below (2**k - 1) and just above
+# (2**k + 1) a power of two, where the rejection loop's bit count changes
+EDGE_JITTERS = [j for k in range(1, 16) for j in (2 ** (k - 1) - 1, 2 ** (k - 1)) if j]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       jitter=st.one_of(st.sampled_from(EDGE_JITTERS), st.integers(1, 100_000)))
+def test_jitter_draws_are_randint_draws(seed, jitter):
+    # _send writes out the getrandbits loop behind randint(-j, j); a
+    # different draw would move every jittered arrival in the artifacts
+    trace = io.StringIO()
+    sim = Simulator(0, trace_file=trace)
+    sim.add_node("a", Recorder())
+    sim.add_node("b", Recorder())
+    link = sim.add_link("a>b", "a", "b", delay_us=jitter, jitter_us=jitter)
+    link.jitter_rng = random.Random(seed)
+    sim._freeze()
+    for _ in range(40):
+        sim._send("a>b", wire.Ack(1, 0, 0))
+    offsets = [json.loads(line)["arrive_ts"] - jitter
+               for line in trace.getvalue().splitlines()]
+    ref = random.Random(seed)
+    assert offsets == [ref.randint(-jitter, jitter) for _ in range(40)]
 
 
 def test_jitter_larger_than_delay_rejected():
@@ -278,6 +309,15 @@ def test_duplicate_names_rejected():
         sim.add_node("l", Recorder())
 
 
+def test_link_to_unknown_node_rejected_at_freeze():
+    # each link binds its destination's on_message when the topology freezes
+    sim = Simulator(0)
+    sim.add_node("a", Recorder())
+    sim.add_link("a>b", "a", "b", delay_us=1)
+    with pytest.raises(ValueError, match="unknown node 'b'"):
+        sim.run(10)
+
+
 def test_derive_rng_stable_and_scoped():
     a = derive_rng(1, "link", "x", "loss").random()
     b = derive_rng(1, "link", "x", "loss").random()
@@ -286,3 +326,90 @@ def test_derive_rng_stable_and_scoped():
     assert a == b
     assert a != c
     assert a != d
+
+
+class Logger:
+    """Node that appends what it sees to a log shared across nodes."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def on_message(self, msg, link_name):
+        self.log.append((self.env.now, "deliver", link_name))
+
+    def on_timer(self, token):
+        self.log.append((self.env.now, "timer", self.name, token))
+
+
+def test_one_nodes_same_instant_timers_fire_in_schedule_order():
+    log = []
+    sim = Simulator(0)
+    a = Logger("a", log)
+    sim.add_node("a", a)
+    sim._freeze()
+    # tokens that sort the other way round: the heap must never compare them
+    for token in [("z",), ("b",), ("m",)]:
+        a.env.schedule(10, token)
+    sim.run(10)
+    assert [entry[3] for entry in log] == [("z",), ("b",), ("m",)]
+
+
+def test_same_instant_events_fire_in_origin_order():
+    # origins are numbered at freeze: nodes by name, then links by name;
+    # a timer and a delivery due together fire in that order, whatever
+    # the order they were added or scheduled in
+    log = []
+    sim = Simulator(0)
+    nodes = {name: Logger(name, log) for name in ("b", "a")}
+    for name, node in nodes.items():
+        sim.add_node(name, node)
+    sim.add_link("b>a", "b", "a", delay_us=100)
+    sim.add_link("a>b", "a", "b", delay_us=100)
+    sim._freeze()
+    sim._send("b>a", wire.Ack(1, 0, 0))
+    sim._send("a>b", wire.Ack(1, 0, 0))
+    nodes["b"].env.schedule(100, ("t",))
+    nodes["a"].env.schedule(100, ("t",))
+    sim.run(100)
+    assert log == [(100, "timer", "a", ("t",)), (100, "timer", "b", ("t",)),
+                   (100, "deliver", "a>b"), (100, "deliver", "b>a")]
+
+
+def test_prestart_timers_fire_in_sorted_order():
+    log = []
+    sim = Simulator(0)
+    for name in ("b", "a"):
+        sim.add_node(name, Logger(name, log))
+    sim.at(50, "a", ("z",))
+    sim.at(50, "b", ("a",))
+    sim.at(50, "a", ("y",))
+    sim.at(10, "b", ("w",))
+    sim.run(100)
+    assert log == [(10, "timer", "b", ("w",)), (50, "timer", "a", ("y",)),
+                   (50, "timer", "a", ("z",)), (50, "timer", "b", ("a",))]
+
+
+def run_and_drop(close):
+    """Weakref to a finished two-node run whose every name is dropped."""
+    sim, a, b = build()
+    sim.run(1_000_000)
+    if close:
+        sim.close()
+        # the links and their counters outlive close
+        assert sim.links["a>b"].delivered_count == len(b.messages) == 50
+    ref = weakref.ref(sim)
+    del sim, a, b
+    return ref
+
+
+def test_close_frees_the_simulation_without_the_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        # bound handlers keep an unclosed run in a cycle ...
+        assert run_and_drop(close=False)() is not None
+        # ... that close() breaks
+        assert run_and_drop(close=True)() is None
+    finally:
+        gc.enable()

@@ -9,7 +9,7 @@ import weakref
 import pytest
 import yaml
 
-from caspr import netsim, runner
+from caspr import egress, endpoint, ingress, netsim, runner, scenario, wire
 from caspr.cli import main
 from caspr.runner import InvariantViolation, run_scenario, run_seed
 from caspr.scenario import validate
@@ -86,6 +86,47 @@ def test_run_seed_frees_its_simulation_without_the_cyclic_gc(monkeypatch):
         assert built[0]() is None, "the run outlives run_seed until a GC pass"
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name, duration_s", [
+    ("short_flow_nack_economy", 6), ("straggler_ab", 4)])
+def test_every_send_and_timer_goes_through_the_traced_entry_points(
+        monkeypatch, name, duration_s):
+    # perfbench times the event path by wrapping SimEnv.send,
+    # SimEnv.schedule and wire.wire_size; a node or loop that sent or
+    # pushed around them would hide its cost from those spans
+    calls = dict.fromkeys(["send", "schedule", "wire_size", "at", "on_timer"], 0)
+    sims = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Recorded(netsim.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(netsim, "Simulator", Recorded)
+    monkeypatch.setattr(Recorded, "at", counted("at", Recorded.at))
+    monkeypatch.setattr(netsim.SimEnv, "send", counted("send", netsim.SimEnv.send))
+    monkeypatch.setattr(netsim.SimEnv, "schedule",
+                        counted("schedule", netsim.SimEnv.schedule))
+    monkeypatch.setattr(wire, "wire_size", counted("wire_size", wire.wire_size))
+    for cls in (endpoint.Sender, endpoint.Receiver, ingress.IngressCoder,
+                egress.EgressRecovery):
+        monkeypatch.setattr(cls, "on_timer", counted("on_timer", cls.on_timer))
+    # long enough past the senders' stop that every timer fires and
+    # every packet lands before the run ends
+    cfg = scenario.load(scenario.bundled_path(name), [f"duration_s={duration_s}"])
+    run_seed(cfg, cfg.seeds[0])
+    links = sims[0].links.values()
+    assert not any(link.inflight_count for link in links)
+    assert calls["send"] == sum(link.sent_count for link in links) > 0
+    assert calls["wire_size"] == calls["send"]
+    assert calls["schedule"] + calls["at"] == calls["on_timer"] > calls["at"] > 0
 
 
 def test_run_scenario_writes_artifact_set(tmp_path):
