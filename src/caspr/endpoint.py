@@ -24,9 +24,12 @@ of its first and last NACK once it has been NACKed.  A delivery deletes
 its hole, and with it the hole's NACK history; a hole first NACKed
 longer ago than the abandon horizon is dropped without a delivery.
 
-Receivers keep a small cache of recent payloads to answer cooperative
-requests for their own packets, and they hold forwarded in-stream
-parity until enough of the block is present to decode the rest.
+Receivers keep a cache of recent payloads to answer cooperative
+requests for their own packets.  It is bounded twice: an entry older
+than the cache TTL is never served and is evicted at the next store,
+and past the count cap the oldest entries go too.  Receivers also hold
+forwarded in-stream parity until enough of the block is present to
+decode the rest.
 """
 
 from __future__ import annotations
@@ -183,7 +186,9 @@ class Receiver:
         self.timer_gen = 0
         self.unanswered = 0
         self.parked = False               # give-up or confirmed end of flow
-        self.cache: OrderedDict = OrderedDict()  # seq -> (payload, ts)
+        # seq -> (payload, ts) in time order, at most cache_ttl_us old and
+        # cache_packets long
+        self.cache: OrderedDict = OrderedDict()
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
         self._coop_wait: dict[int, int] = {}     # seq -> responses held for it
@@ -389,19 +394,20 @@ class Receiver:
     # -- payload cache ----------------------------------------------------------
 
     def _store(self, seq: int, payload: bytes, now: int) -> None:
-        self.cache[seq] = (payload, now)
-        while len(self.cache) > self.config.cache_packets:
-            self.cache.popitem(last=False)
+        cache = self.cache
+        cache[seq] = (payload, now)
+        # stored in time order, so the entries _cached would refuse are
+        # a prefix; the new entry itself always stays (cache_packets >= 1)
+        oldest = now - self.config.cache_ttl_us
+        while (len(cache) > self.config.cache_packets
+               or next(iter(cache.values()))[1] < oldest):
+            cache.popitem(last=False)
 
     def _cached(self, seq: int, now: int) -> bytes | None:
         item = self.cache.get(seq)
-        if item is None:
+        if item is None or now - item[1] > self.config.cache_ttl_us:
             return None
-        payload, ts = item
-        if now - ts > self.config.cache_ttl_us:
-            del self.cache[seq]
-            return None
-        return payload
+        return item[0]
 
     # -- cooperative serving -----------------------------------------------------
 

@@ -1,11 +1,16 @@
 """Run bookkeeping and post-run analysis.
 
-RunLog is the shared ground-truth ledger: senders record every emission,
-receivers record every app-level delivery, and the protocol pieces bump
-named counters.  Everything downstream (loss episodes, recovery rates,
-the on-path FEC what-if, the egress cost model, CSV artifacts) is a pure
-function of the RunLog plus the simulator's per-link byte counters, so
-two runs with equal seeds produce byte-identical artifacts.
+RunLog is the shared ground-truth ledger, kept per flow and sized by
+the losses, not the packets: senders count their emissions, the direct
+link reports each packet it drops together with its send time, and a
+lost packet's first recovered delivery is noted against that loss.
+Plain deliveries leave nothing behind.  The protocol pieces bump named
+counters.  A flow's seqs are 0..n-1 in send order, and a scheduled
+outage drops every packet sent inside its window, so everything
+downstream (loss episodes, recovery rates, the on-path FEC what-if, the
+egress cost model, CSV artifacts) is a pure function of the RunLog plus
+the simulator's per-link byte counters; two runs with equal seeds
+produce byte-identical artifacts.
 
 Each seed's RunLog is analyzed once into a RunMetrics of run-wide totals.
 A scenario's seeds are then pooled once, by summing packets and bytes
@@ -42,31 +47,43 @@ FEC_OVERHEADS = (20, 40, 100)
 FEC_BLOCK = 5
 
 
+@dataclass(slots=True)
+class Loss:
+    """One packet the direct path dropped."""
+    send_ts: int
+    recovered_ts: int | None = None  # its first recovered delivery
+
+
 @dataclass
 class FlowTruth:
     flow_id: int
     packet_size: int
-    send_ts: dict[int, int] = field(default_factory=dict)  # seq -> ts_us, in send order
+    sent: int = 0  # the flow's seqs are 0..sent-1, in send order
+    losses: dict[int, Loss] = field(default_factory=dict)  # seq -> Loss, in send order
 
 
 class RunLog:
     def __init__(self):
         self.flows: dict[int, FlowTruth] = {}
-        # per flow: (seq, ts_us, recovered)
-        self.deliveries: dict[int, list[tuple[int, int, bool]]] = {}
         self.counters: Counter = Counter()
 
     def register_flow(self, flow_id: int, packet_size: int) -> None:
         if flow_id in self.flows:
             raise ValueError(f"flow {flow_id} registered twice")
         self.flows[flow_id] = FlowTruth(flow_id, packet_size)
-        self.deliveries[flow_id] = []
 
     def record_send(self, flow_id: int, seq: int, ts_us: int) -> None:
-        self.flows[flow_id].send_ts[seq] = ts_us
+        self.flows[flow_id].sent = seq + 1
+
+    def record_loss(self, flow_id: int, seq: int, ts_us: int) -> None:
+        """The direct path dropped seq, sent at ts_us."""
+        self.flows[flow_id].losses[seq] = Loss(ts_us)
 
     def record_delivery(self, flow_id: int, seq: int, ts_us: int, recovered: bool) -> None:
-        self.deliveries[flow_id].append((seq, ts_us, recovered))
+        if recovered:
+            loss = self.flows[flow_id].losses.get(seq)
+            if loss is not None and loss.recovered_ts is None:
+                loss.recovered_ts = ts_us
 
     def bump(self, name: str, n: int = 1) -> None:
         self.counters[name] += n
@@ -87,23 +104,19 @@ class Episode:
         return OUTAGE
 
 
-def classify_episodes(send_seqs: list[int], lost: set[int], flow_id: int) -> list[Episode]:
-    """Group losses into runs of consecutively-sent lost packets."""
+def classify_episodes(lost_seqs, flow_id: int) -> list[Episode]:
+    """Group losses, given in seq order, into runs of consecutive seqs
+    (a flow's seqs are numbered in send order)."""
     episodes = []
-    run_start = None
-    run_len = 0
-    for seq in send_seqs:
-        if seq in lost:
-            if run_start is None:
-                run_start = seq
-                run_len = 1
-            else:
-                run_len += 1
-        elif run_start is not None:
-            episodes.append(Episode(flow_id, run_start, run_len))
-            run_start = None
+    run_start = prev = None
+    for seq in lost_seqs:
+        if prev is None or seq != prev + 1:
+            if run_start is not None:
+                episodes.append(Episode(flow_id, run_start, prev - run_start + 1))
+            run_start = seq
+        prev = seq
     if run_start is not None:
-        episodes.append(Episode(flow_id, run_start, run_len))
+        episodes.append(Episode(flow_id, run_start, prev - run_start + 1))
     return episodes
 
 
@@ -130,31 +143,33 @@ class FecLevel:
         return self.recovered_in_outage / self.lost_in_outage
 
 
-def fec_whatif(send_seqs: list[int], send_ts: dict[int, int], lost: set[int],
+def fec_whatif(sent: int, lost_ts: dict[int, int],
                outage_windows: list[tuple[int, int]],
                overheads: tuple[int, ...] = FEC_OVERHEADS) -> dict[int, FecLevel]:
     """On-path FEC counterfactual over one flow's direct-path trace.
 
-    The sent stream is cut into consecutive 5-packet blocks; a level
-    with n parity packets uses the observed fate of the next block's
-    first n packets as the parity fate (parity would have traveled
-    right behind the block through the same loss process).  A block's
-    losses are recovered iff lost <= surviving parity.
+    The sent stream, seqs 0..sent-1, is cut into consecutive 5-packet
+    blocks; a level with n parity packets uses the observed fate of the
+    next block's first n packets as the parity fate (parity would have
+    traveled right behind the block through the same loss process).  A
+    block's losses are recovered iff lost <= surviving parity.
+    lost_ts maps each lost seq to its send time; a block counts as in
+    an outage if one of its losses was sent inside a window, since an
+    outage drops every packet sent inside it.
     """
     levels = {pct: FecLevel(pct) for pct in overheads}
-    for b in range((len(send_seqs) + FEC_BLOCK - 1) // FEC_BLOCK):
-        block = send_seqs[b * FEC_BLOCK:(b + 1) * FEC_BLOCK]
-        nxt = send_seqs[(b + 1) * FEC_BLOCK:(b + 2) * FEC_BLOCK]
-        block_lost = [s for s in block if s in lost]
-        if not block_lost:
-            continue
+    blocks: dict[int, list[int]] = {}
+    for seq in lost_ts:
+        blocks.setdefault(seq // FEC_BLOCK, []).append(seq)
+    for b, block_lost in blocks.items():
         in_outage = any(
-            any(start <= send_ts[s] < end for start, end in outage_windows)
-            for s in block)
+            any(start <= lost_ts[s] < end for start, end in outage_windows)
+            for s in block_lost)
+        nxt = (b + 1) * FEC_BLOCK
         for pct, level in levels.items():
             n_parity = max(1, pct * FEC_BLOCK // 100)
-            parity_fates = nxt[:n_parity]
-            surviving = sum(1 for s in parity_fates if s not in lost)
+            parity_fates = range(nxt, min(nxt + n_parity, nxt + FEC_BLOCK, sent))
+            surviving = sum(1 for s in parity_fates if s not in lost_ts)
             # a truncated next block means the parity never existed
             surviving -= max(0, n_parity - len(parity_fates))
             ok = len(block_lost) <= max(0, surviving)
@@ -220,12 +235,11 @@ class RunMetrics:
 
 
 def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
-                run_log: RunLog, direct_losses: dict[int, set[int]],
-                direct_one_way_us: int,
+                run_log: RunLog, direct_one_way_us: int,
                 outage_windows: dict[int, list[tuple[int, int]]],
                 dc1_egress_bytes: int, dc2_egress_recovery_bytes: int,
                 dc2_egress_ctrl_bytes: int, dup_bytes: int) -> RunMetrics:
-    """Join ground truth with delivery logs into one run's metrics."""
+    """Turn one run's ledger into its metrics."""
     m = RunMetrics(scenario_name, seed, duration_s, flows=len(run_log.flows),
                    counters=Counter(run_log.counters),
                    dc1_egress_bytes=dc1_egress_bytes,
@@ -233,30 +247,27 @@ def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
                    dc2_egress_ctrl_bytes=dc2_egress_ctrl_bytes, dup_bytes=dup_bytes)
     for flow_id in sorted(run_log.flows):
         truth = run_log.flows[flow_id]
-        lost = direct_losses.get(flow_id, set())
         windows = outage_windows.get(flow_id, [])
-        send_seqs = list(truth.send_ts)
-        m.sent += len(send_seqs)
-        m.lost += len(lost)
-        m.data_wire_bytes += len(send_seqs) * (HEADER_LEN + truth.packet_size)
-        in_outage = {s for s in lost
-                     if any(start <= truth.send_ts[s] < end for start, end in windows)}
+        losses = sorted(truth.losses.items())
+        lost_ts = {seq: loss.send_ts for seq, loss in losses}
+        m.sent += truth.sent
+        m.lost += len(lost_ts)
+        m.data_wire_bytes += truth.sent * (HEADER_LEN + truth.packet_size)
+        in_outage = {s for s, ts in lost_ts.items()
+                     if any(start <= ts < end for start, end in windows)}
         m.in_outage_lost += len(in_outage)
-        recovered_at: dict[int, int] = {}
-        for seq, ts, recovered in run_log.deliveries[flow_id]:
-            if recovered and seq in lost and seq not in recovered_at:
-                recovered_at[seq] = ts
-        m.recovered_any += len(recovered_at)
-        for seq, ts in sorted(recovered_at.items()):
-            expected = truth.send_ts[seq] + direct_one_way_us
-            ratio = (ts - expected) / rtt_us
+        for seq, loss in losses:
+            if loss.recovered_ts is None:
+                continue
+            m.recovered_any += 1
+            ratio = (loss.recovered_ts - (loss.send_ts + direct_one_way_us)) / rtt_us
             m.ratios.append(ratio)
             if ratio <= 1.0:
                 m.recovered_1rtt += 1
                 if seq in in_outage:
                     m.in_outage_recovered_1rtt += 1
-        m.episodes.extend(classify_episodes(send_seqs, lost, flow_id))
-        for pct, level in fec_whatif(send_seqs, truth.send_ts, lost, windows).items():
+        m.episodes.extend(classify_episodes(lost_ts, flow_id))
+        for pct, level in fec_whatif(truth.sent, lost_ts, windows).items():
             m.fec[pct].add(level)
     return m
 

@@ -165,6 +165,7 @@ class Link:
         self.inflight_count = 0
         self.inflight_bytes = 0
         self.drop_log: list[int] = []  # seqs of the dropped DataPackets
+        self.on_drop = None  # if set, called as on_drop(msg, now) on each drop
 
 
 class Node(Protocol):
@@ -285,6 +286,8 @@ class Simulator:
             link.dropped_bytes += size
             if isinstance(msg, wire.DataPacket):
                 link.drop_log.append(msg.seq)
+            if link.on_drop is not None:
+                link.on_drop(msg, now)
             if self.trace_file is not None:
                 self._trace(link, msg, size, None)
             return

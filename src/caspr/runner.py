@@ -49,8 +49,9 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         run_log = metrics.RunLog()
 
         def add_link(name, src, dst, link, loss):
-            sim.add_link(name, src, dst, delay_us=link.delay_us, jitter_us=link.jitter_us,
-                         bandwidth_bps=link.bandwidth_bps, loss=loss)
+            return sim.add_link(name, src, dst, delay_us=link.delay_us,
+                                jitter_us=link.jitter_us,
+                                bandwidth_bps=link.bandwidth_bps, loss=loss)
 
         def add_lossy_link(name, src, dst, link):
             add_link(name, src, dst, link, link.loss_model(sim.loss_rng(name)))
@@ -60,8 +61,10 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             outage_by_flow.setdefault(outage.flow, []).append(
                 (outage.start_us, outage.end_us))
 
+        def record_loss(pkt, now):
+            run_log.record_loss(pkt.flow_id, pkt.seq, now)
+
         # links first so loss models can draw from per-link streams
-        direct_links = {}
         for i in range(n):
             name = f"s{i}>r{i}"
             model = topo.direct.loss_model(sim.loss_rng(name))
@@ -70,8 +73,8 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
                 if model is not None:
                     parts.append(model)
                 model = netsim.Composite(parts)
-            add_link(name, f"s{i}", f"r{i}", topo.direct, model)
-            direct_links[i] = name
+            # the ledger learns each direct-path loss and its send time here
+            add_link(name, f"s{i}", f"r{i}", topo.direct, model).on_drop = record_loss
             add_lossy_link(f"s{i}>dc1", f"s{i}", "dc1", topo.access)
         add_lossy_link("dc1>dc2", "dc1", "dc2", topo.inter_dc)
         for i in range(n):
@@ -146,18 +149,15 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         sim.run(until_us=cfg.duration_us)
         sim.check_conservation()
 
-        direct_losses = {
-            i: set(sim.links[direct_links[i]].drop_log)
-            for i in range(n)}
         dc2_recovery = sum(sim.links[f"dc2>r{i}"].sent_bytes for i in range(n))
         dc2_ctrl = sum(sim.links[f"dc2>r{i}:ctrl"].sent_bytes for i in range(n))
-        if not any(direct_losses.values()) and dc2_recovery:
+        if not any(truth.losses for truth in run_log.flows.values()) and dc2_recovery:
             raise InvariantViolation(
                 f"lossless run moved {dc2_recovery} recovery bytes out of DC2")
 
         return metrics.analyze_run(
             cfg.name, seed, cfg.duration_s, cfg.rtt_us, run_log,
-            direct_losses, topo.direct.delay_us, outage_by_flow,
+            topo.direct.delay_us, outage_by_flow,
             dc1_egress_bytes=sim.links["dc1>dc2"].sent_bytes,
             dc2_egress_recovery_bytes=dc2_recovery,
             dc2_egress_ctrl_bytes=dc2_ctrl,

@@ -1,7 +1,10 @@
-"""Minimal single-node event loop for driving protocol units in tests."""
+"""Minimal single-node event loop for driving protocol units in tests,
+and a run log that keeps every send and delivery it is told of."""
 
 import heapq
 import random
+
+from caspr.metrics import RunLog
 
 
 class StubEnv:
@@ -42,3 +45,28 @@ class StubEnv:
 
     def clear_sent(self):
         self.sent = []
+
+
+class TappedLog(RunLog):
+    """A RunLog that also keeps, through its record hooks, the per-packet
+    trail the ledger itself drops: ``sends[flow]`` maps seq -> send time
+    in send order, ``deliveries[flow]`` lists (seq, ts, recovered) in
+    delivery order."""
+
+    def __init__(self):
+        super().__init__()
+        self.sends: dict[int, dict[int, int]] = {}
+        self.deliveries: dict[int, list[tuple[int, int, bool]]] = {}
+
+    def register_flow(self, flow_id, packet_size):
+        super().register_flow(flow_id, packet_size)
+        self.sends[flow_id] = {}
+        self.deliveries[flow_id] = []
+
+    def record_send(self, flow_id, seq, ts_us):
+        self.sends[flow_id][seq] = ts_us
+        super().record_send(flow_id, seq, ts_us)
+
+    def record_delivery(self, flow_id, seq, ts_us, recovered):
+        self.deliveries[flow_id].append((seq, ts_us, recovered))
+        super().record_delivery(flow_id, seq, ts_us, recovered)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _stub import StubEnv
+from _stub import StubEnv, TappedLog
 from caspr import endpoint
 from caspr.codec import SourceSymbol, encode_batch
 from caspr.endpoint import (
@@ -19,7 +19,6 @@ from caspr.endpoint import (
     SenderConfig,
     payload_bytes,
 )
-from caspr.metrics import RunLog
 from caspr.wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -52,7 +51,7 @@ def make_sender(**kw):
                     on_us=50_000, off_mean_us=0, duplication="full",
                     selective_first_n=1, start_us=0, stop_us=10**12)
     defaults.update(kw)
-    log = RunLog()
+    log = TappedLog()
     sender = Sender("s0", SenderConfig(**defaults), log)
     env = StubEnv()
     env.attach(sender)
@@ -69,7 +68,8 @@ def test_cbr_full_duplication():
     assert [p.send_ts_us for p in direct] == [0, 10_000, 20_000, 30_000, 40_000]
     assert dup == direct
     assert all(p.payload == payload_bytes(0, p.seq, 64) for p in direct)
-    assert list(log.flows[0].send_ts.items()) == [(s, s * 10_000) for s in range(5)]
+    assert list(log.sends[0].items()) == [(s, s * 10_000) for s in range(5)]
+    assert log.flows[0].sent == 5
 
 
 def test_seq_continues_across_bursts():
@@ -130,7 +130,7 @@ def make_receiver(det=DET, **kw):
                     cache_ttl_us=600_000, abandon_after_us=600_000,
                     straggler_delay_us=0)
     defaults.update(kw)
-    log = RunLog()
+    log = TappedLog()
     log.register_flow(0, 64)
     recv = Receiver("r0", ReceiverConfig(**defaults), log)
     env = StubEnv()
@@ -362,6 +362,21 @@ def test_cache_eviction_turns_answers_negative():
     resps = [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
     assert resps[0].payload is None      # evicted
     assert resps[1].payload is not None  # still cached
+
+
+def test_cache_serves_up_to_its_ttl_and_evicts_past_it():
+    recv, env, log = make_receiver(cache_ttl_us=100_000)
+    deliver_direct(recv, env, 0, 0, 0)
+    deliver_direct(recv, env, 0, 1, 1_000)
+    # seq 0 is exactly cache_ttl_us old: still served
+    env.now = 100_000
+    recv.on_message(CoopRequest(entries=((0, 0),)), "dc2>r0")
+    resps = [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
+    assert resps[0].payload == payload_bytes(0, 0, 64)
+    # the next store comes when seq 0 is cache_ttl_us + 1 old and seq 1
+    # exactly cache_ttl_us old: seq 0 goes, seq 1 stays
+    deliver_direct(recv, env, 0, 2, 101_000)
+    assert list(recv.cache) == [1, 2]
 
 
 def test_confirm_query_answers():

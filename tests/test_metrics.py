@@ -2,7 +2,9 @@
 
 The fec_whatif cases are hand-computed from the rule set: blocks of
 five, n parity fates read off the next block's first n packets, a
-truncated next block counts as parity that never existed.
+truncated next block counts as parity that never existed.  The run log
+is fed as a run feeds it: sends, the direct path's losses with their
+send times, and deliveries.
 """
 
 import csv
@@ -15,6 +17,7 @@ from caspr.metrics import (
     COUNTER_COLS,
     Episode,
     FecLevel,
+    Loss,
     MULTI,
     OUTAGE,
     RANDOM,
@@ -37,19 +40,19 @@ from caspr.metrics import (
 
 
 def test_classify_episodes_basic_runs():
-    seqs = list(range(10))
-    assert classify_episodes(seqs, set(), 0) == []
-    assert classify_episodes(seqs, {3}, 0) == [Episode(0, 3, 1)]
-    assert classify_episodes(seqs, {3, 4, 7}, 0) == [
+    assert classify_episodes([], 0) == []
+    assert classify_episodes([3], 0) == [Episode(0, 3, 1)]
+    assert classify_episodes([3, 4, 7], 0) == [
         Episode(0, 3, 2), Episode(0, 7, 1)]
     # a run touching the end of the trace still closes
-    assert classify_episodes(seqs, {8, 9}, 0) == [Episode(0, 8, 2)]
+    assert classify_episodes([8, 9], 0) == [Episode(0, 8, 2)]
 
 
-def test_classify_episodes_follows_send_order_not_seq_arithmetic():
-    # bursty flows skip nothing in send order even when seqs jump
-    seqs = [0, 1, 7, 8, 9]
-    assert classify_episodes(seqs, {1, 7}, 0) == [Episode(0, 1, 2)]
+def test_classify_episodes_splits_runs_at_seq_gaps():
+    # seqs number a flow's sends in order, bursts included, so a gap in
+    # the lost seqs is a delivered packet between two episodes
+    assert classify_episodes([1, 2, 7, 8, 9, 11], 0) == [
+        Episode(0, 1, 2), Episode(0, 7, 3), Episode(0, 11, 1)]
 
 
 def test_episode_class_boundaries():
@@ -62,13 +65,13 @@ def test_episode_class_boundaries():
 # -- FEC what-if --------------------------------------------------------------
 
 
-def ts(seqs):
-    return {s: s * 10_000 for s in seqs}
+def lost_at(seqs):
+    """Lost seqs and their send times, one send every 10 ms."""
+    return {s: s * 10_000 for s in sorted(seqs)}
 
 
 def test_fec_single_loss_recovered_at_all_levels():
-    seqs = list(range(15))
-    levels = fec_whatif(seqs, ts(seqs), {2}, [])
+    levels = fec_whatif(15, lost_at({2}), [])
     for pct in (20, 40, 100):
         assert levels[pct].lost == 1
         assert levels[pct].recovered == 1
@@ -76,8 +79,7 @@ def test_fec_single_loss_recovered_at_all_levels():
 
 
 def test_fec_double_loss_needs_two_parity():
-    seqs = list(range(15))
-    levels = fec_whatif(seqs, ts(seqs), {2, 3}, [])
+    levels = fec_whatif(15, lost_at({2, 3}), [])
     assert (levels[20].lost, levels[20].recovered) == (2, 0)
     assert (levels[40].lost, levels[40].recovered) == (2, 2)
     assert (levels[100].lost, levels[100].recovered) == (2, 2)
@@ -85,15 +87,14 @@ def test_fec_double_loss_needs_two_parity():
 
 def test_fec_parity_fate_is_next_blocks_loss_pattern():
     # block 0 loses seq 2; its only 20% parity rides as seq 5, also lost
-    seqs = list(range(15))
-    levels = fec_whatif(seqs, ts(seqs), {2, 5}, [])
+    levels = fec_whatif(15, lost_at({2, 5}), [])
     assert (levels[20].lost, levels[20].recovered) == (2, 1)  # block 1 only
     assert (levels[40].lost, levels[40].recovered) == (2, 2)
 
 
 def test_fec_truncated_next_block_counts_as_lost_parity():
-    seqs = list(range(7))  # last block is 5,6 and has no next block
-    levels = fec_whatif(seqs, ts(seqs), {6}, [])
+    # seven sent: the last block is 5,6 and has no next block
+    levels = fec_whatif(7, lost_at({6}), [])
     for pct in (20, 40, 100):
         assert (levels[pct].lost, levels[pct].recovered) == (1, 0)
 
@@ -102,20 +103,18 @@ def test_fec_partial_truncation_hits_high_overhead_hardest():
     # 12 packets: block 1 is full but only two of its parity fates exist.
     # The nominal 100% level needs five, so truncation sinks it while the
     # 20% level sails through: more parity, more stream-end exposure.
-    seqs = list(range(12))
-    levels = fec_whatif(seqs, ts(seqs), {7}, [])
+    levels = fec_whatif(12, lost_at({7}), [])
     assert (levels[20].lost, levels[20].recovered) == (1, 1)
     assert (levels[100].lost, levels[100].recovered) == (1, 0)
 
 
 def test_fec_outage_window_marks_blocks_by_send_time():
-    seqs = list(range(15))
-    levels = fec_whatif(seqs, ts(seqs), {2, 7}, [(20_000, 40_001)])
+    levels = fec_whatif(15, lost_at({2, 7}), [(20_000, 40_001)])
     assert levels[20].lost == 2
     assert levels[20].lost_in_outage == 1          # only block 0 overlaps
     assert levels[20].recovered_in_outage == 1
     assert levels[20].rate_in_outage() == 1.0
-    clean = fec_whatif(seqs, ts(seqs), {7}, [(0, 1)])
+    clean = fec_whatif(15, lost_at({7}), [(0, 1)])
     assert clean[20].rate_in_outage() is None      # no losses in outage
 
 
@@ -126,22 +125,27 @@ def test_fec_level_rate_with_no_losses():
 # -- analyze_run --------------------------------------------------------------
 
 
-def make_log():
+def make_log(lost=()):
     log = RunLog()
     log.register_flow(0, 100)
     for seq in range(3):
         log.record_send(0, seq, seq * 10_000)
+        if seq in lost:
+            log.record_loss(0, seq, seq * 10_000)
     return log
 
 
 def test_analyze_run_recovery_ratio_join():
-    log = make_log()
+    log = make_log(lost={1})
     log.record_delivery(0, 0, 50_000, False)
     log.record_delivery(0, 2, 70_000, False)
     log.record_delivery(0, 1, 130_000, True)
     log.record_delivery(0, 1, 900_000, True)   # late duplicate is ignored
     log.record_delivery(0, 0, 60_000, True)    # recovered copy of a non-loss
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
+    # the ledger keeps the one loss and its first recovery, nothing else
+    assert log.flows[0].sent == 3
+    assert log.flows[0].losses == {1: Loss(10_000, 130_000)}
+    m = analyze_run("t", 1, 1.0, 100_000, log, 50_000,
                     {}, 700, 100, 10, 1000)
     assert (m.sent, m.lost, m.recovered_1rtt, m.recovered_any) == (3, 1, 1, 1)
     # expected arrival 60_000, recovered at 130_000: 0.7 RTT late
@@ -157,7 +161,8 @@ def test_analyze_run_lossless():
     log = make_log()
     for seq in range(3):
         log.record_delivery(0, seq, seq * 10_000 + 50_000, False)
-    m = analyze_run("t", 1, 1.0, 100_000, log, {}, 50_000, {}, 0, 0, 0, 0)
+    assert log.flows[0].losses == {}
+    m = analyze_run("t", 1, 1.0, 100_000, log, 50_000, {}, 0, 0, 0, 0)
     assert m.lost == 0
     assert m.recovery_rate == 1.0
     assert m.episodes == []
@@ -165,10 +170,10 @@ def test_analyze_run_lossless():
 
 
 def test_analyze_run_unrecovered_loss():
-    log = make_log()
+    log = make_log(lost={1})
     log.record_delivery(0, 0, 50_000, False)
     log.record_delivery(0, 2, 70_000, False)
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
+    m = analyze_run("t", 1, 1.0, 100_000, log, 50_000,
                     {}, 0, 0, 0, 0)
     assert (m.lost, m.recovered_1rtt, m.recovered_any) == (1, 0, 0)
     assert m.recovery_rate == 0.0
@@ -180,15 +185,14 @@ def test_analyze_run_unrecovered_loss():
 def two_runs():
     runs = []
     for seed, loss_seq in ((1, 1), (2, 2)):
-        log = make_log()
+        log = make_log(lost={loss_seq})
         for seq in range(3):
             if seq != loss_seq:
                 log.record_delivery(0, seq, seq * 10_000 + 50_000, False)
         log.record_delivery(0, loss_seq, loss_seq * 10_000 + 100_000, True)
         log.bump("nacks_sent")
         runs.append(analyze_run("t", seed, 1.0, 100_000, log,
-                                {0: {loss_seq}}, 50_000, {},
-                                700, 100, 10, 1000))
+                                50_000, {}, 700, 100, 10, 1000))
     return runs
 
 
@@ -214,18 +218,17 @@ def test_pool_runs_rejects_no_runs():
 def random_runs(draw, seed):
     """One analyzed run of a few short flows with random losses and repairs."""
     log = RunLog()
-    losses, outages = {}, {}
+    outages = {}
     for flow_id in range(draw(st.integers(1, 3))):
         log.register_flow(flow_id, draw(st.integers(0, 64)))
         ts = 0
-        losses[flow_id] = set()
         for seq in range(draw(st.integers(0, 25))):
             ts += draw(st.integers(1, 20_000))
             log.record_send(flow_id, seq, ts)
             if not draw(st.booleans()):
                 log.record_delivery(flow_id, seq, ts + 50_000, False)
                 continue
-            losses[flow_id].add(seq)
+            log.record_loss(flow_id, seq, ts)
             late = draw(st.none() | st.integers(-10_000, 300_000))
             if late is not None:
                 log.record_delivery(flow_id, seq, ts + 50_000 + late, True)
@@ -236,7 +239,7 @@ def random_runs(draw, seed):
         log.bump(name)
     n_bytes = st.integers(0, 10**6)
     return analyze_run("p", seed, draw(st.sampled_from([1, 2.5])), 100_000, log,
-                       losses, 50_000, outages, draw(n_bytes), draw(n_bytes),
+                       50_000, outages, draw(n_bytes), draw(n_bytes),
                        draw(n_bytes), draw(n_bytes))
 
 
@@ -308,15 +311,15 @@ def test_fec_csv_carries_system_rate_and_outage_column(tmp_path):
 
 
 def test_analyze_run_in_outage_system_rate():
-    log = make_log()
+    log = make_log(lost={1})
     log.record_delivery(0, 0, 50_000, False)
     log.record_delivery(0, 2, 70_000, False)
     log.record_delivery(0, 1, 100_000, True)   # 0.4 RTT late
-    m = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
+    m = analyze_run("t", 1, 1.0, 100_000, log, 50_000,
                     {0: [(10_000, 20_000)]}, 0, 0, 0, 0)
     assert (m.in_outage_lost, m.in_outage_recovered_1rtt) == (1, 1)
     assert m.in_outage_rate == 1.0
-    outside = analyze_run("t", 1, 1.0, 100_000, log, {0: {1}}, 50_000,
+    outside = analyze_run("t", 1, 1.0, 100_000, log, 50_000,
                           {0: [(500_000, 600_000)]}, 0, 0, 0, 0)
     assert outside.in_outage_lost == 0
     assert outside.in_outage_rate is None

@@ -6,10 +6,14 @@ duplication, detector and flow count.  Every run must hold four
 properties: no delivery of a corrupt or unsent packet, byte and packet
 conservation on every link, recovered_1rtt <= recovered_any <= lost,
 and not one recovery byte out of DC2 when the direct paths lost nothing.
-Each receiver's hole map must also match what it never delivered.
+Each receiver's hole map must also match what it never delivered, and
+its payload cache must stay in time order inside its TTL and count cap.
 """
 
+from types import SimpleNamespace
+
 import pytest
+from _stub import TappedLog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,10 +77,21 @@ def check_holes(recv):
     assert {s for s in keys if s <= recv.max_seen} == never, recv.name
 
 
+def check_cache(recv):
+    """The payload cache is in time order, spans at most the TTL and
+    holds at most cache_packets entries."""
+    stamps = [ts for _, ts in recv.cache.values()]
+    assert stamps == sorted(stamps), recv.name
+    assert not stamps or stamps[-1] - stamps[0] <= recv.config.cache_ttl_us, recv.name
+    assert len(stamps) <= recv.config.cache_packets, recv.name
+
+
 def run_observed(cfg):
-    """run_seed, plus the simulator and run log it built.  Each receiver's
-    hole map is checked at the end of the run, before run_seed lets go of
-    the nodes."""
+    """run_seed, plus the simulator it built and every send and delivery
+    its run log was told of, as ``deliveries[flow]`` rows of (seq, ts,
+    recovered) and ``flows[flow].send_ts`` maps.  Each receiver's hole
+    map and cache are checked at the end of the run, before run_seed lets
+    go of the nodes."""
     seen = {}
     check = netsim.Simulator.check_conservation
     analyze = metrics.analyze_run
@@ -88,6 +103,7 @@ def run_observed(cfg):
         assert len(receivers) == cfg.flows.count
         for recv in receivers:
             check_holes(recv)
+            check_cache(recv)
         check(sim)
 
     def keep_log(*args, **kwargs):
@@ -97,8 +113,12 @@ def run_observed(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netsim.Simulator, "check_conservation", keep_sim)
         mp.setattr(metrics, "analyze_run", keep_log)
+        mp.setattr(metrics, "RunLog", TappedLog)
         m = run_seed(cfg, cfg.seeds[0])
-    return m, seen["sim"], seen["log"]
+    log = seen["log"]
+    return m, seen["sim"], SimpleNamespace(
+        deliveries=log.deliveries,
+        flows={f: SimpleNamespace(send_ts=sends) for f, sends in log.sends.items()})
 
 
 # derandomize seeds the examples from this test's source, so an edit to

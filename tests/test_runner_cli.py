@@ -3,13 +3,14 @@
 import copy
 import csv
 import gc
+import json
 import os
 import weakref
 
 import pytest
 import yaml
 
-from caspr import egress, endpoint, ingress, netsim, runner, scenario, wire
+from caspr import egress, endpoint, ingress, metrics, netsim, runner, scenario, wire
 from caspr.cli import main
 from caspr.runner import InvariantViolation, run_scenario, run_seed
 from caspr.scenario import validate
@@ -67,6 +68,110 @@ def test_lossless_run_moves_no_recovery_bytes():
     assert m.counters["failed_silent"] == 0
     # coding still ran; parity crossed the inter-DC link
     assert m.dc1_egress_bytes > 0
+
+
+def run_watched(monkeypatch, cfg, at_check=None, trace_path=None):
+    """run_seed, plus the simulator and run log it built.  at_check(sim)
+    runs at check_conservation time, before run_seed lets go of the
+    nodes; its result is kept as seen["at_check"]."""
+    seen = {}
+    check = netsim.Simulator.check_conservation
+    analyze = metrics.analyze_run
+
+    def keep_sim(sim):
+        seen["sim"] = sim
+        if at_check is not None:
+            seen["at_check"] = at_check(sim)
+        check(sim)
+
+    def keep_log(*args, **kwargs):
+        seen["log"] = args[4]
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(netsim.Simulator, "check_conservation", keep_sim)
+    monkeypatch.setattr(metrics, "analyze_run", keep_log)
+    m = run_seed(cfg, cfg.seeds[0], trace_path)
+    return m, seen
+
+
+def ledger_entries(log):
+    """Every entry of every container the run log holds."""
+    return (len(log.flows) + len(log.counters)
+            + sum(len(truth.losses) for truth in log.flows.values()))
+
+
+def test_lossless_run_leaves_no_per_packet_ledger_entries(monkeypatch):
+    m, seen = run_watched(monkeypatch, lossless(duration_s=30.0))
+    log = seen["log"]
+    assert m.sent == 3 * 2900 and m.lost == 0
+    assert [truth.sent for truth in log.flows.values()] == [2900] * 3
+    assert all(truth.losses == {} for truth in log.flows.values())
+    # a record per flow and per counter name, none per packet
+    assert ledger_entries(log) <= len(log.flows) + len(metrics.COUNTER_COLS)
+
+
+def test_lossy_run_leaves_one_ledger_record_per_direct_drop(monkeypatch, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    m, seen = run_watched(monkeypatch, tiny(duration_s=30.0), trace_path=str(trace))
+    log, sim = seen["log"], seen["sim"]
+    # send times as the trace saw the direct links drop them
+    dropped = {}
+    for line in trace.read_text().splitlines():
+        rec = json.loads(line)
+        flow = rec.get("flow")
+        if rec["outcome"] == "dropped" and rec["link"] == f"s{flow}>r{flow}":
+            dropped.setdefault(flow, {})[rec["seq"]] = rec["ts"]
+    for i, truth in log.flows.items():
+        drop_log = sim.links[f"s{i}>r{i}"].drop_log
+        assert list(truth.losses) == drop_log
+        assert {s: loss.send_ts for s, loss in truth.losses.items()} == dropped.get(i, {})
+    losses = [loss for truth in log.flows.values() for loss in truth.losses.values()]
+    assert len(losses) == m.lost > 0
+    assert sum(loss.recovered_ts is not None for loss in losses) == m.recovered_any > 0
+    assert ledger_entries(log) <= len(log.flows) + len(metrics.COUNTER_COLS) + m.lost
+
+
+def live_state(sim):
+    """The largest live count of each per-run container, over the
+    receivers and the egress."""
+    receivers = [node for node in sim.nodes.values()
+                 if isinstance(node, endpoint.Receiver)]
+    (dc2,) = [node for node in sim.nodes.values()
+              if isinstance(node, egress.EgressRecovery)]
+    return {
+        "cache": max(len(r.cache) for r in receivers),
+        "holes": max(len(r.holes) for r in receivers),
+        "held": max(len(r.held) for r in receivers),
+        "store": len(dc2.store),
+        "by_entry": len(dc2.by_entry),
+        "orphans": len(dc2.orphans),
+    }
+
+
+def test_run_state_is_bounded_by_the_recovery_horizon(monkeypatch):
+    # senders stop 0.1 s before the end, so the stores are still full
+    # when the run is checked
+    slack = 4
+    for duration_s in (4.0, 12.0):
+        cfg = scenario.load(scenario.bundled_path("skype_analog"),
+                            [f"duration_s={duration_s}", "cooldown_s=0.1"])
+        flows = cfg.flows
+        # one flow's packets per cache TTL; batches per store TTL
+        cached = cfg.cache_ttl_us // flows.interval_us
+        stored = cfg.store_ttl_us // flows.interval_us * flows.count // cfg.coding.k_max
+        bound = {"cache": cached + slack, "holes": slack, "held": slack,
+                 "store": stored + slack,
+                 "by_entry": (stored + slack) * cfg.coding.k_max,
+                 "orphans": slack}
+        m, seen = run_watched(monkeypatch, cfg, live_state)
+        state = seen["at_check"]
+        # live, not drained: a cache TTL of packets, most of a store TTL
+        assert state["cache"] >= cached and state["store"] >= stored // 2
+        for name, n in state.items():
+            assert n <= bound[name], (duration_s, name, n, bound[name])
+        log, sim = seen["log"], seen["sim"]
+        drops = sum(len(sim.links[f"s{i}>r{i}"].drop_log) for i in range(flows.count))
+        assert ledger_entries(log) - len(log.flows) - len(log.counters) == m.lost == drops > 0
 
 
 def test_run_seed_frees_its_simulation_without_the_cyclic_gc(monkeypatch):
