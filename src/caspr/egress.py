@@ -40,7 +40,7 @@ direct path may not be able to provoke in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .codec import SourceSymbol, decode_batch
 from .wire import (
@@ -57,6 +57,9 @@ from .wire import (
 
 IDLE, PENDING, DECODED, FAILED = "idle", "pending", "decoded", "failed"
 
+# consecutive un-ACKed NACKs that flip a receiver to proactive mode
+PROACTIVE_AFTER = 3
+
 Entry = tuple[int, int]
 
 
@@ -65,7 +68,6 @@ class EgressConfig:
     deadline_us: int          # cooperative-task budget, one direct RTT
     boundary_wait_us: int     # flush horizon before querying the receiver
     store_ttl_us: int
-    proactive_after: int      # consecutive un-ACKed NACKs
     claim_owd_us: int         # direct one-way delay plus jitter bound
 
 
@@ -75,8 +77,8 @@ class StoredBatch:
     cross: bool
     members: tuple
     num_parity: int
-    sent_ts: int = 0          # ingress transmit time, earliest parity copy
-    member_sent: dict[Entry, int] = field(default_factory=dict)
+    sent_ts: int              # ingress transmit time, shared by every parity copy
+    member_ts: InitVar[tuple[int, ...]]  # aligned with members, shared likewise
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
     lost: set[Entry] = field(default_factory=set)
@@ -84,9 +86,11 @@ class StoredBatch:
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
     entries: tuple[Entry, ...] = field(init=False)
+    member_sent: dict[Entry, int] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, member_ts):
         self.entries = tuple((f, s) for f, s, _ in self.members)
+        self.member_sent = dict(zip(self.entries, member_ts))
 
 
 @dataclass
@@ -172,8 +176,10 @@ class EgressRecovery:
     def _on_coded(self, msg: CodedPacket, now: int) -> None:
         batch = self.store.get(msg.batch_id)
         if batch is None:
+            # every copy of a batch leaves the ingress in one call, so
+            # the first to arrive carries the send times of them all
             batch = StoredBatch(msg.batch_id, msg.cross, msg.members,
-                                msg.num_parity, sent_ts=msg.send_ts_us)
+                                msg.num_parity, msg.send_ts_us, msg.member_ts)
             self.store[msg.batch_id] = batch
             for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)
@@ -181,10 +187,6 @@ class EgressRecovery:
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
-        batch.sent_ts = min(batch.sent_ts, msg.send_ts_us)
-        for e, m_ts in zip(batch.entries, msg.member_ts):
-            known = batch.member_sent.get(e)
-            batch.member_sent[e] = m_ts if known is None else min(known, m_ts)
         # parity may resolve entries that were NACKed before coverage existed
         for e in batch.entries:
             orphan = self.orphans.get(e)
@@ -238,7 +240,7 @@ class EgressRecovery:
         if port is None:
             return
         port.consec_nacks += 1
-        if port.consec_nacks == self.config.proactive_after:
+        if port.consec_nacks == PROACTIVE_AFTER:
             self._proactive.add(msg.flow_id)
             # parity already in the store covers losses the dead direct
             # path can no longer provoke NACKs for; open those too
@@ -267,8 +269,7 @@ class EgressRecovery:
             return True
         if batch.sent_ts > nack_ts:
             return False
-        sent = batch.member_sent.get(entry, batch.sent_ts)
-        return sent + self.config.claim_owd_us <= nack_ts
+        return batch.member_sent[entry] + self.config.claim_owd_us <= nack_ts
 
     def _recover_entry(self, entry: Entry, now: int, nack_ts: int | None) -> None:
         batch_ids = sorted(b for b in self.by_entry.get(entry, ())

@@ -57,6 +57,8 @@ from .wire import (
 MAX_TRACKED_GAP = 4096
 # forwarded in-stream blocks held for decode; the oldest go first
 MAX_HELD_BLOCKS = 512
+# payloads cached for cooperative requests; past this the oldest go
+CACHE_PACKETS = 2048
 
 _PATTERN = bytes(range(256)) * 257  # long enough for any 16-bit payload
 
@@ -141,15 +143,15 @@ class Sender:
 @dataclass
 class DetectorConfig:
     kind: str                     # "two_state" or "fixed_small"
-    small_timeout_us: int
     long_timeout_us: int
-    burst_factor: float           # arrival gap below factor*median: in a burst
     nominal_gap_us: int
-    giveup_after: int
 
 
 BURST, IDLE_STATE = "burst", "idle"
 GAP_WINDOW = 15  # recent arrival gaps whose median is the burst gap estimate
+SMALL_TIMEOUT_US = 25_000  # the detector's timeout inside a burst
+BURST_FACTOR = 4.0  # an arrival gap below this many median gaps: in a burst
+GIVEUP_AFTER = 8  # unanswered timer NACKs in a row that park the detector
 
 
 @dataclass
@@ -161,7 +163,6 @@ class ReceiverConfig:
     detector: DetectorConfig
     reorder_grace_us: int
     renack_after_us: int
-    cache_packets: int
     cache_ttl_us: int
     abandon_after_us: int            # stop chasing holes older than this
     straggler_delay_us: int          # cooperative responses held this long
@@ -187,7 +188,7 @@ class Receiver:
         self.unanswered = 0
         self.parked = False               # give-up or confirmed end of flow
         # seq -> (payload, ts) in time order, at most cache_ttl_us old and
-        # cache_packets long
+        # CACHE_PACKETS long
         self.cache: OrderedDict = OrderedDict()
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
@@ -318,16 +319,15 @@ class Receiver:
         return gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
 
     def _burst_threshold(self) -> float:
-        return self.config.detector.burst_factor * self._gap_estimate()
+        return BURST_FACTOR * self._gap_estimate()
 
     def _timeout(self) -> int:
         det = self.config.detector
         if det.kind == "fixed_small" or self.mode == BURST:
-            return det.small_timeout_us
+            return SMALL_TIMEOUT_US
         return det.long_timeout_us
 
     def _on_detector_timer(self, gen: int) -> None:
-        det = self.config.detector
         if gen != self.timer_gen or self.parked:
             return
         # a timeout is a fresh loss signal each time it fires; pacing
@@ -337,7 +337,7 @@ class Receiver:
         if self.mode == BURST:
             self.mode = IDLE_STATE
         self.unanswered += 1
-        if self.unanswered >= det.giveup_after:
+        if self.unanswered >= GIVEUP_AFTER:
             self.parked = True
             return
         self.timer_gen += 1
@@ -397,9 +397,9 @@ class Receiver:
         cache = self.cache
         cache[seq] = (payload, now)
         # stored in time order, so the entries _cached would refuse are
-        # a prefix; the new entry itself always stays (cache_packets >= 1)
+        # a prefix; the new entry itself always stays (CACHE_PACKETS >= 1)
         oldest = now - self.config.cache_ttl_us
-        while (len(cache) > self.config.cache_packets
+        while (len(cache) > CACHE_PACKETS
                or next(iter(cache.values()))[1] < oldest):
             cache.popitem(last=False)
 
@@ -426,7 +426,7 @@ class Receiver:
                 # beat the direct one.  Answer when the packet lands, or
                 # after a cadence-scaled wait if it never does.
                 wait = ((seq - self.max_seen) * self._gap_estimate()
-                        + det.small_timeout_us + self.config.reorder_grace_us)
+                        + SMALL_TIMEOUT_US + self.config.reorder_grace_us)
                 self._coop_wait[seq] = self._coop_wait.get(seq, 0) + 1
                 self.env.schedule(int(min(wait, det.long_timeout_us)),
                                   ("coopw", seq))

@@ -27,6 +27,11 @@ from .codec import CodingParams, encode_batch
 from .wire import DataPacket, coded_from_parity
 
 
+# how long a queue may wait to fill before it is coded anyway
+CROSS_FLUSH_US = 30_000
+IN_FLUSH_US = 50_000
+
+
 class IngressError(Exception):
     pass
 
@@ -67,14 +72,11 @@ class FlowGroup:
 class IngressCoder:
     """One DC1 node: groups flows and runs both encoders."""
 
-    def __init__(self, name: str, params: CodingParams, run_log, out_link: str,
-                 cross_flush_us: int, in_flush_us: int):
+    def __init__(self, name: str, params: CodingParams, run_log, out_link: str):
         self.name = name
         self.params = params
         self.run_log = run_log
         self.out_link = out_link  # toward the egress DC
-        self.cross_flush_us = cross_flush_us
-        self.in_flush_us = in_flush_us
         self.env = None  # attached by the simulator
         self.groups: list[FlowGroup] = []
         self._flow_group: dict[int, FlowGroup] = {}
@@ -150,7 +152,7 @@ class IngressCoder:
         q.symbols.append(pkt)
         q.flows.add(flow_id)
         if len(q.symbols) == 1:
-            self.env.schedule(self.cross_flush_us,
+            self.env.schedule(CROSS_FLUSH_US,
                               ("xq", group.group_id, idx, q.gen))
         if len(q.symbols) >= 2 and len(q.symbols) == len(group.members):
             self._emit(q, cross=True)
@@ -159,7 +161,7 @@ class IngressCoder:
         q = self._in_queues[flow_id]
         q.symbols.append(pkt)
         if len(q.symbols) == 1:
-            self.env.schedule(self.in_flush_us, ("iq", flow_id, q.gen))
+            self.env.schedule(IN_FLUSH_US, ("iq", flow_id, q.gen))
         if len(q.symbols) >= self.params.in_block:
             self._emit(q, cross=False)
 

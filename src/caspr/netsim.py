@@ -86,12 +86,12 @@ class GilbertElliott:
 
 
 class GoogleBurst:
-    """Burst loss shaped like the wide-area measurements behind the
-    defaults: a burst starts with probability p_first and each further
-    packet stays lost with probability p_cont (mean burst 1/(1-p_cont),
-    so 2.0 packets at the 0.5 default)."""
+    """Burst loss shaped like wide-area measurements: a burst starts with
+    probability p_first and each further packet stays lost with
+    probability p_cont (mean burst 1/(1-p_cont), so 2.0 packets at
+    p_cont = 0.5)."""
 
-    def __init__(self, rng: random.Random, p_first: float = 0.01, p_cont: float = 0.5):
+    def __init__(self, p_first: float, p_cont: float, rng: random.Random):
         self.p_first = p_first
         self.p_cont = p_cont
         self.prev_lost = False
@@ -135,8 +135,7 @@ class Composite:
 
 class Link:
     def __init__(self, name: str, src: str, dst: str, delay_us: int,
-                 jitter_us: int, loss: LossModel | None,
-                 bandwidth_bps: int | None, jitter_rng: random.Random):
+                 jitter_us: int, loss: LossModel | None, jitter_rng: random.Random):
         if delay_us < 0 or jitter_us < 0:
             raise ValueError(f"link {name}: negative delay or jitter")
         if jitter_us > delay_us:
@@ -147,7 +146,6 @@ class Link:
         self.delay_us = delay_us
         self.jitter_us = jitter_us
         self.loss = loss
-        self.bandwidth_bps = bandwidth_bps
         self.jitter_rng = jitter_rng
         # randint(-j, j) draws getrandbits(bits) until the value is below span
         self.jitter_span = 2 * jitter_us + 1
@@ -155,7 +153,6 @@ class Link:
         self.deliver = None  # the destination's on_message, bound at freeze
         self.idx = -1        # origin index, assigned at freeze
         self.seq = count()   # per-origin tiebreak for its deliveries
-        self.tx_free_us = 0
         self.sent_count = 0
         self.sent_bytes = 0
         self.delivered_count = 0
@@ -164,7 +161,6 @@ class Link:
         self.dropped_bytes = 0
         self.inflight_count = 0
         self.inflight_bytes = 0
-        self.drop_log: list[int] = []  # seqs of the dropped DataPackets
         self.on_drop = None  # if set, called as on_drop(msg, now) on each drop
 
 
@@ -221,13 +217,12 @@ class Simulator:
         return env
 
     def add_link(self, name: str, src: str, dst: str, *, delay_us: int,
-                 jitter_us: int = 0, loss: LossModel | None = None,
-                 bandwidth_bps: int | None = None) -> Link:
+                 jitter_us: int = 0, loss: LossModel | None = None) -> Link:
         if self._frozen:
             raise RuntimeError("topology is frozen")
         if name in self.links or name in self.nodes:
             raise ValueError(f"duplicate name {name!r}")
-        link = Link(name, src, dst, delay_us, jitter_us, loss, bandwidth_bps,
+        link = Link(name, src, dst, delay_us, jitter_us, loss,
                     derive_rng(self.master_seed, "link", name, "jitter"))
         self.links[name] = link
         return link
@@ -284,8 +279,6 @@ class Simulator:
         if link.loss is not None and link.loss.drop(now):
             link.dropped_count += 1
             link.dropped_bytes += size
-            if isinstance(msg, wire.DataPacket):
-                link.drop_log.append(msg.seq)
             if link.on_drop is not None:
                 link.on_drop(msg, now)
             if self.trace_file is not None:
@@ -300,11 +293,6 @@ class Simulator:
             while r >= link.jitter_span:
                 r = getrandbits(link.jitter_bits)
             arrive += r - link.jitter_us
-        if link.bandwidth_bps:
-            tx_us = (size * 8 * 1_000_000) // link.bandwidth_bps
-            start = max(now, link.tx_free_us)
-            link.tx_free_us = start + tx_us
-            arrive += start - now + tx_us
         link.inflight_count += 1
         link.inflight_bytes += size
         heappush(self._heap, (arrive, link.idx, next(link.seq), (link, msg, size)))

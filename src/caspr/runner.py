@@ -33,7 +33,7 @@ from .endpoint import (
     Sender,
     SenderConfig,
 )
-from .ingress import IngressCoder
+from .ingress import CROSS_FLUSH_US, IngressCoder
 from .netsim import InvariantViolation
 from .scenario import Scenario
 
@@ -50,8 +50,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
 
         def add_link(name, src, dst, link, loss):
             return sim.add_link(name, src, dst, delay_us=link.delay_us,
-                                jitter_us=link.jitter_us,
-                                bandwidth_bps=link.bandwidth_bps, loss=loss)
+                                jitter_us=link.jitter_us, loss=loss)
 
         def add_lossy_link(name, src, dst, link):
             add_link(name, src, dst, link, link.loss_model(sim.loss_rng(name)))
@@ -84,28 +83,21 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             add_link(f"dc2>r{i}:ctrl", "dc2", f"r{i}", topo.recovery, None)
             add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2", topo.recovery, None)
 
-        coding = cfg.coding
-        ingress = IngressCoder("dc1", coding.params, run_log, "dc1>dc2",
-                               cross_flush_us=coding.cross_flush_us,
-                               in_flush_us=coding.in_flush_us)
+        ingress = IngressCoder("dc1", cfg.coding.params, run_log, "dc1>dc2")
         sim.add_node("dc1", ingress)
 
         egress = EgressRecovery("dc2", EgressConfig(
             deadline_us=cfg.deadline_us,
-            boundary_wait_us=coding.cross_flush_us + topo.inter_dc.delay_us,
+            boundary_wait_us=CROSS_FLUSH_US + topo.inter_dc.delay_us,
             store_ttl_us=cfg.store_ttl_us,
-            proactive_after=cfg.recovery.proactive_nacks,
             claim_owd_us=topo.direct.max_delay_us), run_log)
         sim.add_node("dc2", egress)
 
         flows = cfg.flows
         detector = DetectorConfig(
             kind=cfg.detector.kind,
-            small_timeout_us=cfg.detector.small_us,
-            long_timeout_us=cfg.long_timeout_us,
-            burst_factor=cfg.detector.burst_factor,
-            nominal_gap_us=flows.interval_us,
-            giveup_after=cfg.detector.giveup_nacks)
+            long_timeout_us=cfg.rtt_us,
+            nominal_gap_us=flows.interval_us)
         strag = cfg.straggler
 
         senders = []
@@ -135,7 +127,6 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
                 detector=detector,
                 reorder_grace_us=2 * topo.direct.jitter_us,
                 renack_after_us=cfg.deadline_us,
-                cache_packets=cfg.recovery.cache_packets,
                 cache_ttl_us=cfg.cache_ttl_us,
                 abandon_after_us=cfg.store_ttl_us,
                 straggler_delay_us=(strag.delay_us

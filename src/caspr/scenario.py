@@ -1,13 +1,19 @@
 """Scenario files: the typed config tree, loading, validation, overrides.
 
 A scenario is a YAML document describing one experiment: topology
-delays and loss processes, the flow workload, coding and recovery
-knobs, and the seed list.  Each YAML section maps to one frozen
+delays and loss processes, the flow workload, the coding widths, the
+detector kind, and the seed list.  Each YAML section maps to one frozen
 dataclass below, and each field declares its YAML name (the attribute
 name), type, bounds and default once; the name's suffix is its unit
-(``_ms``, ``_s``, or ``_rtt`` for multiples of the direct-path RTT).
-Fields keep the value the YAML parsed; the ``*_us`` attributes convert
-them to integer microseconds of virtual time.
+(``_ms`` or ``_s``).  Fields keep the value the YAML parsed; the
+``*_us`` attributes convert them to integer microseconds of virtual
+time.
+
+Only what a workload varies is a field.  The cloud path's timings are
+fixed by the design and live as constants next to their one use: the
+repair deadline and the recovery horizon here, in direct-path RTTs;
+the encoder flushes in ``ingress``, the detector and cache in
+``endpoint``, the proactive threshold in ``egress``.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -154,6 +160,11 @@ class _Micros:
 
 _frozen = dataclass(frozen=True, kw_only=True)
 
+# the cloud path's timings, in direct-path RTTs: a repair is due within
+# one RTT, and after the recovery horizon a loss is let go
+DEADLINE_RTTS = 1
+HORIZON_RTTS = 4
+
 
 # -- the tree -----------------------------------------------------------------
 
@@ -184,7 +195,7 @@ class GoogleBurstLoss:
     p_cont: float = number(0.5, ge=0, le=1)
 
     def model(self, rng) -> netsim.LossModel:
-        return netsim.GoogleBurst(rng, self.p_first, self.p_cont)
+        return netsim.GoogleBurst(self.p_first, self.p_cont, rng)
 
 
 LOSS_KINDS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss,
@@ -196,7 +207,6 @@ class Link:
     delay_ms: float = number(gt=0)
     jitter_ms: float = number(0.0, ge=0)
     loss: BernoulliLoss | GilbertElliottLoss | GoogleBurstLoss | None = tagged(LOSS_KINDS, None)
-    bandwidth_mbps: float | None = number(None, gt=0)
 
     delay_us = _Micros("delay_ms")
     jitter_us = _Micros("jitter_ms")
@@ -205,10 +215,6 @@ class Link:
     def max_delay_us(self) -> int:
         """Largest one-way delay, jitter included."""
         return int(round((self.delay_ms + self.jitter_ms) * 1000))
-
-    @property
-    def bandwidth_bps(self) -> int | None:
-        return int(self.bandwidth_mbps * 1_000_000) if self.bandwidth_mbps else None
 
     def loss_model(self, rng) -> netsim.LossModel | None:
         return self.loss.model(rng) if self.loss else None
@@ -255,11 +261,6 @@ class Coding:
     parity_cross: int = integer(ge=1, le=4)
     parity_in: int = integer(1, ge=0, le=4)
     in_block: int = integer(5, ge=0, le=64)
-    cross_flush_ms: float = number(30.0, gt=0)
-    in_flush_ms: float = number(50.0, gt=0)
-
-    cross_flush_us = _Micros("cross_flush_ms")
-    in_flush_us = _Micros("in_flush_ms")
 
     @property
     def params(self) -> CodingParams:
@@ -270,23 +271,8 @@ class Coding:
 
 
 @_frozen
-class Recovery:
-    deadline_rtt: float = number(1.0, gt=0)
-    store_ttl_rtt: float = number(4.0, gt=0)
-    proactive_nacks: int = integer(3, ge=1)
-    cache_packets: int = integer(2048, ge=1)
-    cache_ttl_rtt: float = number(4.0, gt=0)
-
-
-@_frozen
 class Detector:
     kind: str = choice("two_state", "fixed_small")
-    small_ms: float = number(25.0, gt=0)
-    long_rtt: float = number(1.0, gt=0)
-    burst_factor: float = number(4.0, gt=0)
-    giveup_nacks: int = integer(8, ge=1)
-
-    small_us = _Micros("small_ms")
 
 
 @_frozen
@@ -315,7 +301,6 @@ class Scenario:
     outages: tuple[Outage, ...] = listof(section(Outage), ())
     flows: Flows = section(Flows)
     coding: Coding = section(Coding)
-    recovery: Recovery = section(Recovery, Recovery())
     detector: Detector = section(Detector, Detector())
     straggler: Straggler | None = section(Straggler, None)
     cost: Cost = section(Cost, Cost())
@@ -331,25 +316,20 @@ class Scenario:
     def rtt_us(self) -> int:
         return 2 * self.topology.direct.delay_us
 
-    def _rtts(self, multiple: float) -> int:
-        """An ``*_rtt`` knob in microseconds, truncated."""
-        return int(multiple * self.rtt_us)
-
     @property
     def deadline_us(self) -> int:
-        return self._rtts(self.recovery.deadline_rtt)
+        """A repair's budget."""
+        return DEADLINE_RTTS * self.rtt_us
 
     @property
     def store_ttl_us(self) -> int:
-        return self._rtts(self.recovery.store_ttl_rtt)
+        """How long DC2 keeps parity, and receivers chase a hole."""
+        return HORIZON_RTTS * self.rtt_us
 
     @property
     def cache_ttl_us(self) -> int:
-        return self._rtts(self.recovery.cache_ttl_rtt)
-
-    @property
-    def long_timeout_us(self) -> int:
-        return self._rtts(self.detector.long_rtt)
+        """How long a receiver serves a payload from its cache."""
+        return HORIZON_RTTS * self.rtt_us
 
 
 def _cross_checks(cfg: Scenario) -> list[str]:

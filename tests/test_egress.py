@@ -25,7 +25,7 @@ from caspr.wire import (
 
 RTT = 150_000
 CFG = EgressConfig(deadline_us=RTT, boundary_wait_us=75_000,
-                   store_ttl_us=4 * RTT, proactive_after=3, claim_owd_us=0)
+                   store_ttl_us=4 * RTT, claim_owd_us=0)
 
 
 def make_engine(n_receivers=4, config=CFG):

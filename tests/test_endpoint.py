@@ -117,16 +117,15 @@ def test_sender_stop_time():
 # -- receiver -----------------------------------------------------------------
 
 
-DET = DetectorConfig(kind="two_state", small_timeout_us=25_000,
-                     long_timeout_us=150_000, burst_factor=4.0,
-                     nominal_gap_us=10_000, giveup_after=8)
+DET = DetectorConfig(kind="two_state", long_timeout_us=150_000,
+                     nominal_gap_us=10_000)
 
 
 def make_receiver(det=DET, **kw):
     defaults = dict(flow_id=0, direct_link="s0>r0",
                     dc2_data_link="r0>dc2", dc2_ctrl_link="r0>dc2:ctrl",
                     detector=det, reorder_grace_us=0,
-                    renack_after_us=150_000, cache_packets=64,
+                    renack_after_us=150_000,
                     cache_ttl_us=600_000, abandon_after_us=600_000,
                     straggler_delay_us=0)
     defaults.update(kw)
@@ -320,7 +319,7 @@ def test_coop_request_served_from_cache():
     assert resps[0].payload == payload_bytes(0, 0, 64)
     assert log.counters["coop_resps_pos"] == 1
     assert log.counters["coop_resps_neg"] == 0
-    env.run_until(1_000 + 9 * 10_000 + DET.small_timeout_us)
+    env.run_until(1_000 + 9 * 10_000 + endpoint.SMALL_TIMEOUT_US)
     resps = [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
     assert len(resps) == 2
     assert resps[1].entry == (0, 9) and resps[1].payload is None
@@ -354,8 +353,9 @@ def test_straggler_delays_responses():
     assert len(resps) == 1 and resps[0].payload is not None
 
 
-def test_cache_eviction_turns_answers_negative():
-    recv, env, log = make_receiver(cache_packets=4)
+def test_cache_eviction_turns_answers_negative(monkeypatch):
+    monkeypatch.setattr(endpoint, "CACHE_PACKETS", 4)
+    recv, env, log = make_receiver()
     for seq in range(8):
         deliver_direct(recv, env, 0, seq, seq * 1_000)
     recv.on_message(CoopRequest(entries=((0, 0), (0, 7))), "dc2>r0")

@@ -3,7 +3,13 @@
 import pytest
 
 from caspr.codec import CodingParams
-from caspr.ingress import DuplicateFlow, IngressCoder, UnknownFlow
+from caspr.ingress import (
+    CROSS_FLUSH_US,
+    IN_FLUSH_US,
+    DuplicateFlow,
+    IngressCoder,
+    UnknownFlow,
+)
 from caspr.metrics import RunLog
 from caspr.wire import CodedPacket, DataPacket
 
@@ -21,11 +27,10 @@ class StubEnv:
         self.timers.append((self.now + delay_us, token))
 
 
-def make_coder(params=None, **kw):
+def make_coder(params=None):
     params = params or CodingParams(k_max=4, num_parity_cross=2,
                                     num_parity_in=1, in_block=5)
-    coder = IngressCoder("dc1", params, RunLog(), "dc1>dc2",
-                         cross_flush_us=30_000, in_flush_us=50_000, **kw)
+    coder = IngressCoder("dc1", params, RunLog(), "dc1>dc2")
     coder.env = StubEnv()
     return coder
 
@@ -122,7 +127,7 @@ def test_timer_flushes_partial_batch():
     coder.process_packet(pkt(1, 0))
     assert cross_sent(coder.env) == []
     fire_at, token = cross_timers(coder.env)[0]
-    assert fire_at == 30_000
+    assert fire_at == CROSS_FLUSH_US
     coder.env.now = fire_at
     coder.on_timer(token)
     parities = cross_sent(coder.env)
@@ -173,7 +178,7 @@ def test_in_stream_timer_flushes_short_block():
     coder.process_packet(pkt(0, 0))
     coder.process_packet(pkt(0, 1))
     in_timers = [(t, tok) for t, tok in coder.env.timers if tok[0] == "iq"]
-    assert in_timers and in_timers[0][0] == 50_000
+    assert in_timers and in_timers[0][0] == IN_FLUSH_US
     coder.on_timer(in_timers[0][1])
     parities = in_sent(coder.env)
     assert len(parities) == 1
@@ -207,7 +212,7 @@ def test_batch_ids_monotone_and_distinct():
 
 
 def test_coding_latency_bounded_by_flush_timeout():
-    # every packet leaves its queue no later than cross_flush after entry
+    # every packet leaves its queue no later than CROSS_FLUSH_US after entry
     coder = make_coder(CodingParams(k_max=6, num_parity_cross=1,
                                     num_parity_in=0, in_block=0))
     for f in range(3):
@@ -225,7 +230,7 @@ def test_coding_latency_bounded_by_flush_timeout():
             for fire, tok in env.timers[before:]:
                 heapq.heappush(pending, (fire, tok))
             t += 7_000
-    env.now = t + 30_000
+    env.now = t + CROSS_FLUSH_US
     while pending:
         fire, tok = heapq.heappop(pending)
         env.now = fire

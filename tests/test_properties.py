@@ -1,5 +1,6 @@
 """Whole-run properties over random small scenarios, and the wire format
-checked against every message the bundled scenarios send.
+and the summary's counter columns checked against every message the
+bundled scenarios send and every counter they bump.
 
 The random scenarios vary loss kind, outages, batch width, parity,
 duplication, detector and flow count.  Every run must hold four
@@ -17,7 +18,7 @@ from _stub import TappedLog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caspr import metrics, netsim, wire
+from caspr import endpoint, metrics, netsim, wire
 from caspr.endpoint import Receiver
 from caspr.runner import run_seed
 from caspr.scenario import bundled_names, bundled_path, load, validate
@@ -79,11 +80,11 @@ def check_holes(recv):
 
 def check_cache(recv):
     """The payload cache is in time order, spans at most the TTL and
-    holds at most cache_packets entries."""
+    holds at most CACHE_PACKETS entries."""
     stamps = [ts for _, ts in recv.cache.values()]
     assert stamps == sorted(stamps), recv.name
     assert not stamps or stamps[-1] - stamps[0] <= recv.config.cache_ttl_us, recv.name
-    assert len(stamps) <= recv.config.cache_packets, recv.name
+    assert len(stamps) <= endpoint.CACHE_PACKETS, recv.name
 
 
 def run_observed(cfg):
@@ -151,7 +152,11 @@ def short_bundled(name):
     return load(bundled_path(name), overrides)
 
 
-def test_every_sent_message_round_trips_the_wire(monkeypatch):
+@pytest.fixture(scope="module")
+def bundled_cuts():
+    """Each bundled scenario's short cut, run at its first seed with every
+    sent message checked against the wire: the message types sent, and
+    the runs' metrics."""
     send = netsim.Simulator._send
     types = set()
 
@@ -164,9 +169,24 @@ def test_every_sent_message_round_trips_the_wire(monkeypatch):
             types.add("COOP_RESP negative")
         send(sim, link_name, msg)
 
-    monkeypatch.setattr(netsim.Simulator, "_send", send_checked)
-    for name in bundled_names():
-        cfg = short_bundled(name)
-        run_seed(cfg, cfg.seeds[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netsim.Simulator, "_send", send_checked)
+        runs = []
+        for name in bundled_names():
+            cfg = short_bundled(name)
+            runs.append(run_seed(cfg, cfg.seeds[0]))
+    return types, runs
+
+
+def test_every_sent_message_round_trips_the_wire(bundled_cuts):
+    types, _ = bundled_cuts
     # the short runs still send every packet type, both coop answers included
     assert types == set(wire.TYPE_NAMES.values()) | {"COOP_RESP negative"}
+
+
+def test_every_bumped_counter_is_a_summary_column(bundled_cuts):
+    # summary.csv writes the COUNTER_COLS columns only, so a counter
+    # bumped under any other name would never reach it
+    _, runs = bundled_cuts
+    bumped = set().union(*(m.counters for m in runs))
+    assert bumped <= set(metrics.COUNTER_COLS), bumped - set(metrics.COUNTER_COLS)

@@ -113,18 +113,18 @@ def test_lossless_run_leaves_no_per_packet_ledger_entries(monkeypatch):
 def test_lossy_run_leaves_one_ledger_record_per_direct_drop(monkeypatch, tmp_path):
     trace = tmp_path / "trace.jsonl"
     m, seen = run_watched(monkeypatch, tiny(duration_s=30.0), trace_path=str(trace))
-    log, sim = seen["log"], seen["sim"]
-    # send times as the trace saw the direct links drop them
+    log = seen["log"]
+    # (seq, send time) of each drop, in the order the trace saw the
+    # direct links drop them
     dropped = {}
     for line in trace.read_text().splitlines():
         rec = json.loads(line)
         flow = rec.get("flow")
         if rec["outcome"] == "dropped" and rec["link"] == f"s{flow}>r{flow}":
-            dropped.setdefault(flow, {})[rec["seq"]] = rec["ts"]
+            dropped.setdefault(flow, []).append((rec["seq"], rec["ts"]))
     for i, truth in log.flows.items():
-        drop_log = sim.links[f"s{i}>r{i}"].drop_log
-        assert list(truth.losses) == drop_log
-        assert {s: loss.send_ts for s, loss in truth.losses.items()} == dropped.get(i, {})
+        ledger = [(s, loss.send_ts) for s, loss in truth.losses.items()]
+        assert ledger == dropped.get(i, [])
     losses = [loss for truth in log.flows.values() for loss in truth.losses.values()]
     assert len(losses) == m.lost > 0
     assert sum(loss.recovered_ts is not None for loss in losses) == m.recovered_any > 0
@@ -170,7 +170,7 @@ def test_run_state_is_bounded_by_the_recovery_horizon(monkeypatch):
         for name, n in state.items():
             assert n <= bound[name], (duration_s, name, n, bound[name])
         log, sim = seen["log"], seen["sim"]
-        drops = sum(len(sim.links[f"s{i}>r{i}"].drop_log) for i in range(flows.count))
+        drops = sum(sim.links[f"s{i}>r{i}"].dropped_count for i in range(flows.count))
         assert ledger_entries(log) - len(log.flows) - len(log.counters) == m.lost == drops > 0
 
 

@@ -1,6 +1,7 @@
 """Scenario schema strictness, defaults, overrides, bundled files."""
 
 import dataclasses
+import pathlib
 import re
 
 import pytest
@@ -38,13 +39,14 @@ def test_minimal_scenario_gets_defaults():
     cfg = validate(minimal())
     assert cfg.coding.in_block == 5
     assert cfg.coding.parity_in == 1
-    assert cfg.coding.cross_flush_ms == 30.0
-    assert cfg.recovery.deadline_rtt == 1.0
     assert cfg.detector.kind == "two_state"
     assert cfg.cost.price_per_gb == 0.087
     assert cfg.flows.duplication == "full"
     assert cfg.outages == ()
     assert cfg.topology.direct.jitter_ms == 0.0
+    # the cloud path's fixed timings, in direct-path RTTs
+    assert cfg.deadline_us == cfg.rtt_us == 100_000
+    assert cfg.store_ttl_us == cfg.cache_ttl_us == 4 * cfg.rtt_us
 
 
 def test_unknown_key_is_named_in_the_error():
@@ -153,7 +155,8 @@ def edited(path, value):
     return doc
 
 
-# (dotted path, value, text the error must contain)
+# (dotted path, value, text the error must contain); a row marked
+# "folded" names a knob that became a constant, so its key is unknown
 REJECTED = [
     # root: required keys, unknown key, types, bounds
     *[(key, DROP, key) for key in
@@ -179,7 +182,7 @@ REJECTED = [
     ("topology.access.delay_ms", 0, "topology.access.delay_ms"),
     ("topology.access.delay_ms", True, "topology.access.delay_ms"),
     ("topology.access.jitter_ms", -1.0, "topology.access.jitter_ms"),
-    ("topology.access.bandwidth_mbps", 0, "topology.access.bandwidth_mbps"),
+    ("topology.access.bandwidth_mbps", 0, "topology.access.bandwidth_mbps"),  # folded
     ("topology.access.mtu", 1500, "mtu"),
     # loss models: shape, kind, required keys, bounds, unknown keys
     (LOSS, "bernoulli", LOSS),
@@ -230,23 +233,24 @@ REJECTED = [
     ("coding.parity_in", 5, "coding.parity_in"),
     ("coding.in_block", -1, "coding.in_block"),
     ("coding.in_block", 65, "coding.in_block"),
-    ("coding.cross_flush_ms", 0, "coding.cross_flush_ms"),
-    ("coding.in_flush_ms", 0, "coding.in_flush_ms"),
+    ("coding.cross_flush_ms", 0, "coding.cross_flush_ms"),  # folded
+    ("coding.in_flush_ms", 0, "coding.in_flush_ms"),  # folded
     ("coding.rate", 1, "rate"),
-    # recovery
+    # recovery: the section is gone, so each of its former keys, at its
+    # former default, fails as the unknown key "recovery"
     ("recovery", 3, "recovery"),
-    ("recovery.deadline_rtt", 0, "recovery.deadline_rtt"),
-    ("recovery.store_ttl_rtt", 0, "recovery.store_ttl_rtt"),
-    ("recovery.proactive_nacks", 0, "recovery.proactive_nacks"),
-    ("recovery.cache_packets", 0, "recovery.cache_packets"),
-    ("recovery.cache_ttl_rtt", 0, "recovery.cache_ttl_rtt"),
-    ("recovery.retries", 1, "retries"),
+    ("recovery.deadline_rtt", 1.0, "recovery: unknown key"),
+    ("recovery.store_ttl_rtt", 4.0, "recovery: unknown key"),
+    ("recovery.proactive_nacks", 3, "recovery: unknown key"),
+    ("recovery.cache_packets", 2048, "recovery: unknown key"),
+    ("recovery.cache_ttl_rtt", 4.0, "recovery: unknown key"),
+    ("recovery.retries", 1, "recovery: unknown key"),
     # detector
     ("detector.kind", "three_state", "detector.kind"),
-    ("detector.small_ms", 0, "detector.small_ms"),
-    ("detector.long_rtt", 0, "detector.long_rtt"),
-    ("detector.burst_factor", 0, "detector.burst_factor"),
-    ("detector.giveup_nacks", 0, "detector.giveup_nacks"),
+    ("detector.small_ms", 0, "detector.small_ms"),  # folded
+    ("detector.long_rtt", 0, "detector.long_rtt"),  # folded
+    ("detector.burst_factor", 0, "detector.burst_factor"),  # folded
+    ("detector.giveup_nacks", 0, "detector.giveup_nacks"),  # folded
     ("detector.window", 15, "window"),
     # straggler
     *[("straggler", without(STRAGGLER, key), key) for key in STRAGGLER],
@@ -258,6 +262,16 @@ REJECTED = [
     ("cost.currency", "usd", "currency"),
     # appended, so the ids of the cases above stay as they were
     ("seeds", [4, 1, 4], "seeds: 4 repeated"),
+    # folded knobs at a value they used to accept (their default, where
+    # they had one): a file that still sets one fails loudly
+    *[(path, value, f"{path}: unknown key") for path, value in [
+        ("topology.access.bandwidth_mbps", 100.0),
+        ("coding.cross_flush_ms", 30.0),
+        ("coding.in_flush_ms", 50.0),
+        ("detector.small_ms", 25.0),
+        ("detector.long_rtt", 1.0),
+        ("detector.burst_factor", 4.0),
+        ("detector.giveup_nacks", 8)]],
 ]
 
 
@@ -268,7 +282,7 @@ def test_schema_rule_rejects(path, value, expected):
 
 
 @pytest.mark.parametrize("override", ["flows.count=2.0", "coding.k_max=4.0",
-                                      "recovery.cache_packets=64.0"])
+                                      "flows.selective_first_n=2.0"])
 def test_integer_fields_reject_floats(override):
     with pytest.raises(ScenarioError, match="not an integer"):
         validate(apply_overrides(minimal(), [override]))
@@ -306,8 +320,8 @@ def test_override_scalar_and_yaml_typing():
 
 
 def test_override_creates_missing_sections():
-    out = apply_overrides(minimal(), ["detector.small_ms=10"])
-    assert out["detector"]["small_ms"] == 10
+    out = apply_overrides(minimal(), ["straggler.delay_ms=10"])
+    assert out["straggler"]["delay_ms"] == 10
 
 
 def test_override_structured_value():
@@ -376,4 +390,34 @@ def test_bundled_files_round_trip_defaults():
         raw = yaml.safe_load(f)
     # defaults fill only what the file leaves unsaid
     assert dataclasses.asdict(cfg.straggler) == raw["straggler"]
-    assert cfg.recovery.store_ttl_rtt == 4.0
+    assert cfg.cost.price_per_gb == 0.087 and "cost" not in raw
+
+
+# a documented ``--set PATH=VALUE`` recipe; PATH is lower case, so the
+# README's placeholder is not one
+RECIPE = re.compile(r"--set ([a-z_][\w.]*=[^\s`)]+)")
+
+
+def documented_recipes():
+    """(scenario, override) for each recipe in the README, which names
+    its scenario on the same line, and in the bundled files' comments."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    for line in readme.read_text().splitlines():
+        run = re.search(r"caspr run (\w+)", line)
+        for override in RECIPE.findall(line):
+            yield run.group(1) if run else line, override
+    for name in bundled_names():
+        with open(bundled_path(name)) as f:
+            for line in f:
+                if line.lstrip().startswith("#"):
+                    for override in RECIPE.findall(line):
+                        yield name, override
+
+
+def test_documented_recipes_apply():
+    recipes = sorted(set(documented_recipes()))
+    assert len(recipes) >= 4, recipes
+    for name, override in recipes:
+        path = bundled_path(name)
+        assert path, f"no bundled scenario named in {name!r}"
+        load(path, [override])
