@@ -1,12 +1,12 @@
 """Systematic erasure coding of packet batches.
 
-A batch is an ordered list of source packets, possibly from different
-flows.  Encoding appends ``num_parity`` parity symbols; the code is
-systematic (source payloads are never transformed) and any ``k`` of the
-``k + p`` symbols reconstruct the rest.  Payloads inside one batch may
-have different lengths: shorter ones are implicitly zero-padded to the
-longest, and each member's original length travels in the parity
-metadata so decode can truncate back.
+A batch is an ordered list of source ``wire.DataPacket``s, possibly
+from different flows.  Encoding builds its ``num_parity`` parity
+``wire.CodedPacket``s; the code is systematic (source payloads are never
+transformed) and any ``k`` of the ``k + p`` packets reconstruct the rest.
+Payloads in one batch may differ in length: shorter ones are zero-padded
+to the longest, and each member's original length and send time travel
+in the parity metadata.  Decode maps (flow_id, seq) to payloads.
 
 Cross-flow and in-flow coding use this module identically; they differ
 only in who fills the batch (see ingress).
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf256
+from .wire import CodedPacket, DataPacket, Entry
 
 
 class CodecError(Exception):
@@ -42,26 +43,6 @@ class InsufficientSymbols(CodecError):
         super().__init__(f"{missing} symbols missing, only {parity} parity available")
         self.missing = missing
         self.parity = parity
-
-
-@dataclass(frozen=True, slots=True)
-class SourceSymbol:
-    flow_id: int
-    seq: int
-    payload: bytes
-
-
-# (flow_id, seq, original payload length)
-BatchMember = tuple[int, int, int]
-
-
-@dataclass(frozen=True, slots=True)
-class ParitySymbol:
-    batch_id: int
-    parity_index: int
-    num_parity: int
-    members: tuple[BatchMember, ...]
-    payload: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,14 +93,14 @@ def _stack(payloads, rows: int, symbol_len: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8).reshape(rows, symbol_len)
 
 
-def encode_batch(batch_id: int, sources: list[SourceSymbol],
-                 num_parity: int) -> list[ParitySymbol]:
-    """Produce the parity symbols for one batch.
+def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
+                 cross: bool, send_ts_us: int) -> list[CodedPacket]:
+    """Build the parity packets of one batch, sent at ``send_ts_us``.
 
     Sources are used in the given order; position in the batch is what
     the math binds to, the (flow_id, seq) pairs are just labels carried
-    in the metadata.  Any object with SourceSymbol's fields (a
-    ``wire.DataPacket``, for one) serves as a source.
+    in the metadata, next to each source's payload length and its own
+    ``send_ts_us`` as ``member_ts``.
     """
     if not sources:
         raise EmptyBatch("cannot encode an empty batch")
@@ -133,27 +114,29 @@ def encode_batch(batch_id: int, sources: list[SourceSymbol],
         seen.add(key)
 
     members = tuple((s.flow_id, s.seq, len(s.payload)) for s in sources)
+    member_ts = tuple(s.send_ts_us for s in sources)
     symbol_len = max(len(s.payload) for s in sources)
     data = _stack((s.payload for s in sources), k, symbol_len)
 
     gen = gf256.parity_matrix(k, num_parity)
     parity = gf256.gf_matmul(gen, data)
     return [
-        ParitySymbol(batch_id, i, num_parity, members, parity[i].tobytes())
+        CodedPacket(cross, batch_id, i, num_parity, members, parity[i].tobytes(),
+                    send_ts_us, member_ts)
         for i in range(num_parity)
     ]
 
 
-def decode_batch(present: list[SourceSymbol],
-                 parity: list[ParitySymbol]) -> list[SourceSymbol]:
+def decode_batch(present: dict[Entry, bytes],
+                 parity: list[CodedPacket]) -> dict[Entry, bytes]:
     """Reconstruct the batch members absent from ``present``.
 
-    Present symbols not named in the parity metadata are ignored, and
-    any object with ParitySymbol's fields (a ``wire.CodedPacket``, for
-    one) serves as a parity symbol.  Returns the recovered symbols in
-    batch order, payloads truncated to their original lengths.  Raises
-    InsufficientSymbols when more members are missing than parity
-    symbols are supplied.
+    ``present`` maps (flow_id, seq) to the payloads already known; keys
+    the parity metadata does not name are ignored.  Returns the
+    recovered payloads keyed the same way, in batch order and truncated
+    to their original lengths; a caller that delivers by iterating the
+    result delivers in batch order.  Raises InsufficientSymbols when
+    more members are missing than parity packets are supplied.
     """
     if not parity:
         raise EmptyBatch("decode needs at least one parity symbol")
@@ -173,39 +156,28 @@ def decode_batch(present: list[SourceSymbol],
         if len(p.payload) != symbol_len:
             raise MetadataMismatch("parity symbols of unequal length")
 
-    members = ref.members
-    k = len(members)
-    pos = {(m[0], m[1]): i for i, m in enumerate(members)}
-    have: dict[int, bytes] = {}
-    for s in present:
-        i = pos.get((s.flow_id, s.seq))
-        if i is not None:
-            have[i] = s.payload
-    missing = [i for i in range(k) if i not in have]
+    keys = [(f, s) for f, s, _ in ref.members]
+    known = [i for i, key in enumerate(keys) if key in present]
+    missing = [i for i, key in enumerate(keys) if key not in present]
     if not missing:
-        return []
+        return {}
     if len(missing) > len(parity):
         raise InsufficientSymbols(len(missing), len(parity))
 
-    gen = gf256.parity_matrix(k, ref.num_parity)
+    gen = gf256.parity_matrix(len(keys), ref.num_parity)
     use = sorted(parity, key=lambda p: p.parity_index)[:len(missing)]
 
     # subtract the known sources' contribution from each parity row
     rows = [p.parity_index for p in use]
     rhs = _stack((p.payload for p in use), len(use), symbol_len)
-    if have:
-        known_idx = sorted(have)
-        known = _stack((have[i][:symbol_len] for i in known_idx),
-                       len(known_idx), symbol_len)
-        rhs = rhs ^ gf256.gf_matmul(gen[np.ix_(rows, known_idx)], known)
+    if known:
+        data = _stack((present[keys[i]][:symbol_len] for i in known),
+                      len(known), symbol_len)
+        rhs = rhs ^ gf256.gf_matmul(gen[np.ix_(rows, known)], data)
 
     # solve the residual square system for the missing positions
     a = gen[np.ix_(rows, missing)]
     inv = gf256.gf_inv_matrix(a)
     solved = gf256.gf_matmul(inv, rhs)
-
-    out = []
-    for r, i in enumerate(missing):
-        flow_id, seq, orig_len = members[i]
-        out.append(SourceSymbol(flow_id, seq, solved[r].tobytes()[:orig_len]))
-    return out
+    return {keys[i]: solved[r].tobytes()[:ref.members[i][2]]
+            for r, i in enumerate(missing)}

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 
-from .codec import SourceSymbol, decode_batch
+from .codec import decode_batch
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -52,6 +52,7 @@ from .wire import (
     CoopResponse,
     Ctrl,
     DataPacket,
+    Entry,
     Nack,
 )
 
@@ -59,8 +60,6 @@ IDLE, PENDING, DECODED, FAILED = "idle", "pending", "decoded", "failed"
 
 # consecutive un-ACKed NACKs that flip a receiver to proactive mode
 PROACTIVE_AFTER = 3
-
-Entry = tuple[int, int]
 
 
 @dataclass
@@ -396,14 +395,13 @@ class EgressRecovery:
     def _try_decode(self, batch: StoredBatch, now: int) -> None:
         if batch.state != PENDING:
             return
-        # the one decode gate: past it, decode_batch has parity for every unknown
-        unknown = [(f, s) for f, s, _ in batch.members if (f, s) not in batch.decoded]
-        if len(unknown) > len(batch.parity):
+        # the one decode gate: past it, decode_batch has parity for every
+        # unknown.  decoded holds only entries of this batch (helpers
+        # answer for its members, decode adds the rest), so the
+        # difference counts the unknowns
+        if len(batch.entries) - len(batch.decoded) > len(batch.parity):
             return
-        present = [SourceSymbol(f, s, batch.decoded[(f, s)])
-                   for f, s, _ in batch.members if (f, s) in batch.decoded]
-        for sym in decode_batch(present, list(batch.parity.values())):
-            batch.decoded[(sym.flow_id, sym.seq)] = sym.payload
+        batch.decoded.update(decode_batch(batch.decoded, list(batch.parity.values())))
         batch.state = DECODED
         self.run_log.bump("tasks_decoded")
         for entry in sorted(batch.lost):

@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import islice, takewhile
 
-from .codec import SourceSymbol, decode_batch
+from .codec import decode_batch
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -480,22 +480,19 @@ class Receiver:
         if now - block["since"] > self.config.cache_ttl_us:
             del self.held[batch_id]
             return
-        present = []
-        missing = []
+        present = {}
         for f, s, _ in block["members"]:
             payload = self._cached(s, now)
             if payload is not None:
-                present.append(SourceSymbol(f, s, payload))
-            else:
-                missing.append((f, s))
+                present[(f, s)] = payload
+        missing = len(block["members"]) - len(present)
         if not missing:
             del self.held[batch_id]
             self.run_log.bump("discarded_parity")
             return
-        if len(missing) > len(block["parity"]):
+        if missing > len(block["parity"]):
             return
         del self.held[batch_id]
-        for sym in decode_batch(present, list(block["parity"].values())):
-            self._on_data(DataPacket(flow_id=sym.flow_id, seq=sym.seq,
-                                     send_ts_us=now, payload=sym.payload),
+        for (f, s), payload in decode_batch(present, list(block["parity"].values())).items():
+            self._on_data(DataPacket(flow_id=f, seq=s, send_ts_us=now, payload=payload),
                           recovered=True, now=now)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import CodingParams, encode_batch
-from .wire import DataPacket, coded_from_parity
+from .wire import DataPacket
 
 
 # how long a queue may wait to fill before it is coded anyway
@@ -46,7 +46,7 @@ class UnknownFlow(IngressError):
 
 @dataclass(eq=False)
 class _Queue:
-    # the DataPackets themselves serve as encode_batch's source symbols
+    # the batch's source packets, in the order encode_batch binds them
     symbols: list[DataPacket] = field(default_factory=list)
     flows: set[int] = field(default_factory=set)
     gen: int = 0
@@ -172,10 +172,6 @@ class IngressCoder:
         self._next_batch += 1
         num_parity = (self.params.num_parity_cross if cross
                       else self.params.num_parity_in)
-        member_ts = tuple(pkt.send_ts_us for pkt in q.symbols)
-        for p in encode_batch(batch_id, q.symbols, num_parity):
-            self.env.send(self.out_link,
-                          coded_from_parity(p, cross=cross,
-                                            send_ts_us=self.env.now,
-                                            member_ts=member_ts))
+        for p in encode_batch(batch_id, q.symbols, num_parity, cross, self.env.now):
+            self.env.send(self.out_link, p)
         q.reset()

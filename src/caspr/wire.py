@@ -38,8 +38,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .codec import BatchMember, ParitySymbol
-
 VERSION = 1
 
 DATA = 0
@@ -99,6 +97,7 @@ class LengthMismatch(WireError):
 
 
 Entry = tuple[int, int]  # (flow_id, seq)
+BatchMember = tuple[int, int, int]  # (flow_id, seq, original payload length)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,12 +165,6 @@ class Ctrl:
 
 
 Message = DataPacket | CodedPacket | Nack | Ack | CoopRequest | CoopResponse | Ctrl
-
-
-def coded_from_parity(sym: ParitySymbol, cross: bool, send_ts_us: int = 0,
-                      member_ts: tuple[int, ...] = ()) -> CodedPacket:
-    return CodedPacket(cross, sym.batch_id, sym.parity_index, sym.num_parity,
-                       sym.members, sym.payload, send_ts_us, member_ts)
 
 
 def _check_u(value: int, bits: int, what: str) -> int:

@@ -6,6 +6,7 @@ whole gate runs each bundled scenario once at its configured seeds;
 the determinism criterion checks those runs against pinned digests.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,12 +19,7 @@ import pytest
 
 import oracle_gf
 from caspr import runner, scenario, wire
-from caspr.codec import (
-    InsufficientSymbols,
-    SourceSymbol,
-    decode_batch,
-    encode_batch,
-)
+from caspr.codec import InsufficientSymbols, decode_batch, encode_batch
 from caspr.metrics import pool_runs
 from caspr.wire import WireError, deserialize, serialize
 
@@ -64,9 +60,8 @@ def test_criterion_01_codec_matches_oracle_exhaustively():
     for k, p in itertools.product(range(1, 7), (1, 2)):
         payloads = [bytes((i * 37 + j * 11 + k + p) % 256 for j in range(19))
                     for i in range(k)]
-        sources = [SourceSymbol(flow_id=i, seq=100 + i, payload=payloads[i])
-                   for i in range(k)]
-        parity = encode_batch(7, sources, p)
+        sources = [wire.DataPacket(i, 100 + i, 0, payloads[i]) for i in range(k)]
+        parity = encode_batch(7, sources, p, True, 0)
         assert [ps.payload for ps in parity] == oracle_gf.encode(payloads, p)
         for lost_parity in itertools.chain.from_iterable(
                 itertools.combinations(range(p), n) for n in range(p)):
@@ -74,20 +69,21 @@ def test_criterion_01_codec_matches_oracle_exhaustively():
             max_data_loss = len(avail)
             for n_lost in range(1, max_data_loss + 1):
                 for lost in itertools.combinations(range(k), n_lost):
-                    present = [s for i, s in enumerate(sources) if i not in lost]
+                    present = {(s.flow_id, s.seq): s.payload
+                               for i, s in enumerate(sources) if i not in lost}
                     got = decode_batch(present, avail)
-                    assert [(g.flow_id, g.seq) for g in got] == \
-                        [(i, 100 + i) for i in lost]
+                    assert list(got) == [(i, 100 + i) for i in lost]
                     want = oracle_gf.reconstruct(
                         k, p,
                         {i: payloads[i] for i in range(k) if i not in lost},
                         {ps.parity_index: ps.payload for ps in avail})
-                    assert [g.payload for g in got] == [want[i] for i in lost]
+                    assert list(got.values()) == [want[i] for i in lost]
                     checked += 1
             # one more loss than surviving parity must be refused
             if max_data_loss < k:
                 overload = list(range(max_data_loss + 1))
-                keep = [s for i, s in enumerate(sources) if i not in overload]
+                keep = {(s.flow_id, s.seq): s.payload
+                        for i, s in enumerate(sources) if i not in overload}
                 with pytest.raises(InsufficientSymbols):
                     decode_batch(keep, avail)
     wall = time.monotonic() - t0
@@ -235,12 +231,12 @@ def test_criterion_09_reruns_are_byte_identical(lab):
 
 
 def _valid_blobs():
-    syms = [SourceSymbol(3, 40 + i, bytes(range(i, i + 16))) for i in range(4)]
-    parity = encode_batch(12, syms, 2)
+    syms = [wire.DataPacket(3, 40 + i, 0, bytes(range(i, i + 16))) for i in range(4)]
+    parity = encode_batch(12, syms, 2, True, 0)
     msgs = [
         wire.DataPacket(flow_id=1, seq=2, send_ts_us=3, payload=b"x" * 40),
-        wire.coded_from_parity(parity[0], cross=True),
-        wire.coded_from_parity(parity[1], cross=False),
+        parity[0],
+        dataclasses.replace(parity[1], cross=False),
         wire.Nack(flow_id=1, entries=((1, 5), (1, 9))),
         wire.Ack(flow_id=1, cum_seq=77),
         wire.CoopRequest(entries=((2, 3),)),

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from _stub import StubEnv
-from caspr.codec import SourceSymbol, encode_batch
+from caspr.codec import encode_batch
 from caspr.egress import EgressConfig, EgressRecovery
 from caspr.endpoint import payload_bytes
 from caspr.metrics import RunLog
@@ -20,7 +20,6 @@ from caspr.wire import (
     Ctrl,
     DataPacket,
     Nack,
-    coded_from_parity,
 )
 
 RTT = 150_000
@@ -40,15 +39,13 @@ def make_engine(n_receivers=4, config=CFG):
 
 
 def cross_parities(batch_id, flows, seq=0, num_parity=2, size=32):
-    syms = [SourceSymbol(f, seq, payload_bytes(f, seq, size)) for f in flows]
-    return [coded_from_parity(p, cross=True)
-            for p in encode_batch(batch_id, syms, num_parity)]
+    syms = [DataPacket(f, seq, 0, payload_bytes(f, seq, size)) for f in flows]
+    return encode_batch(batch_id, syms, num_parity, True, 0)
 
 
 def in_parities(batch_id, flow, seqs, num_parity=1, size=32):
-    syms = [SourceSymbol(flow, s, payload_bytes(flow, s, size)) for s in seqs]
-    return [coded_from_parity(p, cross=False)
-            for p in encode_batch(batch_id, syms, num_parity)]
+    syms = [DataPacket(flow, s, 0, payload_bytes(flow, s, size)) for s in seqs]
+    return encode_batch(batch_id, syms, num_parity, False, 0)
 
 
 def nack(flow, *seqs):

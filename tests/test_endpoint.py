@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from _stub import StubEnv, TappedLog
 from caspr import endpoint
-from caspr.codec import SourceSymbol, encode_batch
+from caspr.codec import encode_batch
 from caspr.endpoint import (
     DetectorConfig,
     MAX_HELD_BLOCKS,
@@ -29,7 +29,6 @@ from caspr.wire import (
     DataPacket,
     FLAG_SELECTIVE_DUP,
     Nack,
-    coded_from_parity,
 )
 
 
@@ -400,9 +399,8 @@ def test_confirm_query_answers():
 def test_in_stream_parity_completes_block():
     recv, env, log = make_receiver()
     size = 64
-    syms = [SourceSymbol(0, s, payload_bytes(0, s, size)) for s in range(5)]
-    parity = [coded_from_parity(p, cross=False)
-              for p in encode_batch(11, syms, 1)]
+    syms = [DataPacket(0, s, 0, payload_bytes(0, s, size)) for s in range(5)]
+    parity = encode_batch(11, syms, 1, False, 0)
     for seq in (0, 1, 3, 4):
         deliver_direct(recv, env, 0, seq, seq * 1_000)
     env.now = 30_000
@@ -414,9 +412,8 @@ def test_in_stream_parity_completes_block():
 
 def test_parity_for_complete_block_discarded():
     recv, env, log = make_receiver()
-    syms = [SourceSymbol(0, s, payload_bytes(0, s, 64)) for s in range(5)]
-    parity = [coded_from_parity(p, cross=False)
-              for p in encode_batch(11, syms, 1)]
+    syms = [DataPacket(0, s, 0, payload_bytes(0, s, 64)) for s in range(5)]
+    parity = encode_batch(11, syms, 1, False, 0)
     for seq in range(5):
         deliver_direct(recv, env, 0, seq, seq * 1_000)
     recv.on_message(parity[0], "dc2>r0")
@@ -426,9 +423,8 @@ def test_parity_for_complete_block_discarded():
 
 def test_insufficient_parity_held_until_data_arrives():
     recv, env, log = make_receiver()
-    syms = [SourceSymbol(0, s, payload_bytes(0, s, 64)) for s in range(5)]
-    parity = [coded_from_parity(p, cross=False)
-              for p in encode_batch(11, syms, 1)]
+    syms = [DataPacket(0, s, 0, payload_bytes(0, s, 64)) for s in range(5)]
+    parity = encode_batch(11, syms, 1, False, 0)
     for seq in (0, 1, 2):
         deliver_direct(recv, env, 0, seq, seq * 1_000)
     recv.on_message(parity[0], "dc2>r0")  # two missing, one parity: hold
@@ -441,9 +437,8 @@ def test_insufficient_parity_held_until_data_arrives():
 
 
 def in_block(batch_id, seqs, num_parity=1):
-    syms = [SourceSymbol(0, s, payload_bytes(0, s, 64)) for s in seqs]
-    return [coded_from_parity(p, cross=False)
-            for p in encode_batch(batch_id, syms, num_parity)]
+    syms = [DataPacket(0, s, 0, payload_bytes(0, s, 64)) for s in seqs]
+    return encode_batch(batch_id, syms, num_parity, False, 0)
 
 
 def test_runaway_gap_slides_frontier(monkeypatch):

@@ -51,6 +51,27 @@ def in_sent(env):
     return [m for _, m in env.sent if isinstance(m, CodedPacket) and not m.cross]
 
 
+def test_parity_carries_member_send_times_and_emit_time():
+    coder = make_coder()
+    coder.register_flow(0)
+    coder.register_flow(1)
+    env = coder.env
+    # (sent, arrived at DC1, flow, seq); flow 1's packet was sent first
+    # but arrives last, so batch order is not send-time order
+    for sent, now, flow, seq in ((1_000, 1_200, 0, 0), (4_000, 4_200, 0, 1),
+                                 (500, 6_700, 1, 0)):
+        env.now = now
+        coder.process_packet(DataPacket(flow, seq, sent, b"x"))
+    cross = cross_sent(env)
+    assert [m[:2] for m in cross[0].members] == [(0, 0), (1, 0)]
+    assert [(p.send_ts_us, p.member_ts) for p in cross] == [(6_700, (1_000, 500))] * 2
+    (fire_at, token), = [(t, tok) for t, tok in env.timers if tok[:2] == ("iq", 0)]
+    env.now = fire_at
+    coder.on_timer(token)
+    assert [(p.send_ts_us, p.member_ts) for p in in_sent(env)] == [
+        (1_200 + IN_FLUSH_US, (1_000, 4_000))]
+
+
 def test_group_assignment_greedy_fill():
     coder = make_coder(CodingParams(k_max=10, num_parity_cross=2,
                                     num_parity_in=0, in_block=0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from pathlib import Path
 
@@ -276,3 +277,17 @@ def test_fuzz_random_bytes():
             deserialize(raw)
         except WireError:
             pass
+
+
+def test_wire_imports_no_other_caspr_module():
+    # the wire format is the bottom layer: the codec builds wire
+    # packets, so wire must not reach back into the codec or any node
+    tree = ast.parse(Path(wire.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {m for m in imported
+            if m.startswith(".") or m.split(".")[0] == "caspr"} == set()
