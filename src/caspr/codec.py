@@ -14,8 +14,6 @@ only in who fills the batch (see ingress).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gf256
@@ -45,34 +43,8 @@ class InsufficientSymbols(CodecError):
         self.parity = parity
 
 
-@dataclass(frozen=True, slots=True)
-class CodingParams:
-    """Knobs shared by the two coding dimensions.
-
-    k_max bounds cross-flow batch width; in_block is the in-flow block
-    size (0 disables in-flow coding entirely).
-    """
-
-    k_max: int = 6
-    num_parity_cross: int = 2
-    num_parity_in: int = 1
-    in_block: int = 5
-
-    def __post_init__(self):
-        if self.k_max < 2:
-            raise InvalidParams("k_max must be at least 2")
-        if self.num_parity_cross < 1:
-            raise InvalidParams("num_parity_cross must be at least 1")
-        if self.in_block and self.num_parity_in < 1:
-            raise InvalidParams("num_parity_in must be at least 1 when in_block > 0")
-        if self.in_block < 0:
-            raise InvalidParams("in_block must be >= 0")
-        _check_envelope(self.k_max, self.num_parity_cross)
-        if self.in_block:
-            _check_envelope(self.in_block, self.num_parity_in)
-
-
-def _check_envelope(k: int, p: int) -> None:
+def check_envelope(k: int, p: int) -> None:
+    """Raise InvalidParams unless k sources with p parity survive any p losses."""
     # MDS holds for p <= 3 at any k, and for p == 4 up to k == 20
     # (verified exhaustively over the generator's submatrices); beyond
     # that some erasure patterns would hit a singular system.
@@ -105,7 +77,7 @@ def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
     if not sources:
         raise EmptyBatch("cannot encode an empty batch")
     k = len(sources)
-    _check_envelope(k, num_parity)
+    check_envelope(k, num_parity)
     seen = set()
     for s in sources:
         key = (s.flow_id, s.seq)

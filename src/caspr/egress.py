@@ -1,17 +1,17 @@
 """Egress-side recovery engine living in the second datacenter.
 
-Parity from the ingress is parked here in a TTL-bounded store, unused
-unless a receiver reports loss.  On a NACK the engine picks the
+Parity from the ingress is parked here for the recovery horizon,
+unused unless a receiver reports loss.  On a NACK the engine picks the
 cheapest path that can still make the one-RTT budget:
 
   1. a payload already decoded earlier is resent from cache,
   2. an in-stream batch covering the entry has its parity forwarded
      (exactly as many symbols as there are known-lost packets),
   3. otherwise the covering cross-stream batch opens a cooperative
-     task: every other member receiver is asked for its packet, and
-     the batch is decoded the moment the unknown count drops to the
-     parity count.  Recovered payloads go out as ordinary data toward
-     the NACKing receiver only.
+     task: the receiver of every other member flow is asked for its
+     one entry, in data-link-name order, and the batch is decoded the
+     moment the unknown count drops to the parity count.  Recovered
+     payloads go out as ordinary data toward the NACKing receiver only.
 
 Tasks expire one direct-path RTT after opening; whatever is still
 unrecovered is counted failed-silent and late helper responses are
@@ -32,10 +32,11 @@ stay in the orphan flow; the guard is waived once the receiver
 confirms the hole is real, and a cumulative ACK retracts claims the
 direct path has since satisfied.
 
-Three NACKs from the same receiver with no ACK in between flip it to
-proactive mode: newly arriving cross parity that covers the receiver
-opens recovery immediately, without waiting for NACKs that a dead
-direct path may not be able to provoke in time.
+Each flow has one receiver, and the engine knows a receiver only by
+its flow.  Three NACKs from the same receiver with no ACK in between
+flip it to proactive mode: newly arriving cross parity that covers the
+receiver opens recovery immediately, without waiting for NACKs that a
+dead direct path may not be able to provoke in time.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ PROACTIVE_AFTER = 3
 class EgressConfig:
     deadline_us: int          # cooperative-task budget, one direct RTT
     boundary_wait_us: int     # flush horizon before querying the receiver
-    store_ttl_us: int
+    horizon_us: int           # how long a batch stays in the store
     claim_owd_us: int         # direct one-way delay plus jitter bound
 
 
@@ -81,7 +82,7 @@ class StoredBatch:
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
     lost: set[Entry] = field(default_factory=set)
-    requested: set[str] = field(default_factory=set)
+    requested: set[int] = field(default_factory=set)  # flows asked to help
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
     entries: tuple[Entry, ...] = field(init=False)
@@ -101,7 +102,6 @@ class _Orphan:
 
 @dataclass
 class _ReceiverPort:
-    receiver_id: str
     data_link: str
     ctrl_link: str
     consec_nacks: int = 0
@@ -121,14 +121,10 @@ class EgressRecovery:
         self._flow_port: dict[int, _ReceiverPort] = {}  # each flow has one receiver
         self._proactive: set[int] = set()  # flows whose receiver is in proactive mode
 
-    def register_receiver(self, receiver_id: str, flow_id: int, data_link: str,
-                          ctrl_link: str) -> None:
-        if any(p.receiver_id == receiver_id for p in self._flow_port.values()):
-            raise ValueError(f"receiver {receiver_id} registered twice")
+    def register_receiver(self, flow_id: int, data_link: str, ctrl_link: str) -> None:
         if flow_id in self._flow_port:
-            raise ValueError(f"flow {flow_id} already owned by "
-                             f"{self._flow_port[flow_id].receiver_id}")
-        self._flow_port[flow_id] = _ReceiverPort(receiver_id, data_link, ctrl_link)
+            raise ValueError(f"flow {flow_id} registered twice")
+        self._flow_port[flow_id] = _ReceiverPort(data_link, ctrl_link)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -182,7 +178,7 @@ class EgressRecovery:
             self.store[msg.batch_id] = batch
             for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)
-            self.env.schedule(self.config.store_ttl_us, ("ttl", msg.batch_id))
+            self.env.schedule(self.config.horizon_us, ("ttl", msg.batch_id))
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
@@ -339,21 +335,20 @@ class EgressRecovery:
         self._try_decode(batch, now)
 
     def _send_coop_requests(self, batch: StoredBatch, now: int) -> None:
+        # a cross batch holds at most one entry per flow, so each helper
+        # is asked for exactly one
         lost_flows = {f for f, s in batch.lost}
-        wanted: dict[str, list[Entry]] = {}
-        for f, s, _ in batch.members:
-            port = self._flow_port.get(f)
-            if (port is None or f in lost_flows
-                    or port.receiver_id in batch.requested
-                    or (f, s) in batch.decoded):
+        wanted = []
+        for e in batch.entries:
+            port = self._flow_port.get(e[0])
+            if (port is None or e[0] in lost_flows or e[0] in batch.requested
+                    or e in batch.decoded):
                 continue
-            wanted.setdefault(port.receiver_id, []).append((f, s))
-        # receiver-name order fixes the send order, and so the trace
-        for rid in sorted(wanted):
-            batch.requested.add(rid)
-            entries = tuple(sorted(wanted[rid]))
-            self.env.send(self._flow_port[entries[0][0]].data_link,
-                          CoopRequest(entries=entries, send_ts_us=now))
+            wanted.append((port.data_link, e))
+        # data-link-name order fixes the send order, and so the trace
+        for link, e in sorted(wanted):
+            batch.requested.add(e[0])
+            self.env.send(link, CoopRequest(entries=(e,), send_ts_us=now))
             self.run_log.bump("coop_reqs")
 
     # -- helper responses -------------------------------------------------------

@@ -22,14 +22,14 @@ The receiver tracks its holes, not its deliveries: one map, in seq
 order, of the undelivered seqs from the frontier on, each with the time
 of its first and last NACK once it has been NACKed.  A delivery deletes
 its hole, and with it the hole's NACK history; a hole first NACKed
-longer ago than the abandon horizon is dropped without a delivery.
+longer ago than the recovery horizon is dropped without a delivery.
 
 Receivers keep a cache of recent payloads to answer cooperative
 requests for their own packets.  It is bounded twice: an entry older
-than the cache TTL is never served and is evicted at the next store,
-and past the count cap the oldest entries go too.  Receivers also hold
-forwarded in-stream parity until enough of the block is present to
-decode the rest.
+than the recovery horizon is never served and is evicted at the next
+store, and past the count cap the oldest entries go too.  Receivers
+also hold forwarded in-stream parity, for at most the horizon, until
+enough of the block is present to decode the rest.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ class ReceiverConfig:
     detector: DetectorConfig
     reorder_grace_us: int
     renack_after_us: int
-    cache_ttl_us: int
-    abandon_after_us: int            # stop chasing holes older than this
+    horizon_us: int                  # holes chased, payloads and blocks held this long
     straggler_delay_us: int          # cooperative responses held this long
 
 
@@ -187,7 +186,7 @@ class Receiver:
         self.timer_gen = 0
         self.unanswered = 0
         self.parked = False               # give-up or confirmed end of flow
-        # seq -> (payload, ts) in time order, at most cache_ttl_us old and
+        # seq -> (payload, ts) in time order, at most horizon_us old and
         # CACHE_PACKETS long
         self.cache: OrderedDict = OrderedDict()
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
@@ -355,7 +354,7 @@ class Receiver:
             times = self.holes.get(s)
             if times is not None:
                 first, last = times
-                if now - first >= self.config.abandon_after_us:
+                if now - first >= self.config.horizon_us:
                     # the recovery store has forgotten this one by now;
                     # keeping the hole alive only burns NACKs
                     stale = True
@@ -384,7 +383,7 @@ class Receiver:
     def _slide_abandoned(self, now: int) -> None:
         while True:
             times = self.holes.get(self.frontier)
-            if times is None or now - times[0] < self.config.abandon_after_us:
+            if times is None or now - times[0] < self.config.horizon_us:
                 break
             del self.holes[self.frontier]
             self.run_log.bump("abandoned_holes")
@@ -398,14 +397,14 @@ class Receiver:
         cache[seq] = (payload, now)
         # stored in time order, so the entries _cached would refuse are
         # a prefix; the new entry itself always stays (CACHE_PACKETS >= 1)
-        oldest = now - self.config.cache_ttl_us
+        oldest = now - self.config.horizon_us
         while (len(cache) > CACHE_PACKETS
                or next(iter(cache.values()))[1] < oldest):
             cache.popitem(last=False)
 
     def _cached(self, seq: int, now: int) -> bytes | None:
         item = self.cache.get(seq)
-        if item is None or now - item[1] > self.config.cache_ttl_us:
+        if item is None or now - item[1] > self.config.horizon_us:
             return None
         return item[0]
 
@@ -477,7 +476,7 @@ class Receiver:
         block = self.held.get(batch_id)
         if block is None:
             return
-        if now - block["since"] > self.config.cache_ttl_us:
+        if now - block["since"] > self.config.horizon_us:
             del self.held[batch_id]
             return
         present = {}

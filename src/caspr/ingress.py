@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import CodingParams, encode_batch
+from .codec import encode_batch
+from .scenario import Coding
 from .wire import DataPacket
 
 
@@ -72,9 +73,9 @@ class FlowGroup:
 class IngressCoder:
     """One DC1 node: groups flows and runs both encoders."""
 
-    def __init__(self, name: str, params: CodingParams, run_log, out_link: str):
+    def __init__(self, name: str, coding: Coding, run_log, out_link: str):
         self.name = name
-        self.params = params
+        self.coding = coding
         self.run_log = run_log
         self.out_link = out_link  # toward the egress DC
         self.env = None  # attached by the simulator
@@ -87,8 +88,8 @@ class IngressCoder:
     def register_flow(self, flow_id: int) -> FlowGroup:
         if flow_id in self._flow_group:
             raise DuplicateFlow(f"flow {flow_id} already registered")
-        if not self.groups or len(self.groups[-1].members) == self.params.k_max:
-            self.groups.append(FlowGroup(len(self.groups), self.params.k_max))
+        if not self.groups or len(self.groups[-1].members) == self.coding.k_max:
+            self.groups.append(FlowGroup(len(self.groups), self.coding.k_max))
         group = self.groups[-1]
         group.members.append(flow_id)
         self._flow_group[flow_id] = group
@@ -129,7 +130,7 @@ class IngressCoder:
         group = self._flow_group.get(pkt.flow_id)
         if group is None:
             raise UnknownFlow(f"packet for unregistered flow {pkt.flow_id}")
-        if self.params.in_block:
+        if self.coding.in_block:
             self._push_in(pkt.flow_id, pkt)
         self._push_cross(group, pkt.flow_id, pkt)
 
@@ -162,7 +163,7 @@ class IngressCoder:
         q.symbols.append(pkt)
         if len(q.symbols) == 1:
             self.env.schedule(IN_FLUSH_US, ("iq", flow_id, q.gen))
-        if len(q.symbols) >= self.params.in_block:
+        if len(q.symbols) >= self.coding.in_block:
             self._emit(q, cross=False)
 
     # -- emission --------------------------------------------------------
@@ -170,8 +171,7 @@ class IngressCoder:
     def _emit(self, q: _Queue, cross: bool) -> None:
         batch_id = self._next_batch
         self._next_batch += 1
-        num_parity = (self.params.num_parity_cross if cross
-                      else self.params.num_parity_in)
+        num_parity = self.coding.parity_cross if cross else self.coding.parity_in
         for p in encode_batch(batch_id, q.symbols, num_parity, cross, self.env.now):
             self.env.send(self.out_link, p)
         q.reset()

@@ -56,7 +56,6 @@ class Loss:
 
 @dataclass
 class FlowTruth:
-    flow_id: int
     packet_size: int
     sent: int = 0  # the flow's seqs are 0..sent-1, in send order
     losses: dict[int, Loss] = field(default_factory=dict)  # seq -> Loss, in send order
@@ -70,7 +69,7 @@ class RunLog:
     def register_flow(self, flow_id: int, packet_size: int) -> None:
         if flow_id in self.flows:
             raise ValueError(f"flow {flow_id} registered twice")
-        self.flows[flow_id] = FlowTruth(flow_id, packet_size)
+        self.flows[flow_id] = FlowTruth(packet_size)
 
     def record_send(self, flow_id: int, seq: int, ts_us: int) -> None:
         self.flows[flow_id].sent = seq + 1

@@ -83,13 +83,13 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             add_link(f"dc2>r{i}:ctrl", "dc2", f"r{i}", topo.recovery, None)
             add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2", topo.recovery, None)
 
-        ingress = IngressCoder("dc1", cfg.coding.params, run_log, "dc1>dc2")
+        ingress = IngressCoder("dc1", cfg.coding, run_log, "dc1>dc2")
         sim.add_node("dc1", ingress)
 
         egress = EgressRecovery("dc2", EgressConfig(
             deadline_us=cfg.deadline_us,
             boundary_wait_us=CROSS_FLUSH_US + topo.inter_dc.delay_us,
-            store_ttl_us=cfg.store_ttl_us,
+            horizon_us=cfg.horizon_us,
             claim_owd_us=topo.direct.max_delay_us), run_log)
         sim.add_node("dc2", egress)
 
@@ -103,8 +103,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         senders = []
         for i in range(n):
             ingress.register_flow(i)
-            egress.register_receiver(f"r{i}", i, data_link=f"dc2>r{i}",
-                                     ctrl_link=f"dc2>r{i}:ctrl")
+            egress.register_receiver(i, f"dc2>r{i}", f"dc2>r{i}:ctrl")
             sender = Sender(f"s{i}", SenderConfig(
                 flow_id=i,
                 packet_size=flows.packet_size,
@@ -127,8 +126,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
                 detector=detector,
                 reorder_grace_us=2 * topo.direct.jitter_us,
                 renack_after_us=cfg.deadline_us,
-                cache_ttl_us=cfg.cache_ttl_us,
-                abandon_after_us=cfg.store_ttl_us,
+                horizon_us=cfg.horizon_us,
                 straggler_delay_us=(strag.delay_us
                                     if strag and strag.receiver == i else 0)),
                 run_log)

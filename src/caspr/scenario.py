@@ -11,9 +11,11 @@ time.
 
 Only what a workload varies is a field.  The cloud path's timings are
 fixed by the design and live as constants next to their one use: the
-repair deadline and the recovery horizon here, in direct-path RTTs;
-the encoder flushes in ``ingress``, the detector and cache in
-``endpoint``, the proactive threshold in ``egress``.
+repair deadline and the one recovery horizon here, in direct-path
+RTTs; the encoder flushes in ``ingress``, the detector and cache in
+``endpoint``, the proactive threshold in ``egress``.  The ingress reads
+the ``coding`` section as is, once validation has held it to
+``codec.check_envelope``.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -30,7 +32,7 @@ from importlib import resources
 import yaml
 
 from . import netsim
-from .codec import CodingParams, InvalidParams
+from .codec import InvalidParams, check_envelope
 
 
 class ScenarioError(Exception):
@@ -260,14 +262,7 @@ class Coding:
     k_max: int = integer(ge=2, le=251)
     parity_cross: int = integer(ge=1, le=4)
     parity_in: int = integer(1, ge=0, le=4)
-    in_block: int = integer(5, ge=0, le=64)
-
-    @property
-    def params(self) -> CodingParams:
-        """The codec's parameters; raises ``InvalidParams`` outside its envelope."""
-        return CodingParams(k_max=self.k_max, num_parity_cross=self.parity_cross,
-                            num_parity_in=self.parity_in if self.in_block else 0,
-                            in_block=self.in_block)
+    in_block: int = integer(5, ge=0, le=64)  # 0 turns in-stream coding off
 
 
 @_frozen
@@ -322,13 +317,9 @@ class Scenario:
         return DEADLINE_RTTS * self.rtt_us
 
     @property
-    def store_ttl_us(self) -> int:
-        """How long DC2 keeps parity, and receivers chase a hole."""
-        return HORIZON_RTTS * self.rtt_us
-
-    @property
-    def cache_ttl_us(self) -> int:
-        """How long a receiver serves a payload from its cache."""
+    def horizon_us(self) -> int:
+        """The recovery horizon: how long DC2 keeps parity, and receivers
+        chase a hole, serve a cached payload or hold forwarded parity."""
         return HORIZON_RTTS * self.rtt_us
 
 
@@ -342,8 +333,13 @@ def _cross_checks(cfg: Scenario) -> list[str]:
                             f"(only {flows} flows)")
         if outage.end_s <= outage.start_s:
             problems.append(f"outages[{i}] is empty or reversed")
+    coding = cfg.coding
     try:
-        cfg.coding.params
+        if coding.in_block and coding.parity_in < 1:
+            raise InvalidParams("parity_in must be at least 1 when in_block > 0")
+        check_envelope(coding.k_max, coding.parity_cross)
+        if coding.in_block:
+            check_envelope(coding.in_block, coding.parity_in)
     except InvalidParams as e:
         problems.append(f"coding: {e}")
     if cfg.straggler and cfg.straggler.receiver >= flows:

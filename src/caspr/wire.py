@@ -117,15 +117,8 @@ class CodedPacket:
     num_parity: int
     members: tuple[BatchMember, ...]
     payload: bytes
-    send_ts_us: int = 0
-    # absolute send time of each member, aligned with ``members``; left
-    # empty it defaults to "no earlier than this packet"
-    member_ts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.member_ts:
-            object.__setattr__(self, "member_ts",
-                               (self.send_ts_us,) * len(self.members))
+    send_ts_us: int
+    member_ts: tuple[int, ...]  # each member's absolute send time, aligned with members
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,15 +5,16 @@ from __future__ import annotations
 import itertools
 
 import pytest
+import yaml
 
 import oracle_gf
-from caspr import gf256
+from caspr import gf256, scenario
 from caspr.codec import (
-    CodingParams,
     EmptyBatch,
     InsufficientSymbols,
     InvalidParams,
     MetadataMismatch,
+    check_envelope,
     decode_batch,
     encode_batch,
 )
@@ -200,12 +201,28 @@ def test_envelope_validation():
     encode_batch(0, batch([b"x"] * 50), 3, True, 0)
 
 
-def test_coding_params_validation():
-    CodingParams(k_max=20, num_parity_cross=2, num_parity_in=1, in_block=5)
-    CodingParams(k_max=4, num_parity_cross=1, num_parity_in=1, in_block=0)
-    with pytest.raises(InvalidParams):
-        CodingParams(k_max=1)
-    with pytest.raises(InvalidParams):
-        CodingParams(num_parity_cross=0)
-    with pytest.raises(InvalidParams):
-        CodingParams(k_max=30, num_parity_cross=4)
+def test_scenario_accepts_exactly_the_codec_envelope():
+    # every coding shape inside the scenario's field bounds; shapes
+    # outside them (k_max 1, parity_cross 0, ...) are test_scenario's
+    # REJECTED rows
+    with open(scenario.bundled_path("wide_area_cbr")) as f:
+        base = yaml.safe_load(f)
+
+    def validates(**coding):
+        try:
+            scenario.validate(dict(base, coding={**base["coding"], **coding}))
+        except scenario.ScenarioError:
+            return False
+        return True
+
+    def in_envelope(k, p):
+        try:
+            check_envelope(k, p)
+        except InvalidParams:
+            return False
+        return True
+
+    for k, p in itertools.product(range(2, 252), range(1, 5)):
+        assert validates(k_max=k, parity_cross=p, in_block=0) == in_envelope(k, p), (k, p)
+    for k, p in itertools.product(range(1, 65), range(0, 5)):
+        assert validates(in_block=k, parity_in=p) == in_envelope(k, p), (k, p)

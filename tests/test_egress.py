@@ -24,7 +24,7 @@ from caspr.wire import (
 
 RTT = 150_000
 CFG = EgressConfig(deadline_us=RTT, boundary_wait_us=75_000,
-                   store_ttl_us=4 * RTT, claim_owd_us=0)
+                   horizon_us=4 * RTT, claim_owd_us=0)
 
 
 def make_engine(n_receivers=4, config=CFG):
@@ -33,8 +33,7 @@ def make_engine(n_receivers=4, config=CFG):
     env = StubEnv()
     env.attach(eng)
     for i in range(n_receivers):
-        eng.register_receiver(f"r{i}", i, data_link=f"dc2>r{i}",
-                              ctrl_link=f"dc2>r{i}:ctrl")
+        eng.register_receiver(i, data_link=f"dc2>r{i}", ctrl_link=f"dc2>r{i}:ctrl")
     return eng, env, log
 
 
@@ -50,6 +49,20 @@ def in_parities(batch_id, flow, seqs, num_parity=1, size=32):
 
 def nack(flow, *seqs):
     return Nack(flow_id=flow, entries=tuple((flow, s) for s in seqs))
+
+
+def test_coop_requests_leave_in_link_name_order_one_entry_each():
+    eng, env, log = make_engine(n_receivers=12)
+    for p in cross_parities(7, range(12), seq=3):
+        eng.on_message(p, "dc1>dc2")
+    eng.on_message(nack(5, 3), "r5>dc2")
+    reqs = [(l, m) for l, m, _ in env.sent if isinstance(m, CoopRequest)]
+    links = [f"dc2>r{i}" for i in range(12) if i != 5]
+    # string order: dc2>r10 and dc2>r11 come before dc2>r2
+    assert [l for l, _ in reqs] == sorted(links)
+    assert [l for l, _ in reqs][:4] == ["dc2>r0", "dc2>r1", "dc2>r10", "dc2>r11"]
+    assert [m.entries for l, m in reqs] == [((int(l[5:]), 3),) for l in sorted(links)]
+    assert log.counters["coop_reqs"] == 11
 
 
 def test_nack_opens_task_and_fans_out_requests():
@@ -256,7 +269,7 @@ def test_store_ttl_evicts_batches():
     for p in cross_parities(7, [0, 1, 2, 3]):
         eng.on_message(p, "dc1>dc2")
     assert 7 in eng.store
-    env.run_until(CFG.store_ttl_us + 1)
+    env.run_until(CFG.horizon_us + 1)
     assert 7 not in eng.store
     assert eng.by_entry == {}
     # a NACK afterwards walks the orphan path
@@ -281,9 +294,7 @@ def test_unknown_flow_nack_ignored():
 def test_duplicate_receiver_registration_rejected():
     eng, env, log = make_engine(n_receivers=1)
     with pytest.raises(ValueError):
-        eng.register_receiver("r0", 5, "a", "b")
-    with pytest.raises(ValueError):
-        eng.register_receiver("r9", 0, "a", "b")
+        eng.register_receiver(0, "a", "b")
 
 
 def test_in_stream_parity_arriving_after_nack_is_forwarded():

@@ -125,7 +125,7 @@ def make_receiver(det=DET, **kw):
                     dc2_data_link="r0>dc2", dc2_ctrl_link="r0>dc2:ctrl",
                     detector=det, reorder_grace_us=0,
                     renack_after_us=150_000,
-                    cache_ttl_us=600_000, abandon_after_us=600_000,
+                    horizon_us=600_000,
                     straggler_delay_us=0)
     defaults.update(kw)
     log = TappedLog()
@@ -220,8 +220,7 @@ def test_fixed_detector_keeps_firing_fast():
 
 
 def test_giveup_parks_until_next_arrival():
-    recv, env, log = make_receiver(renack_after_us=0,
-                                   abandon_after_us=10_000_000)
+    recv, env, log = make_receiver(renack_after_us=0, horizon_us=10_000_000)
     deliver_direct(recv, env, 0, 0, 0)
     env.run_until(3_000_000)
     timer_count = log.counters["timer_nacks"]
@@ -235,7 +234,7 @@ def test_giveup_parks_until_next_arrival():
 
 
 def test_stale_hole_abandoned_and_frontier_slides():
-    recv, env, log = make_receiver(abandon_after_us=100_000)
+    recv, env, log = make_receiver(horizon_us=100_000)
     deliver_direct(recv, env, 0, 0, 0)
     deliver_direct(recv, env, 0, 2, 10_000)   # NACK for 1
     deliver_direct(recv, env, 0, 3, 20_000)
@@ -364,16 +363,16 @@ def test_cache_eviction_turns_answers_negative(monkeypatch):
 
 
 def test_cache_serves_up_to_its_ttl_and_evicts_past_it():
-    recv, env, log = make_receiver(cache_ttl_us=100_000)
+    recv, env, log = make_receiver(horizon_us=100_000)
     deliver_direct(recv, env, 0, 0, 0)
     deliver_direct(recv, env, 0, 1, 1_000)
-    # seq 0 is exactly cache_ttl_us old: still served
+    # seq 0 is exactly horizon_us old: still served
     env.now = 100_000
     recv.on_message(CoopRequest(entries=((0, 0),)), "dc2>r0")
     resps = [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
     assert resps[0].payload == payload_bytes(0, 0, 64)
-    # the next store comes when seq 0 is cache_ttl_us + 1 old and seq 1
-    # exactly cache_ttl_us old: seq 0 goes, seq 1 stays
+    # the next store comes when seq 0 is horizon_us + 1 old and seq 1
+    # exactly horizon_us old: seq 0 goes, seq 1 stays
     deliver_direct(recv, env, 0, 2, 101_000)
     assert list(recv.cache) == [1, 2]
 
@@ -474,7 +473,7 @@ def test_nack_bookkeeping_pruned_below_frontier():
 
 
 def test_standing_hole_is_one_entry_and_renacked_by_window():
-    recv, env, log = make_receiver(abandon_after_us=10**9)
+    recv, env, log = make_receiver(horizon_us=10**9)
     deliver_direct(recv, env, 0, 0, 0)
     peak = 0
     for seq in range(2, 4_002):  # seq 1 never comes

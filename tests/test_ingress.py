@@ -2,7 +2,6 @@
 
 import pytest
 
-from caspr.codec import CodingParams
 from caspr.ingress import (
     CROSS_FLUSH_US,
     IN_FLUSH_US,
@@ -11,6 +10,7 @@ from caspr.ingress import (
     UnknownFlow,
 )
 from caspr.metrics import RunLog
+from caspr.scenario import Coding
 from caspr.wire import CodedPacket, DataPacket
 
 
@@ -27,10 +27,10 @@ class StubEnv:
         self.timers.append((self.now + delay_us, token))
 
 
-def make_coder(params=None):
-    params = params or CodingParams(k_max=4, num_parity_cross=2,
-                                    num_parity_in=1, in_block=5)
-    coder = IngressCoder("dc1", params, RunLog(), "dc1>dc2")
+def make_coder(k_max=4, parity_cross=2, **coding):
+    # Coding's own defaults: parity_in=1, in_block=5
+    coding = Coding(k_max=k_max, parity_cross=parity_cross, **coding)
+    coder = IngressCoder("dc1", coding, RunLog(), "dc1>dc2")
     coder.env = StubEnv()
     return coder
 
@@ -73,8 +73,7 @@ def test_parity_carries_member_send_times_and_emit_time():
 
 
 def test_group_assignment_greedy_fill():
-    coder = make_coder(CodingParams(k_max=10, num_parity_cross=2,
-                                    num_parity_in=0, in_block=0))
+    coder = make_coder(k_max=10, parity_cross=2, in_block=0)
     for f in range(12):
         coder.register_flow(f)
     sizes = sorted(len(g.members) for g in coder.groups)
@@ -130,8 +129,7 @@ def test_queue_spread_no_flow_twice():
 
 
 def test_single_flow_evicts_never_emits_cross():
-    coder = make_coder(CodingParams(k_max=4, num_parity_cross=2,
-                                    num_parity_in=0, in_block=0))
+    coder = make_coder(in_block=0)
     coder.register_flow(0)
     for seq in range(20):
         coder.process_packet(pkt(0, seq))
@@ -207,8 +205,7 @@ def test_in_stream_timer_flushes_short_block():
 
 
 def test_in_stream_disabled():
-    coder = make_coder(CodingParams(k_max=4, num_parity_cross=2,
-                                    num_parity_in=0, in_block=0))
+    coder = make_coder(in_block=0)
     for f in range(4):
         coder.register_flow(f)
     for f in range(4):
@@ -234,8 +231,7 @@ def test_batch_ids_monotone_and_distinct():
 
 def test_coding_latency_bounded_by_flush_timeout():
     # every packet leaves its queue no later than CROSS_FLUSH_US after entry
-    coder = make_coder(CodingParams(k_max=6, num_parity_cross=1,
-                                    num_parity_in=0, in_block=0))
+    coder = make_coder(k_max=6, parity_cross=1, in_block=0)
     for f in range(3):
         coder.register_flow(f)
     env = coder.env

@@ -79,11 +79,11 @@ def check_holes(recv):
 
 
 def check_cache(recv):
-    """The payload cache is in time order, spans at most the TTL and
-    holds at most CACHE_PACKETS entries."""
+    """The payload cache is in time order, spans at most the recovery
+    horizon and holds at most CACHE_PACKETS entries."""
     stamps = [ts for _, ts in recv.cache.values()]
     assert stamps == sorted(stamps), recv.name
-    assert not stamps or stamps[-1] - stamps[0] <= recv.config.cache_ttl_us, recv.name
+    assert not stamps or stamps[-1] - stamps[0] <= recv.config.horizon_us, recv.name
     assert len(stamps) <= endpoint.CACHE_PACKETS, recv.name
 
 

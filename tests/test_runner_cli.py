@@ -156,16 +156,16 @@ def test_run_state_is_bounded_by_the_recovery_horizon(monkeypatch):
         cfg = scenario.load(scenario.bundled_path("skype_analog"),
                             [f"duration_s={duration_s}", "cooldown_s=0.1"])
         flows = cfg.flows
-        # one flow's packets per cache TTL; batches per store TTL
-        cached = cfg.cache_ttl_us // flows.interval_us
-        stored = cfg.store_ttl_us // flows.interval_us * flows.count // cfg.coding.k_max
+        # one flow's packets, and the batches of all flows, per horizon
+        cached = cfg.horizon_us // flows.interval_us
+        stored = cached * flows.count // cfg.coding.k_max
         bound = {"cache": cached + slack, "holes": slack, "held": slack,
                  "store": stored + slack,
                  "by_entry": (stored + slack) * cfg.coding.k_max,
                  "orphans": slack}
         m, seen = run_watched(monkeypatch, cfg, live_state)
         state = seen["at_check"]
-        # live, not drained: a cache TTL of packets, most of a store TTL
+        # live, not drained: a horizon of packets, most of a horizon of batches
         assert state["cache"] >= cached and state["store"] >= stored // 2
         for name, n in state.items():
             assert n <= bound[name], (duration_s, name, n, bound[name])

@@ -46,7 +46,7 @@ def test_minimal_scenario_gets_defaults():
     assert cfg.topology.direct.jitter_ms == 0.0
     # the cloud path's fixed timings, in direct-path RTTs
     assert cfg.deadline_us == cfg.rtt_us == 100_000
-    assert cfg.store_ttl_us == cfg.cache_ttl_us == 4 * cfg.rtt_us
+    assert cfg.horizon_us == 4 * cfg.rtt_us
 
 
 def test_unknown_key_is_named_in_the_error():

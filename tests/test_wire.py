@@ -43,8 +43,9 @@ GOLDEN_MESSAGES = {
     "golden_nack_one_entry.hex": Nack(5, ((5, 42),), 1000),
     "golden_ack.hex": Ack(5, 41, 2000),
     "golden_cross_coded.hex": CodedPacket(
-        True, 9, 0, 2, ((1, 100, 3), (2, 200, 2)), b"\xaa\xbb\xcc", 0x0102030405060708),
-    "golden_in_coded.hex": CodedPacket(False, 4, 0, 1, ((6, 10, 1),), b"\xff", 0),
+        True, 9, 0, 2, ((1, 100, 3), (2, 200, 2)), b"\xaa\xbb\xcc", 0x0102030405060708,
+        (0x0102030405060708,) * 2),
+    "golden_in_coded.hex": CodedPacket(False, 4, 0, 1, ((6, 10, 1),), b"\xff", 0, (0,)),
     "golden_coop_req.hex": CoopRequest(((1, 7), (1, 8)), 100),
     "golden_coop_resp.hex": CoopResponse((1, 7), b"OK", 200),
     "golden_coop_resp_negative.hex": CoopResponse((3, 77), None, 500),
@@ -71,16 +72,16 @@ def test_header_is_32_bytes_for_every_type():
 
 def test_coded_extension_arithmetic():
     members = tuple((f, 10 + f, 100) for f in range(6))
-    msg = CodedPacket(True, 1, 0, 2, members, bytes(100))
+    msg = CodedPacket(True, 1, 0, 2, members, bytes(100), 0, (0,) * 6)
     raw = serialize(msg)
     ext_len = int.from_bytes(raw[30:32], "big")
     assert ext_len == 13 + 6 * 18 + 6 * 4 == 145
     assert wire_size(msg) == len(raw) == 32 + 145 + 100
 
 
-def test_member_ts_default_is_packet_send_time():
-    msg = CodedPacket(True, 1, 0, 1, ((3, 9, 40),), b"x", 5000)
-    assert msg.member_ts == (5000,)
+def test_member_ts_is_required():
+    with pytest.raises(TypeError):
+        CodedPacket(True, 1, 0, 1, ((3, 9, 40),), b"x", 5000)
 
 
 def test_member_ts_round_trip():
@@ -107,7 +108,7 @@ def test_member_ts_after_packet_send_rejected():
 
 def test_member_ts_offset_past_time_zero_rejected():
     raw = bytearray(serialize(CodedPacket(False, 4, 0, 1, ((6, 10, 1),),
-                                          b"\xff", 0)))
+                                          b"\xff", 0, (0,))))
     # the lone ts offset sits in the last 4 ext bytes, before the payload
     raw[-5:-1] = (7).to_bytes(4, "big")
     with pytest.raises(FieldOverflow):
@@ -124,10 +125,16 @@ member_st = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
                       st.integers(0, 2**16 - 1))
 ts_st = st.integers(0, 2**64 - 1)
 
+
+def coded_sent_with_members(cross, batch_id, index, num_parity, members, payload, ts):
+    """A CodedPacket whose members all left their senders at ``ts``."""
+    return CodedPacket(cross, batch_id, index, num_parity, members, payload, ts,
+                       (ts,) * len(members))
+
 message_st = st.one_of(
     st.builds(DataPacket, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
               ts_st, st.binary(max_size=300), st.integers(0, 3)),
-    st.builds(CodedPacket, st.booleans(), st.integers(0, 2**64 - 1),
+    st.builds(coded_sent_with_members, st.booleans(), st.integers(0, 2**64 - 1),
               st.integers(0, 255), st.integers(0, 255),
               st.lists(member_st, min_size=1, max_size=30).map(tuple),
               st.binary(max_size=300), ts_st),
@@ -230,7 +237,7 @@ def test_field_overflow_on_serialize():
     with pytest.raises(FieldOverflow):
         serialize(Nack(1, tuple((1, i) for i in range(256)), 0))
     with pytest.raises(FieldOverflow):
-        serialize(CodedPacket(True, 0, 256, 2, ((1, 1, 1),), b""))
+        serialize(CodedPacket(True, 0, 256, 2, ((1, 1, 1),), b"", 0, (0,)))
     with pytest.raises(FieldOverflow):
         serialize(DataPacket(0, 0, -1))
 
