@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .codec import decode_batch
+from .scenario import Scenario
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -61,14 +62,6 @@ IDLE, PENDING, DECODED, FAILED = "idle", "pending", "decoded", "failed"
 
 # consecutive un-ACKed NACKs that flip a receiver to proactive mode
 PROACTIVE_AFTER = 3
-
-
-@dataclass
-class EgressConfig:
-    deadline_us: int          # cooperative-task budget, one direct RTT
-    boundary_wait_us: int     # flush horizon before querying the receiver
-    horizon_us: int           # how long a batch stays in the store
-    claim_owd_us: int         # direct one-way delay plus jitter bound
 
 
 @dataclass(eq=False)
@@ -108,11 +101,15 @@ class _ReceiverPort:
 
 
 class EgressRecovery:
-    """One DC2 node."""
+    """The one DC2 node, ``dc2``."""
 
-    def __init__(self, name: str, config: EgressConfig, run_log):
-        self.name = name
-        self.config = config
+    def __init__(self, cfg: Scenario, run_log):
+        self.name = "dc2"
+        self.deadline_us = cfg.deadline_us  # cooperative-task budget
+        self.boundary_wait_us = cfg.boundary_wait_us  # before querying the receiver
+        self.horizon_us = cfg.horizon_us  # how long a batch stays in the store
+        # a claim waits out the direct path's one-way delay and jitter bound
+        self.claim_owd_us = cfg.topology.direct.max_delay_us
         self.run_log = run_log
         self.env = None
         self.store: dict[int, StoredBatch] = {}
@@ -178,7 +175,7 @@ class EgressRecovery:
             self.store[msg.batch_id] = batch
             for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)
-            self.env.schedule(self.config.horizon_us, ("ttl", msg.batch_id))
+            self.env.schedule(self.horizon_us, ("ttl", msg.batch_id))
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
@@ -264,7 +261,7 @@ class EgressRecovery:
             return True
         if batch.sent_ts > nack_ts:
             return False
-        return batch.member_sent[entry] + self.config.claim_owd_us <= nack_ts
+        return batch.member_sent[entry] + self.claim_owd_us <= nack_ts
 
     def _recover_entry(self, entry: Entry, now: int, nack_ts: int | None) -> None:
         batch_ids = sorted(b for b in self.by_entry.get(entry, ())
@@ -301,9 +298,9 @@ class EgressRecovery:
         else:
             orphan = _Orphan(now, claim_ts)
             self.orphans[entry] = orphan
-            self.env.schedule(self.config.boundary_wait_us,
+            self.env.schedule(self.boundary_wait_us,
                               ("boundary", entry[0], entry[1], now))
-            self.env.schedule(self.config.deadline_us,
+            self.env.schedule(self.deadline_us,
                               ("orphan", entry[0], entry[1], now))
 
     def _forward_in_parity(self, batch: StoredBatch) -> None:
@@ -330,7 +327,7 @@ class EgressRecovery:
             # a batch leaves IDLE once, so its one task timer needs no generation
             batch.state = PENDING
             self.run_log.bump("tasks_opened")
-            self.env.schedule(self.config.deadline_us, ("task", batch.batch_id))
+            self.env.schedule(self.deadline_us, ("task", batch.batch_id))
         self._send_coop_requests(batch, now)
         self._try_decode(batch, now)
 

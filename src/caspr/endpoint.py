@@ -35,10 +35,10 @@ enough of the block is present to decode the rest.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from itertools import islice, takewhile
 
 from .codec import decode_batch
+from .scenario import Scenario
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -77,74 +77,59 @@ def payload_bytes(flow_id: int, seq: int, size: int) -> bytes:
 FULL, SELECTIVE = "full", "selective"
 
 
-@dataclass
-class SenderConfig:
-    flow_id: int
-    packet_size: int
-    interval_us: int
-    direct_link: str
-    dup_link: str
-    on_us: int                    # burst duration
-    off_mean_us: int              # 0: back-to-back bursts (continuous)
-    duplication: str              # FULL or SELECTIVE
-    selective_first_n: int
-    start_us: int
-    stop_us: int                  # no packets at or after this time
-
-
 class Sender:
-    def __init__(self, name: str, config: SenderConfig, run_log):
-        self.name = name
-        self.config = config
+    """Flow ``flow_id``'s source, node ``s{i}``."""
+
+    def __init__(self, flow_id: int, cfg: Scenario, run_log):
+        self.name = f"s{flow_id}"
+        self.flow_id = flow_id
+        self.flows = cfg.flows
+        self.direct_link = f"s{flow_id}>r{flow_id}"
+        self.dup_link = f"s{flow_id}>dc1"
+        self.start_us = flow_id * cfg.flows.stagger_us
+        self.stop_us = cfg.stop_us  # no packets at or after this time
         self.run_log = run_log
         self.env = None
         self.seq = 0
         self.burst_index = 0  # position within the current burst
         self._burst_end = 0
-        run_log.register_flow(config.flow_id, config.packet_size)
+        run_log.register_flow(flow_id, cfg.flows.packet_size)
 
     def on_timer(self, token) -> None:
         if token[0] == "burst":
             self.burst_index = 0
-            self._burst_end = self.env.now + self.config.on_us
+            self._burst_end = self.env.now + self.flows.on_us
             self._tick()
         elif token[0] == "pkt":
             self._tick()
 
     def _tick(self) -> None:
-        cfg = self.config
+        flows = self.flows
         now = self.env.now
-        if now >= cfg.stop_us:
+        if now >= self.stop_us:
             return
-        duplicate = (cfg.duplication == FULL
-                     or self.burst_index < cfg.selective_first_n)
+        duplicate = (flows.duplication == FULL
+                     or self.burst_index < flows.selective_first_n)
         # only selective duplication marks the packets it copies
-        flags = FLAG_SELECTIVE_DUP if duplicate and cfg.duplication == SELECTIVE else 0
-        pkt = DataPacket(flow_id=cfg.flow_id, seq=self.seq, send_ts_us=now,
-                         payload=payload_bytes(cfg.flow_id, self.seq,
-                                               cfg.packet_size),
+        flags = FLAG_SELECTIVE_DUP if duplicate and flows.duplication == SELECTIVE else 0
+        pkt = DataPacket(flow_id=self.flow_id, seq=self.seq, send_ts_us=now,
+                         payload=payload_bytes(self.flow_id, self.seq,
+                                               flows.packet_size),
                          flags=flags)
-        self.run_log.record_send(cfg.flow_id, self.seq, now)
-        self.env.send(cfg.direct_link, pkt)
+        self.run_log.record_send(self.flow_id, self.seq, now)
+        self.env.send(self.direct_link, pkt)
         if duplicate:
-            self.env.send(cfg.dup_link, pkt)
+            self.env.send(self.dup_link, pkt)
         self.seq += 1
         self.burst_index += 1
-        nxt = now + cfg.interval_us
+        nxt = now + flows.interval_us
         if nxt < self._burst_end:
-            self.env.schedule(cfg.interval_us, ("pkt",))
+            self.env.schedule(flows.interval_us, ("pkt",))
         else:
             off = 0
-            if cfg.off_mean_us > 0:
-                off = int(self.env.rng.expovariate(1.0 / cfg.off_mean_us))
-            self.env.schedule(cfg.interval_us + off, ("burst",))
-
-
-@dataclass
-class DetectorConfig:
-    kind: str                     # "two_state" or "fixed_small"
-    long_timeout_us: int
-    nominal_gap_us: int
+            if flows.off_mean_us > 0:
+                off = int(self.env.rng.expovariate(1.0 / flows.off_mean_us))
+            self.env.schedule(flows.interval_us + off, ("burst",))
 
 
 BURST, IDLE_STATE = "burst", "idle"
@@ -154,23 +139,25 @@ BURST_FACTOR = 4.0  # an arrival gap below this many median gaps: in a burst
 GIVEUP_AFTER = 8  # unanswered timer NACKs in a row that park the detector
 
 
-@dataclass
-class ReceiverConfig:
-    flow_id: int
-    direct_link: str                 # incoming direct link name
-    dc2_data_link: str               # outgoing toward the recovery DC
-    dc2_ctrl_link: str
-    detector: DetectorConfig
-    reorder_grace_us: int
-    renack_after_us: int
-    horizon_us: int                  # holes chased, payloads and blocks held this long
-    straggler_delay_us: int          # cooperative responses held this long
-
-
 class Receiver:
-    def __init__(self, name: str, config: ReceiverConfig, run_log):
-        self.name = name
-        self.config = config
+    """Flow ``flow_id``'s receiving end, node ``r{i}``."""
+
+    def __init__(self, flow_id: int, cfg: Scenario, run_log):
+        self.name = f"r{flow_id}"
+        self.flow_id = flow_id
+        self.direct_link = f"s{flow_id}>r{flow_id}"
+        self.data_link = f"r{flow_id}>dc2"
+        self.ctrl_link = f"r{flow_id}>dc2:ctrl"
+        self.fixed_small = cfg.detector.kind == "fixed_small"
+        self.long_timeout_us = cfg.rtt_us  # the detector's idle timeout
+        self.nominal_gap_us = cfg.flows.interval_us  # gap estimate before any gap
+        self.reorder_grace_us = cfg.reorder_grace_us
+        self.renack_after_us = cfg.deadline_us
+        self.horizon_us = cfg.horizon_us  # holes chased, payloads and blocks held this long
+        strag = cfg.straggler
+        # cooperative responses held this long
+        self.straggler_delay_us = (strag.delay_us
+                                   if strag and strag.receiver == flow_id else 0)
         self.run_log = run_log
         self.env = None
         # delivery state of the one flow this receiver terminates
@@ -198,7 +185,7 @@ class Receiver:
     def on_message(self, msg, link_name: str) -> None:
         now = self.env.now
         if isinstance(msg, DataPacket):
-            self._on_data(msg, recovered=link_name != self.config.direct_link,
+            self._on_data(msg, recovered=link_name != self.direct_link,
                           now=now)
         elif isinstance(msg, CodedPacket):
             self._on_parity(msg, now)
@@ -214,11 +201,11 @@ class Receiver:
         elif kind == "gap":
             self._nack_missing(token[1], "gap_nacks")
         elif kind == "resp":
-            self.env.send(self.config.dc2_data_link, token[1])
+            self.env.send(self.data_link, token[1])
         elif kind == "coopw":
             seq = token[1]
             for _ in range(self._coop_wait.pop(seq, 0)):
-                self._send_resp(CoopResponse(entry=(self.config.flow_id, seq),
+                self._send_resp(CoopResponse(entry=(self.flow_id, seq),
                                              payload=None,
                                              send_ts_us=self.env.now),
                                 positive=False)
@@ -270,8 +257,8 @@ class Receiver:
             # the gap NACKs, so those count as a fresh unanswered streak
             self._ack_alive(now)
         if missing:
-            if self.config.reorder_grace_us > 0:
-                self.env.schedule(self.config.reorder_grace_us,
+            if self.reorder_grace_us > 0:
+                self.env.schedule(self.reorder_grace_us,
                                   ("gap", missing))
             else:
                 self._nack_missing(missing, "gap_nacks")
@@ -286,20 +273,19 @@ class Receiver:
 
     def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
-        self.env.send(self.config.dc2_data_link,
-                      Ack(flow_id=self.config.flow_id,
+        self.env.send(self.data_link,
+                      Ack(flow_id=self.flow_id,
                           cum_seq=max(0, self.frontier - 1),
                           send_ts_us=now))
         self.nack_streak = 0
         self.run_log.bump("acks_sent")
 
     def _note_arrival(self, now: int) -> None:
-        det = self.config.detector
         self.parked = False
         self.unanswered = 0
         if self.last_arrival_us is not None:
             gap = now - self.last_arrival_us
-            if gap < det.long_timeout_us:
+            if gap < self.long_timeout_us:
                 self.gaps.append(gap)
             if gap < self._burst_threshold():
                 self.mode = BURST
@@ -312,7 +298,7 @@ class Receiver:
     def _gap_estimate(self) -> float:
         """Median of the recent gaps, as statistics.median computes it."""
         if not self.gaps:
-            return self.config.detector.nominal_gap_us
+            return self.nominal_gap_us
         gaps = sorted(self.gaps)
         mid = len(gaps) // 2
         return gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
@@ -321,10 +307,9 @@ class Receiver:
         return BURST_FACTOR * self._gap_estimate()
 
     def _timeout(self) -> int:
-        det = self.config.detector
-        if det.kind == "fixed_small" or self.mode == BURST:
+        if self.fixed_small or self.mode == BURST:
             return SMALL_TIMEOUT_US
-        return det.long_timeout_us
+        return self.long_timeout_us
 
     def _on_detector_timer(self, gen: int) -> None:
         if gen != self.timer_gen or self.parked:
@@ -344,7 +329,7 @@ class Receiver:
 
     def _nack_missing(self, seqs, counter: str,
                       respect_window: bool = True) -> None:
-        flow_id = self.config.flow_id
+        flow_id = self.flow_id
         now = self.env.now
         todo = []
         stale = False
@@ -354,12 +339,12 @@ class Receiver:
             times = self.holes.get(s)
             if times is not None:
                 first, last = times
-                if now - first >= self.config.horizon_us:
+                if now - first >= self.horizon_us:
                     # the recovery store has forgotten this one by now;
                     # keeping the hole alive only burns NACKs
                     stale = True
                     continue
-                if respect_window and now - last < self.config.renack_after_us:
+                if respect_window and now - last < self.renack_after_us:
                     continue
             todo.append(s)
         if stale:
@@ -372,7 +357,7 @@ class Receiver:
             self.holes[s] = (times[0] if times else now, now)
         for i in range(0, len(todo), 255):
             chunk = todo[i:i + 255]
-            self.env.send(self.config.dc2_data_link,
+            self.env.send(self.data_link,
                           Nack(flow_id=flow_id,
                                entries=tuple((flow_id, s) for s in chunk),
                                send_ts_us=now))
@@ -383,7 +368,7 @@ class Receiver:
     def _slide_abandoned(self, now: int) -> None:
         while True:
             times = self.holes.get(self.frontier)
-            if times is None or now - times[0] < self.config.horizon_us:
+            if times is None or now - times[0] < self.horizon_us:
                 break
             del self.holes[self.frontier]
             self.run_log.bump("abandoned_holes")
@@ -397,21 +382,20 @@ class Receiver:
         cache[seq] = (payload, now)
         # stored in time order, so the entries _cached would refuse are
         # a prefix; the new entry itself always stays (CACHE_PACKETS >= 1)
-        oldest = now - self.config.horizon_us
+        oldest = now - self.horizon_us
         while (len(cache) > CACHE_PACKETS
                or next(iter(cache.values()))[1] < oldest):
             cache.popitem(last=False)
 
     def _cached(self, seq: int, now: int) -> bytes | None:
         item = self.cache.get(seq)
-        if item is None or now - item[1] > self.config.horizon_us:
+        if item is None or now - item[1] > self.horizon_us:
             return None
         return item[0]
 
     # -- cooperative serving -----------------------------------------------------
 
     def _on_coop_request(self, msg: CoopRequest, now: int) -> None:
-        det = self.config.detector
         for flow_id, seq in msg.entries:
             payload = self._cached(seq, now)
             if payload is not None:
@@ -425,9 +409,9 @@ class Receiver:
                 # beat the direct one.  Answer when the packet lands, or
                 # after a cadence-scaled wait if it never does.
                 wait = ((seq - self.max_seen) * self._gap_estimate()
-                        + SMALL_TIMEOUT_US + self.config.reorder_grace_us)
+                        + SMALL_TIMEOUT_US + self.reorder_grace_us)
                 self._coop_wait[seq] = self._coop_wait.get(seq, 0) + 1
-                self.env.schedule(int(min(wait, det.long_timeout_us)),
+                self.env.schedule(int(min(wait, self.long_timeout_us)),
                                   ("coopw", seq))
                 continue
             self._send_resp(CoopResponse(entry=(flow_id, seq), payload=None,
@@ -436,10 +420,10 @@ class Receiver:
     def _send_resp(self, resp: CoopResponse, positive: bool) -> None:
         self.run_log.bump("coop_resps_pos" if positive
                           else "coop_resps_neg")
-        if self.config.straggler_delay_us > 0:
-            self.env.schedule(self.config.straggler_delay_us, ("resp", resp))
+        if self.straggler_delay_us > 0:
+            self.env.schedule(self.straggler_delay_us, ("resp", resp))
         else:
-            self.env.send(self.config.dc2_data_link, resp)
+            self.env.send(self.data_link, resp)
 
     def _on_confirm_query(self, msg: Ctrl, now: int) -> None:
         missing = not self._delivered(msg.seq)
@@ -448,7 +432,7 @@ class Receiver:
             # nothing newer ever arrived: the flow most likely just
             # stopped; stop poking the recovery path until it resumes
             self.parked = True
-        self.env.send(self.config.dc2_ctrl_link,
+        self.env.send(self.ctrl_link,
                       Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=msg.flow_id,
                            seq=msg.seq, arg=1 if really_lost else 0,
                            send_ts_us=now))
@@ -476,7 +460,7 @@ class Receiver:
         block = self.held.get(batch_id)
         if block is None:
             return
-        if now - block["since"] > self.config.horizon_us:
+        if now - block["since"] > self.horizon_us:
             del self.held[batch_id]
             return
         present = {}

@@ -24,13 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import encode_batch
-from .scenario import Coding
+from .scenario import CROSS_FLUSH_US, IN_FLUSH_US, Coding
 from .wire import DataPacket
-
-
-# how long a queue may wait to fill before it is coded anyway
-CROSS_FLUSH_US = 30_000
-IN_FLUSH_US = 50_000
 
 
 class IngressError(Exception):

@@ -8,6 +8,12 @@ Topology per scenario (one ingress, one egress DC):
     dc2 <--recovery--> r{i}          NACK/ACK/coop up, recovery down
     dc2 <--ctrl-----> r{i}           loss-free control (confirm handshake)
 
+Links are named ``src>dst``, with a ``:ctrl`` suffix on the control
+pair.  The runner builds the links.  Each node takes its flow id and
+the validated scenario: it names itself and the links it sends on from
+the flow id, by this drawing, and reads its timings from the scenario,
+which derives each one once.
+
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that
 not a single recovery byte left DC2 toward the receivers.
@@ -25,15 +31,9 @@ import itertools
 import os
 
 from . import metrics, netsim
-from .egress import EgressConfig, EgressRecovery
-from .endpoint import (
-    DetectorConfig,
-    Receiver,
-    ReceiverConfig,
-    Sender,
-    SenderConfig,
-)
-from .ingress import CROSS_FLUSH_US, IngressCoder
+from .egress import EgressRecovery
+from .endpoint import Receiver, Sender
+from .ingress import IngressCoder
 from .netsim import InvariantViolation
 from .scenario import Scenario
 
@@ -85,55 +85,16 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
 
         ingress = IngressCoder("dc1", cfg.coding, run_log, "dc1>dc2")
         sim.add_node("dc1", ingress)
-
-        egress = EgressRecovery("dc2", EgressConfig(
-            deadline_us=cfg.deadline_us,
-            boundary_wait_us=CROSS_FLUSH_US + topo.inter_dc.delay_us,
-            horizon_us=cfg.horizon_us,
-            claim_owd_us=topo.direct.max_delay_us), run_log)
-        sim.add_node("dc2", egress)
-
-        flows = cfg.flows
-        detector = DetectorConfig(
-            kind=cfg.detector.kind,
-            long_timeout_us=cfg.rtt_us,
-            nominal_gap_us=flows.interval_us)
-        strag = cfg.straggler
-
-        senders = []
+        egress = EgressRecovery(cfg, run_log)
+        sim.add_node(egress.name, egress)
         for i in range(n):
             ingress.register_flow(i)
             egress.register_receiver(i, f"dc2>r{i}", f"dc2>r{i}:ctrl")
-            sender = Sender(f"s{i}", SenderConfig(
-                flow_id=i,
-                packet_size=flows.packet_size,
-                interval_us=flows.interval_us,
-                direct_link=f"s{i}>r{i}",
-                dup_link=f"s{i}>dc1",
-                on_us=flows.on_us,
-                off_mean_us=flows.off_mean_us,
-                duplication=flows.duplication,
-                selective_first_n=flows.selective_first_n,
-                start_us=i * flows.stagger_us,
-                stop_us=cfg.stop_us), run_log)
-            sim.add_node(f"s{i}", sender)
-            senders.append(sender)
-            receiver = Receiver(f"r{i}", ReceiverConfig(
-                flow_id=i,
-                direct_link=f"s{i}>r{i}",
-                dc2_data_link=f"r{i}>dc2",
-                dc2_ctrl_link=f"r{i}>dc2:ctrl",
-                detector=detector,
-                reorder_grace_us=2 * topo.direct.jitter_us,
-                renack_after_us=cfg.deadline_us,
-                horizon_us=cfg.horizon_us,
-                straggler_delay_us=(strag.delay_us
-                                    if strag and strag.receiver == i else 0)),
-                run_log)
-            sim.add_node(f"r{i}", receiver)
-
-        for sender in senders:
-            sim.at(sender.config.start_us, sender.name, ("burst",))
+            sender = Sender(i, cfg, run_log)
+            sim.add_node(sender.name, sender)
+            sim.at(sender.start_us, sender.name, ("burst",))
+            receiver = Receiver(i, cfg, run_log)
+            sim.add_node(receiver.name, receiver)
 
         sim.run(until_us=cfg.duration_us)
         sim.check_conservation()

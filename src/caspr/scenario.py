@@ -10,12 +10,13 @@ name), type, bounds and default once; the name's suffix is its unit
 time.
 
 Only what a workload varies is a field.  The cloud path's timings are
-fixed by the design and live as constants next to their one use: the
-repair deadline and the one recovery horizon here, in direct-path
-RTTs; the encoder flushes in ``ingress``, the detector and cache in
-``endpoint``, the proactive threshold in ``egress``.  The ingress reads
-the ``coding`` section as is, once validation has held it to
-``codec.check_envelope``.
+fixed by the design: the repair deadline and the recovery horizon (in
+direct-path RTTs) and the encoder flushes are constants here, the
+detector and cache ones in ``endpoint``, the proactive threshold in
+``egress``.  Each timing a node needs is a ``Scenario`` property,
+derived here once, and the nodes read them from the validated
+scenario; the ingress reads the ``coding`` section as is, once
+validation has held it to ``codec.check_envelope``.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import re
 from dataclasses import MISSING, dataclass
 from importlib import resources
@@ -147,17 +149,14 @@ def _build(cls, raw, path, problems):
     return cls(**values) if len(problems) == before else None
 
 
-class _Micros:
-    """Integer microseconds of the duration field named ``source``."""
+class _Micros(functools.cached_property):
+    """Integer microseconds of the duration field named ``source``.  The
+    first read stores the value in the frozen instance, so later reads
+    are plain attribute lookups, cheap enough for a per-packet path."""
 
     def __init__(self, source: str):
-        self.source = source
-        self.scale = 1000 if source.endswith("_ms") else 1_000_000
-
-    def __get__(self, obj, owner=None) -> int:
-        if obj is None:
-            return self
-        return int(round(getattr(obj, self.source) * self.scale))
+        scale = 1000 if source.endswith("_ms") else 1_000_000
+        super().__init__(lambda obj: int(round(getattr(obj, source) * scale)))
 
 
 _frozen = dataclass(frozen=True, kw_only=True)
@@ -166,6 +165,9 @@ _frozen = dataclass(frozen=True, kw_only=True)
 # one RTT, and after the recovery horizon a loss is let go
 DEADLINE_RTTS = 1
 HORIZON_RTTS = 4
+# how long an ingress queue may wait to fill before it is coded anyway
+CROSS_FLUSH_US = 30_000
+IN_FLUSH_US = 50_000
 
 
 # -- the tree -----------------------------------------------------------------
@@ -321,6 +323,17 @@ class Scenario:
         """The recovery horizon: how long DC2 keeps parity, and receivers
         chase a hole, serve a cached payload or hold forwarded parity."""
         return HORIZON_RTTS * self.rtt_us
+
+    @property
+    def reorder_grace_us(self) -> int:
+        """A receiver's wait before NACKing a gap: jitter may reorder."""
+        return 2 * self.topology.direct.jitter_us
+
+    @property
+    def boundary_wait_us(self) -> int:
+        """DC2's wait on an uncovered NACK before it queries the
+        receiver: parity may still be queued at DC1 or in flight."""
+        return CROSS_FLUSH_US + self.topology.inter_dc.delay_us
 
 
 def _cross_checks(cfg: Scenario) -> list[str]:

@@ -1,10 +1,36 @@
 """Minimal single-node event loop for driving protocol units in tests,
-and a run log that keeps every send and delivery it is told of."""
+a run log that keeps every send and delivery it is told of, and the
+one-flow scenario the protocol units are built from."""
 
 import heapq
 import random
 
 from caspr.metrics import RunLog
+from caspr.scenario import apply_overrides, validate
+
+UNIT = {
+    "name": "unit",
+    # less the default 2 s cooldown, senders stop at 10**12 us
+    "duration_s": 1_000_002,
+    "seeds": [0],
+    "topology": {
+        "direct": {"delay_ms": 75},
+        "access": {"delay_ms": 5},
+        "inter_dc": {"delay_ms": 45},
+        "recovery": {"delay_ms": 5},
+    },
+    "flows": {"count": 1, "packet_size": 64, "interval_ms": 10, "on_s": 0.05},
+    "coding": {"k_max": 4, "parity_cross": 2},
+}
+
+
+def unit_scenario(*sets):
+    """The validated UNIT scenario, with ``path=value`` overrides as
+    ``caspr run --set`` takes them.  Its RTT, repair deadline and
+    detector idle timeout are 150 ms, its recovery horizon 600 ms and
+    DC2's boundary wait 75 ms; the direct path has no jitter, so a
+    receiver's reorder grace is 0."""
+    return validate(apply_overrides(UNIT, list(sets)))
 
 
 class StubEnv:

@@ -1,13 +1,11 @@
 """Recovery-engine behavior: task lifecycle, cheapest-path choice,
 boundary confirmation, proactive mode."""
 
-from dataclasses import replace
-
 import pytest
 
-from _stub import StubEnv
+from _stub import StubEnv, unit_scenario
 from caspr.codec import encode_batch
-from caspr.egress import EgressConfig, EgressRecovery
+from caspr.egress import EgressRecovery
 from caspr.endpoint import payload_bytes
 from caspr.metrics import RunLog
 from caspr.wire import (
@@ -23,13 +21,18 @@ from caspr.wire import (
 )
 
 RTT = 150_000
-CFG = EgressConfig(deadline_us=RTT, boundary_wait_us=75_000,
-                   horizon_us=4 * RTT, claim_owd_us=0)
 
 
-def make_engine(n_receivers=4, config=CFG):
+def make_engine(n_receivers=4, deadline_us=None):
+    """DC2 over unit_scenario(): a one-RTT (150 ms) deadline, a 75 ms
+    boundary wait and a 600 ms horizon.  Claims are admitted with no
+    wait for the direct path, which no valid scenario gives; a
+    deadline_us other than the RTT is not one either."""
     log = RunLog()
-    eng = EgressRecovery("dc2", config, log)
+    eng = EgressRecovery(unit_scenario(), log)
+    eng.claim_owd_us = 0
+    if deadline_us is not None:
+        eng.deadline_us = deadline_us
     env = StubEnv()
     env.attach(eng)
     for i in range(n_receivers):
@@ -185,7 +188,7 @@ def test_uncovered_nack_waits_then_queries_receiver():
     eng, env, log = make_engine()
     eng.on_message(nack(1, 5), "r1>dc2")
     assert not env.sent  # nothing to do yet, parity may be in flight
-    env.run_until(CFG.boundary_wait_us)
+    env.run_until(eng.boundary_wait_us)
     queries = [(l, m) for l, m, _ in env.sent
                if isinstance(m, Ctrl) and m.kind == CTRL_CONFIRM_QUERY]
     assert [(l, m.flow_id, m.seq) for l, m in queries] == [("dc2>r1:ctrl", 1, 5)]
@@ -208,7 +211,7 @@ def test_unanswered_orphan_fails_silent():
 def test_confirmed_real_loss_keeps_waiting_for_parity():
     eng, env, log = make_engine()
     eng.on_message(nack(1, 5), "r1>dc2")
-    env.run_until(CFG.boundary_wait_us)
+    env.run_until(eng.boundary_wait_us)
     eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1),
                    "r1>dc2:ctrl")
     assert eng.orphans[(1, 5)].confirmed is True
@@ -269,7 +272,7 @@ def test_store_ttl_evicts_batches():
     for p in cross_parities(7, [0, 1, 2, 3]):
         eng.on_message(p, "dc1>dc2")
     assert 7 in eng.store
-    env.run_until(CFG.horizon_us + 1)
+    env.run_until(eng.horizon_us + 1)
     assert 7 not in eng.store
     assert eng.by_entry == {}
     # a NACK afterwards walks the orphan path
@@ -342,8 +345,7 @@ def test_parity_after_decode_is_not_decoded_again():
 def test_unrecovered_entry_fails_silent_once(deadline_us):
     # whichever of the task deadline and the store TTL comes first ends
     # the task; the later one finds nothing left to count
-    config = replace(CFG, deadline_us=deadline_us)
-    eng, env, log = make_engine(config=config)
+    eng, env, log = make_engine(deadline_us=deadline_us)
     for p in cross_parities(7, [0, 1, 2, 3], num_parity=1):
         eng.on_message(p, "dc1>dc2")
     eng.on_message(nack(2, 0), "r2>dc2")

@@ -1,22 +1,18 @@
 """Sender pacing and duplication, receiver detection and serving."""
 
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _stub import StubEnv, TappedLog
+from _stub import StubEnv, TappedLog, unit_scenario
 from caspr import endpoint
 from caspr.codec import encode_batch
 from caspr.endpoint import (
-    DetectorConfig,
     MAX_HELD_BLOCKS,
     Receiver,
-    ReceiverConfig,
     Sender,
-    SenderConfig,
     payload_bytes,
 )
 from caspr.wire import (
@@ -44,17 +40,14 @@ def test_payload_bytes_shape():
 # -- sender -------------------------------------------------------------------
 
 
-def make_sender(**kw):
-    defaults = dict(flow_id=0, packet_size=64, interval_us=10_000,
-                    direct_link="s0>r0", dup_link="s0>dc1",
-                    on_us=50_000, off_mean_us=0, duplication="full",
-                    selective_first_n=1, start_us=0, stop_us=10**12)
-    defaults.update(kw)
+def make_sender(*sets):
+    """Flow 0's sender over unit_scenario(*sets): 64 B every 10 ms in
+    50 ms bursts, full duplication, stopping at 10**12 us."""
     log = TappedLog()
-    sender = Sender("s0", SenderConfig(**defaults), log)
+    sender = Sender(0, unit_scenario(*sets), log)
     env = StubEnv()
     env.attach(sender)
-    env.schedule(sender.config.start_us, ("burst",))
+    env.schedule(sender.start_us, ("burst",))
     return sender, env, log
 
 
@@ -72,7 +65,7 @@ def test_cbr_full_duplication():
 
 
 def test_seq_continues_across_bursts():
-    sender, env, log = make_sender(on_us=30_000, off_mean_us=100_000)
+    sender, env, log = make_sender("flows.on_s=0.03", "flows.off_mean_s=0.1")
     env.run_until(2_000_000)
     seqs = [p.seq for p in env.on("s0>r0")]
     assert seqs == list(range(len(seqs)))
@@ -83,9 +76,9 @@ def test_seq_continues_across_bursts():
 
 
 def test_selective_duplication_marks_and_limits():
-    sender, env, log = make_sender(duplication="selective",
-                                   selective_first_n=2,
-                                   on_us=50_000, off_mean_us=50_000)
+    sender, env, log = make_sender("flows.duplication=selective",
+                                   "flows.selective_first_n=2",
+                                   "flows.off_mean_s=0.05")
     env.run_until(300_000)
     direct = env.on("s0>r0")
     dup = env.on("s0>dc1")
@@ -108,29 +101,38 @@ def test_selective_duplication_marks_and_limits():
 
 
 def test_sender_stop_time():
-    sender, env, log = make_sender(on_us=10_000_000, stop_us=35_000)
+    sender, env, log = make_sender("flows.on_s=10")
+    sender.stop_us = 35_000  # inside the first burst, unlike any valid scenario
     env.run_until(1_000_000)
     assert [p.seq for p in env.on("s0>r0")] == [0, 1, 2, 3]
+
+
+def test_nodes_name_themselves_and_their_links_by_flow():
+    cfg = unit_scenario("flows.count=4", "flows.stagger_ms=2")
+    sender = Sender(3, cfg, TappedLog())
+    assert (sender.name, sender.direct_link, sender.dup_link) == ("s3", "s3>r3", "s3>dc1")
+    assert sender.start_us == 6_000  # three 2 ms staggers
+    recv = Receiver(3, cfg, TappedLog())
+    assert (recv.name, recv.direct_link, recv.data_link, recv.ctrl_link) == (
+        "r3", "s3>r3", "r3>dc2", "r3>dc2:ctrl")
 
 
 # -- receiver -----------------------------------------------------------------
 
 
-DET = DetectorConfig(kind="two_state", long_timeout_us=150_000,
-                     nominal_gap_us=10_000)
+def test_only_the_straggler_receiver_holds_its_responses():
+    cfg = unit_scenario("flows.count=3", "straggler={receiver: 1, delay_ms: 400}")
+    delays = [Receiver(i, cfg, TappedLog()).straggler_delay_us for i in range(3)]
+    assert delays == [0, 400_000, 0]
 
 
-def make_receiver(det=DET, **kw):
-    defaults = dict(flow_id=0, direct_link="s0>r0",
-                    dc2_data_link="r0>dc2", dc2_ctrl_link="r0>dc2:ctrl",
-                    detector=det, reorder_grace_us=0,
-                    renack_after_us=150_000,
-                    horizon_us=600_000,
-                    straggler_delay_us=0)
-    defaults.update(kw)
+def make_receiver(*sets):
+    """Flow 0's receiver over unit_scenario(*sets): two-state detector
+    with a 150 ms idle timeout and a 10 ms nominal gap, no reorder
+    grace, a 150 ms re-NACK window, a 600 ms horizon, no straggler."""
     log = TappedLog()
     log.register_flow(0, 64)
-    recv = Receiver("r0", ReceiverConfig(**defaults), log)
+    recv = Receiver(0, unit_scenario(*sets), log)
     env = StubEnv()
     env.attach(recv)
     return recv, env, log
@@ -170,7 +172,7 @@ def test_gap_nacks_missing_range():
 
 
 def test_reorder_grace_swallows_reordering():
-    recv, env, log = make_receiver(reorder_grace_us=5_000)
+    recv, env, log = make_receiver("topology.direct.jitter_ms=2.5")  # 5 ms grace
     deliver_direct(recv, env, 0, 0, 0)
     deliver_direct(recv, env, 0, 2, 10_000)  # 1 is late, not lost
     deliver_direct(recv, env, 0, 1, 12_000)
@@ -190,7 +192,7 @@ def test_gap_estimate_is_the_median_of_the_window(gaps):
     # value must stay the same, odd and even windows alike
     recv, _, _ = make_receiver()
     recv.gaps.extend(gaps)
-    want = statistics.median(gaps) if gaps else DET.nominal_gap_us
+    want = statistics.median(gaps) if gaps else 10_000  # the flow's interval
     got = recv._gap_estimate()
     assert got == want and type(got) is type(want)
 
@@ -212,15 +214,17 @@ def test_burst_timer_fires_small_then_goes_idle():
 
 
 def test_fixed_detector_keeps_firing_fast():
-    det = replace(DET, kind="fixed_small")
-    recv, env, log = make_receiver(det=det, renack_after_us=0)
+    recv, env, log = make_receiver("detector.kind=fixed_small")
+    recv.renack_after_us = 0
     deliver_direct(recv, env, 0, 0, 0)
     env.run_until(200_000)
     assert log.counters["timer_nacks"] == 8  # give-up cap, all 25ms apart
 
 
 def test_giveup_parks_until_next_arrival():
-    recv, env, log = make_receiver(renack_after_us=0, horizon_us=10_000_000)
+    recv, env, log = make_receiver()
+    recv.renack_after_us = 0
+    recv.horizon_us = 10_000_000
     deliver_direct(recv, env, 0, 0, 0)
     env.run_until(3_000_000)
     timer_count = log.counters["timer_nacks"]
@@ -234,7 +238,8 @@ def test_giveup_parks_until_next_arrival():
 
 
 def test_stale_hole_abandoned_and_frontier_slides():
-    recv, env, log = make_receiver(horizon_us=100_000)
+    recv, env, log = make_receiver()
+    recv.horizon_us = 100_000
     deliver_direct(recv, env, 0, 0, 0)
     deliver_direct(recv, env, 0, 2, 10_000)   # NACK for 1
     deliver_direct(recv, env, 0, 3, 20_000)
@@ -342,7 +347,7 @@ def test_coop_request_ahead_of_direct_path_waits_for_arrival():
 
 
 def test_straggler_delays_responses():
-    recv, env, log = make_receiver(straggler_delay_us=400_000)
+    recv, env, log = make_receiver("straggler={receiver: 0, delay_ms: 400}")
     deliver_direct(recv, env, 0, 0, 0)
     recv.on_message(CoopRequest(entries=((0, 0),)), "dc2>r0")
     assert not [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
@@ -363,7 +368,8 @@ def test_cache_eviction_turns_answers_negative(monkeypatch):
 
 
 def test_cache_serves_up_to_its_ttl_and_evicts_past_it():
-    recv, env, log = make_receiver(horizon_us=100_000)
+    recv, env, log = make_receiver()
+    recv.horizon_us = 100_000
     deliver_direct(recv, env, 0, 0, 0)
     deliver_direct(recv, env, 0, 1, 1_000)
     # seq 0 is exactly horizon_us old: still served
@@ -473,7 +479,8 @@ def test_nack_bookkeeping_pruned_below_frontier():
 
 
 def test_standing_hole_is_one_entry_and_renacked_by_window():
-    recv, env, log = make_receiver(horizon_us=10**9)
+    recv, env, log = make_receiver()
+    recv.horizon_us = 10**9
     deliver_direct(recv, env, 0, 0, 0)
     peak = 0
     for seq in range(2, 4_002):  # seq 1 never comes

@@ -73,7 +73,7 @@ def check_holes(recv):
     seqs up to max_seen that the receiver never delivered."""
     keys = list(recv.holes)
     assert keys == sorted(keys) and all(s >= recv.frontier for s in keys)
-    got = {seq for seq, _, _ in recv.run_log.deliveries[recv.config.flow_id]}
+    got = {seq for seq, _, _ in recv.run_log.deliveries[recv.flow_id]}
     never = set(range(recv.frontier, recv.max_seen + 1)) - got
     assert {s for s in keys if s <= recv.max_seen} == never, recv.name
 
@@ -83,7 +83,7 @@ def check_cache(recv):
     horizon and holds at most CACHE_PACKETS entries."""
     stamps = [ts for _, ts in recv.cache.values()]
     assert stamps == sorted(stamps), recv.name
-    assert not stamps or stamps[-1] - stamps[0] <= recv.config.horizon_us, recv.name
+    assert not stamps or stamps[-1] - stamps[0] <= recv.horizon_us, recv.name
     assert len(stamps) <= endpoint.CACHE_PACKETS, recv.name
 
 

@@ -2,12 +2,17 @@
 
 import dataclasses
 import pathlib
+import pickle
 import re
 
 import pytest
 import yaml
 
+from caspr.egress import EgressRecovery
+from caspr.endpoint import Receiver
+from caspr.metrics import RunLog
 from caspr.scenario import (
+    CROSS_FLUSH_US,
     ScenarioError,
     apply_overrides,
     bundled_names,
@@ -47,6 +52,38 @@ def test_minimal_scenario_gets_defaults():
     # the cloud path's fixed timings, in direct-path RTTs
     assert cfg.deadline_us == cfg.rtt_us == 100_000
     assert cfg.horizon_us == 4 * cfg.rtt_us
+
+
+def test_nodes_carry_the_timings_the_scenario_derives():
+    cfg = validate(apply_overrides(minimal(), ["topology.direct.jitter_ms=4"]))
+    assert cfg.reorder_grace_us == 2 * cfg.topology.direct.jitter_us == 8_000
+    assert cfg.boundary_wait_us == CROSS_FLUSH_US + cfg.topology.inter_dc.delay_us == 50_000
+    recv = Receiver(0, cfg, RunLog())
+    assert recv.long_timeout_us == cfg.rtt_us == 100_000
+    assert recv.nominal_gap_us == cfg.flows.interval_us == 10_000
+    assert recv.reorder_grace_us == cfg.reorder_grace_us
+    assert recv.renack_after_us == cfg.deadline_us
+    assert recv.horizon_us == cfg.horizon_us
+    egress = EgressRecovery(cfg, RunLog())
+    assert egress.claim_owd_us == cfg.topology.direct.max_delay_us == 54_000
+    assert (egress.deadline_us, egress.boundary_wait_us, egress.horizon_us) == (
+        cfg.deadline_us, cfg.boundary_wait_us, cfg.horizon_us)
+
+
+def test_micros_are_stored_on_first_read():
+    cfg = validate(minimal())
+    flows = cfg.flows
+    assert "interval_us" not in vars(flows)
+    assert flows.interval_us == int(round(flows.interval_ms * 1000)) == 10_000
+    assert flows.on_us == int(round(flows.on_s * 1_000_000)) == 2_000_000
+    assert vars(flows)["interval_us"] == 10_000 and vars(flows)["on_us"] == 2_000_000
+    # a replaced field makes a new instance, which does not keep the old value
+    assert dataclasses.replace(flows, interval_ms=7.5).interval_us == 7_500
+    # seeds reach the forked workers pickled
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg
+    assert (back.flows.interval_us, back.flows.on_us, back.duration_us) == (
+        10_000, 2_000_000, 4_000_000)
 
 
 def test_unknown_key_is_named_in_the_error():
