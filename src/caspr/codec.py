@@ -1,9 +1,12 @@
 """Systematic erasure coding of packet batches.
 
 A batch is an ordered list of source ``wire.DataPacket``s, possibly
-from different flows.  Encoding builds its ``num_parity`` parity
-``wire.CodedPacket``s; the code is systematic (source payloads are never
-transformed) and any ``k`` of the ``k + p`` packets reconstruct the rest.
+from different flows.  Encoding checks the batch and builds its
+``num_parity`` parity ``wire.CodedPacket``s, whose payloads are computed
+on first read: all rows of a batch in one kernel call, so a batch that
+nothing decodes or serializes costs no field arithmetic.  The code is
+systematic (source payloads are never transformed) and any ``k`` of the
+``k + p`` packets reconstruct the rest.
 Payloads in one batch may differ in length: shorter ones are zero-padded
 to the longest, and each member's original length and send time travel
 in the parity metadata.  Decode maps (flow_id, seq) to payloads.
@@ -13,6 +16,8 @@ only in who fills the batch (see ingress).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -65,6 +70,28 @@ def _stack(payloads, rows: int, symbol_len: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8).reshape(rows, symbol_len)
 
 
+class _BatchParity:
+    """The parity rows of one batch, all computed by one kernel call on
+    the first read of any of them."""
+
+    __slots__ = ("sources", "num_parity", "symbol_len", "rows")
+
+    def __init__(self, sources: list[bytes], num_parity: int, symbol_len: int):
+        self.sources = sources
+        self.num_parity = num_parity
+        self.symbol_len = symbol_len
+        self.rows = None
+
+    def row(self, i: int) -> bytes:
+        if self.rows is None:
+            k = len(self.sources)
+            data = _stack(self.sources, k, self.symbol_len)
+            parity = gf256.gf_matmul(gf256.parity_matrix(k, self.num_parity), data)
+            self.rows = [r.tobytes() for r in parity]
+            self.sources = None  # the rows no longer need them
+        return self.rows[i]
+
+
 def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
                  cross: bool, send_ts_us: int) -> list[CodedPacket]:
     """Build the parity packets of one batch, sent at ``send_ts_us``.
@@ -73,6 +100,10 @@ def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
     the math binds to, the (flow_id, seq) pairs are just labels carried
     in the metadata, next to each source's payload length and its own
     ``send_ts_us`` as ``member_ts``.
+
+    The batch is checked here, but its parity bytes are computed only
+    when some packet's ``payload`` is first read, all rows at once;
+    until then a packet knows only their length, ``symbol_len``.
     """
     if not sources:
         raise EmptyBatch("cannot encode an empty batch")
@@ -85,15 +116,14 @@ def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
             raise MetadataMismatch(f"duplicate member {key} in batch")
         seen.add(key)
 
+    payloads = [s.payload for s in sources]
     members = tuple((s.flow_id, s.seq, len(s.payload)) for s in sources)
     member_ts = tuple(s.send_ts_us for s in sources)
-    symbol_len = max(len(s.payload) for s in sources)
-    data = _stack((s.payload for s in sources), k, symbol_len)
-
-    gen = gf256.parity_matrix(k, num_parity)
-    parity = gf256.gf_matmul(gen, data)
+    symbol_len = max(map(len, payloads))
+    memo = _BatchParity(payloads, num_parity, symbol_len)
     return [
-        CodedPacket(cross, batch_id, i, num_parity, members, parity[i].tobytes(),
+        CodedPacket(cross, batch_id, i, num_parity, members,
+                    (functools.partial(memo.row, i), symbol_len),
                     send_ts_us, member_ts)
         for i in range(num_parity)
     ]
@@ -123,9 +153,9 @@ def decode_batch(present: dict[Entry, bytes],
         if p.parity_index in indices:
             raise MetadataMismatch(f"duplicate parity_index {p.parity_index}")
         indices.add(p.parity_index)
-    symbol_len = len(ref.payload)
+    symbol_len = ref.symbol_len
     for p in parity:
-        if len(p.payload) != symbol_len:
+        if p.symbol_len != symbol_len:
             raise MetadataMismatch("parity symbols of unequal length")
 
     keys = [(f, s) for f, s, _ in ref.members]

@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from itertools import islice, takewhile
 
 from .codec import decode_batch
-from .scenario import Scenario
+from .scenario import Scenario, flow_links
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -84,8 +84,9 @@ class Sender:
         self.name = f"s{flow_id}"
         self.flow_id = flow_id
         self.flows = cfg.flows
-        self.direct_link = f"s{flow_id}>r{flow_id}"
-        self.dup_link = f"s{flow_id}>dc1"
+        links = flow_links(flow_id)
+        self.direct_link = links.direct
+        self.dup_link = links.dup
         self.start_us = flow_id * cfg.flows.stagger_us
         self.stop_us = cfg.stop_us  # no packets at or after this time
         self.run_log = run_log
@@ -145,9 +146,10 @@ class Receiver:
     def __init__(self, flow_id: int, cfg: Scenario, run_log):
         self.name = f"r{flow_id}"
         self.flow_id = flow_id
-        self.direct_link = f"s{flow_id}>r{flow_id}"
-        self.data_link = f"r{flow_id}>dc2"
-        self.ctrl_link = f"r{flow_id}>dc2:ctrl"
+        links = flow_links(flow_id)
+        self.direct_link = links.direct
+        self.data_link = links.up
+        self.ctrl_link = links.up_ctrl
         self.fixed_small = cfg.detector.kind == "fixed_small"
         self.long_timeout_us = cfg.rtt_us  # the detector's idle timeout
         self.nominal_gap_us = cfg.flows.interval_us  # gap estimate before any gap

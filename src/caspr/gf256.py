@@ -2,9 +2,10 @@
 
 Field with primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the
 usual choice for byte-oriented storage codes.  Parity generation and
-reconstruction both reduce to matrix products over the field, and those
-inner loops over payload bytes are the hot path of the whole package:
-everything else is control logic.  Addition in the field is XOR, so the
+reconstruction both reduce to matrix products over the field.  The
+codec computes a batch's parity only when a decode or a serialize reads
+it, so in a simulation the products run for decoded batches alone, a
+small share of those encoded.  Addition in the field is XOR, so the
 product kernel XOR-reduces the data rows for a matrix row of all ones
 (the generator's row 0, the single-parity case and a 1x1 decode
 inverse), XORs a data row in for any other coefficient 1, and gathers

@@ -9,10 +9,11 @@ Topology per scenario (one ingress, one egress DC):
     dc2 <--ctrl-----> r{i}           loss-free control (confirm handshake)
 
 Links are named ``src>dst``, with a ``:ctrl`` suffix on the control
-pair.  The runner builds the links.  Each node takes its flow id and
-the validated scenario: it names itself and the links it sends on from
-the flow id, by this drawing, and reads its timings from the scenario,
-which derives each one once.
+pair; ``scenario.flow_links`` spells a flow's names once.  The runner
+builds the links.  Each node takes its flow id and the validated
+scenario: it names itself from the flow id, takes the links it sends
+on from ``flow_links``, and reads its timings from the scenario, which
+derives each one once.
 
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that
@@ -35,13 +36,13 @@ from .egress import EgressRecovery
 from .endpoint import Receiver, Sender
 from .ingress import IngressCoder
 from .netsim import InvariantViolation
-from .scenario import Scenario
+from .scenario import Scenario, flow_links
 
 
 def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics.RunMetrics:
     """One simulation at one seed, returning its analyzed metrics."""
-    n = cfg.flows.count
     topo = cfg.topology
+    links = [flow_links(i) for i in range(cfg.flows.count)]
 
     trace_file = open(trace_path, "w") if trace_path else None
     sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
@@ -64,32 +65,31 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             run_log.record_loss(pkt.flow_id, pkt.seq, now)
 
         # links first so loss models can draw from per-link streams
-        for i in range(n):
-            name = f"s{i}>r{i}"
-            model = topo.direct.loss_model(sim.loss_rng(name))
+        for i, fl in enumerate(links):
+            model = topo.direct.loss_model(sim.loss_rng(fl.direct))
             if i in outage_by_flow:
                 parts = [netsim.ScheduledOutage(sorted(outage_by_flow[i]))]
                 if model is not None:
                     parts.append(model)
                 model = netsim.Composite(parts)
             # the ledger learns each direct-path loss and its send time here
-            add_link(name, f"s{i}", f"r{i}", topo.direct, model).on_drop = record_loss
-            add_lossy_link(f"s{i}>dc1", f"s{i}", "dc1", topo.access)
+            add_link(fl.direct, f"s{i}", f"r{i}", topo.direct, model).on_drop = record_loss
+            add_lossy_link(fl.dup, f"s{i}", "dc1", topo.access)
         add_lossy_link("dc1>dc2", "dc1", "dc2", topo.inter_dc)
-        for i in range(n):
-            add_lossy_link(f"dc2>r{i}", "dc2", f"r{i}", topo.recovery)
-            add_lossy_link(f"r{i}>dc2", f"r{i}", "dc2", topo.recovery)
+        for i, fl in enumerate(links):
+            add_lossy_link(fl.down, "dc2", f"r{i}", topo.recovery)
+            add_lossy_link(fl.up, f"r{i}", "dc2", topo.recovery)
             # control stays loss-free by construction
-            add_link(f"dc2>r{i}:ctrl", "dc2", f"r{i}", topo.recovery, None)
-            add_link(f"r{i}>dc2:ctrl", f"r{i}", "dc2", topo.recovery, None)
+            add_link(fl.down_ctrl, "dc2", f"r{i}", topo.recovery, None)
+            add_link(fl.up_ctrl, f"r{i}", "dc2", topo.recovery, None)
 
         ingress = IngressCoder("dc1", cfg.coding, run_log, "dc1>dc2")
         sim.add_node("dc1", ingress)
         egress = EgressRecovery(cfg, run_log)
         sim.add_node(egress.name, egress)
-        for i in range(n):
+        for i, fl in enumerate(links):
             ingress.register_flow(i)
-            egress.register_receiver(i, f"dc2>r{i}", f"dc2>r{i}:ctrl")
+            egress.register_receiver(i, fl.down, fl.down_ctrl)
             sender = Sender(i, cfg, run_log)
             sim.add_node(sender.name, sender)
             sim.at(sender.start_us, sender.name, ("burst",))
@@ -99,8 +99,8 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         sim.run(until_us=cfg.duration_us)
         sim.check_conservation()
 
-        dc2_recovery = sum(sim.links[f"dc2>r{i}"].sent_bytes for i in range(n))
-        dc2_ctrl = sum(sim.links[f"dc2>r{i}:ctrl"].sent_bytes for i in range(n))
+        dc2_recovery = sum(sim.links[fl.down].sent_bytes for fl in links)
+        dc2_ctrl = sum(sim.links[fl.down_ctrl].sent_bytes for fl in links)
         if not any(truth.losses for truth in run_log.flows.values()) and dc2_recovery:
             raise InvariantViolation(
                 f"lossless run moved {dc2_recovery} recovery bytes out of DC2")
@@ -111,7 +111,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             dc1_egress_bytes=sim.links["dc1>dc2"].sent_bytes,
             dc2_egress_recovery_bytes=dc2_recovery,
             dc2_egress_ctrl_bytes=dc2_ctrl,
-            dup_bytes=sum(sim.links[f"s{i}>dc1"].sent_bytes for i in range(n)))
+            dup_bytes=sum(sim.links[fl.dup].sent_bytes for fl in links))
     finally:
         # nodes and their bound handlers reach the simulator through
         # node.env; closing breaks that cycle, so the run is freed on

@@ -16,7 +16,8 @@ detector and cache ones in ``endpoint``, the proactive threshold in
 ``egress``.  Each timing a node needs is a ``Scenario`` property,
 derived here once, and the nodes read them from the validated
 scenario; the ingress reads the ``coding`` section as is, once
-validation has held it to ``codec.check_envelope``.
+validation has held it to ``codec.check_envelope``.  ``flow_links``
+spells each flow's link names once, for the runner and the nodes.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -30,6 +31,7 @@ import functools
 import re
 from dataclasses import MISSING, dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import yaml
 
@@ -230,6 +232,23 @@ class Topology:
     access: Link = section(Link)
     inter_dc: Link = section(Link)
     recovery: Link = section(Link)
+
+
+class FlowLinks(NamedTuple):
+    """Flow i's link names: ``src>dst``, with a ``:ctrl`` suffix on the
+    loss-free control pair (see the drawing in ``runner``)."""
+
+    direct: str  # s{i}>r{i}, the lossy path under test
+    dup: str  # s{i}>dc1, duplicated traffic into the cloud
+    up: str  # r{i}>dc2, NACKs, ACKs and cooperative traffic
+    up_ctrl: str  # r{i}>dc2:ctrl
+    down: str  # dc2>r{i}, recovery
+    down_ctrl: str  # dc2>r{i}:ctrl
+
+
+def flow_links(i: int) -> FlowLinks:
+    return FlowLinks(f"s{i}>r{i}", f"s{i}>dc1", f"r{i}>dc2", f"r{i}>dc2:ctrl",
+                     f"dc2>r{i}", f"dc2>r{i}:ctrl")
 
 
 @_frozen

@@ -109,16 +109,63 @@ class DataPacket:
     flags: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+class _Payload:
+    """Data descriptor behind ``CodedPacket.payload``.
+
+    The packet's ``_payload`` slot holds either the payload ``bytes`` or
+    a ``(thunk, symbol_len)`` pair.  The first read replaces the pair by
+    ``thunk()``, so every reader gets bytes, and a payload that nothing
+    reads is never computed.
+    """
+
+    def __get__(self, pkt, owner=None):
+        if pkt is None:
+            # class access; dataclass takes this to mean "no default"
+            raise AttributeError("payload")
+        value = pkt._payload
+        if type(value) is tuple:
+            value = value[0]()
+            object.__setattr__(pkt, "_payload", value)
+        return value
+
+    def __set__(self, pkt, value):
+        object.__setattr__(pkt, "_payload", value)
+
+
+@dataclass(frozen=True)
 class CodedPacket:
+    """One parity packet of a batch.
+
+    ``payload`` may be given as a ``(thunk, symbol_len)`` pair, whose
+    ``thunk()`` returns the bytes on the first read of ``payload``
+    (``codec.encode_batch`` builds its packets so); ``symbol_len`` and
+    ``wire_size`` never compute it.
+    """
+
+    # slots written out: dataclass(slots=True) would put a plain slot
+    # where the payload descriptor stands
+    __slots__ = ("cross", "batch_id", "parity_index", "num_parity", "members",
+                 "_payload", "send_ts_us", "member_ts")
+
     cross: bool
     batch_id: int
     parity_index: int
     num_parity: int
     members: tuple[BatchMember, ...]
-    payload: bytes
+    payload: bytes = _Payload()
     send_ts_us: int
     member_ts: tuple[int, ...]  # each member's absolute send time, aligned with members
+
+    @property
+    def symbol_len(self) -> int:
+        """Length of ``payload``, read without computing it."""
+        value = self._payload
+        return value[1] if type(value) is tuple else len(value)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since frozen
+        # fields refuse the slot-by-slot restore
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +239,7 @@ def serialize(msg: Message) -> bytes:
                                    _check_u(msg.parity_index, 8, "parity_index"),
                                    _check_u(msg.num_parity, 8, "num_parity"),
                                    len(msg.members),
-                                   _check_u(len(msg.payload), 16, "symbol_len"))]
+                                   _check_u(msg.symbol_len, 16, "symbol_len"))]
         for m_flow, m_seq, orig_len in msg.members:
             parts.append(_MEMBER.pack(_check_u(m_flow, 64, "member flow_id"),
                                       _check_u(m_seq, 64, "member seq"),
@@ -237,7 +284,7 @@ def wire_size(msg: Message) -> int:
     if isinstance(msg, CodedPacket):
         return (HEADER_LEN + _CODED_FIXED.size
                 + (_MEMBER.size + _MEMBER_TS.size) * len(msg.members)
-                + len(msg.payload))
+                + msg.symbol_len)
     if isinstance(msg, Nack):
         return HEADER_LEN + 1 + _ENTRY.size * len(msg.entries)
     if isinstance(msg, Ack):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import pickle
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_gf
-from caspr import gf256, scenario
+from caspr import egress, endpoint, gf256, runner, scenario
 from caspr.codec import (
     EmptyBatch,
     InsufficientSymbols,
@@ -18,7 +23,7 @@ from caspr.codec import (
     decode_batch,
     encode_batch,
 )
-from caspr.wire import DataPacket
+from caspr.wire import DataPacket, deserialize, serialize, wire_size
 
 
 def batch(payloads, flow_base=1):
@@ -88,11 +93,86 @@ def test_codec_products_go_through_the_kernel(monkeypatch):
     monkeypatch.setattr(gf256, "gf_matmul", counted)
     srcs = batch([b"alpha", b"br", b"charlie!", b"d"])
     parity = encode_batch(7, srcs, 2, True, 0)
+    # parity bytes are computed on first read, every row of the batch at once
+    assert shapes == []
+    parity[1].payload
+    assert shapes == [((2, 4), (4, 8))]
+    parity[0].payload
     assert shapes == [((2, 4), (4, 8))]
     shapes.clear()
     assert decode_batch(known([srcs[0], srcs[2], srcs[3]]), parity) == known([srcs[1]])
     # the known sources' contribution to parity row 0, then the 1x1 solve
     assert shapes == [((1, 3), (3, 8)), ((1, 1), (1, 8))]
+
+
+@st.composite
+def batches(draw):
+    """(payloads, num_parity, order): k in 1..20 ragged payloads of 0..64 B,
+    a parity count inside the envelope (at k <= 20 that is any of 1..4),
+    and an order to read the rows in."""
+    k = draw(st.integers(1, 20))
+    payloads = draw(st.lists(st.binary(max_size=64), min_size=k, max_size=k))
+    num_parity = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(num_parity)))
+    return payloads, num_parity, order
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batches())
+def test_parity_read_in_any_order_matches_oracle(case):
+    payloads, num_parity, order = case
+    expected = oracle_gf.encode(payloads, num_parity)
+    srcs = batch(payloads)
+    kernel = gf256.gf_matmul
+    calls = []
+
+    def counted(mat, data):
+        calls.append(mat.shape)
+        return kernel(mat, data)
+
+    with mock.patch.object(gf256, "gf_matmul", counted):
+        parity = encode_batch(5, srcs, num_parity, True, 0)
+        sizes = [wire_size(p) for p in parity]
+        assert calls == []
+        # serialize is the first read, one kernel call for every row
+        raw = {i: serialize(parity[i]) for i in order}
+        assert calls == [(num_parity, len(payloads))]
+        assert [len(raw[i]) for i in range(num_parity)] == sizes
+        assert [parity[i].payload for i in order] == [expected[i] for i in order]
+        assert [deserialize(raw[i]) for i in range(num_parity)] == parity
+
+        unread = encode_batch(5, srcs, num_parity, True, 0)
+        flipped = dataclasses.replace(unread[order[0]], cross=False)
+        assert flipped.payload == expected[order[0]] and not flipped.cross
+        assert pickle.loads(pickle.dumps(unread[order[-1]])) == parity[order[-1]]
+        assert [unread[i].payload for i in order] == [expected[i] for i in order]
+        assert len(calls) == 2
+
+
+def test_wide_area_computes_parity_only_for_decoded_batches(monkeypatch):
+    # encoding must stay lazy: one parity product per batch some node
+    # decoded, none for the thousands of batches nobody reads
+    kernel = gf256.gf_matmul
+    parity_products = []
+    decoded = set()
+
+    def counted(mat, data):
+        k = mat.shape[1]
+        if mat is gf256.parity_matrix(k, mat.shape[0]):
+            parity_products.append(mat.shape)
+        return kernel(mat, data)
+
+    def noted(present, parity):
+        decoded.update((p.cross, p.batch_id, p.members) for p in parity)
+        return decode_batch(present, parity)
+
+    monkeypatch.setattr(gf256, "gf_matmul", counted)
+    monkeypatch.setattr(endpoint, "decode_batch", noted)
+    monkeypatch.setattr(egress, "decode_batch", noted)
+    cfg = scenario.load(scenario.bundled_path("wide_area_cbr"))
+    runner.run_seed(cfg, 11)
+    assert decoded
+    assert len(parity_products) <= len(decoded)
 
 
 def test_round_trip_all_supported_widths():
