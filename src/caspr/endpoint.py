@@ -13,10 +13,13 @@ grace.  Silence triggers timer NACKs for the next expected packet: the
 timer is short right after a packet arrives inside a burst (losing the
 tail of a burst would otherwise go unnoticed until the next one) and
 one RTT long once that first timer NACK fires, so an idle flow costs
-one NACK instead of a stream of them.  Eight unanswered timer NACKs in
-a row park the detector until something arrives; a confirm query from
-the recovery DC answering "nothing was lost, the flow just stopped"
-parks it too.
+one NACK instead of a stream of them.  A detector in a burst stays in
+it until that short timer fires; an arrival that finds it idle puts it
+back in a burst when its gap is under ``BURST_FACTOR`` medians of the
+recent gaps, and only such an arrival consults that threshold.  Eight
+unanswered timer NACKs in a row park the detector until something
+arrives; a confirm query from the recovery DC answering "nothing was
+lost, the flow just stopped" parks it too.
 
 The receiver tracks its holes, not its deliveries: one map, in seq
 order, of the undelivered seqs from the frontier on, each with the time
@@ -83,54 +86,62 @@ class Sender:
     def __init__(self, flow_id: int, cfg: Scenario, run_log):
         self.name = f"s{flow_id}"
         self.flow_id = flow_id
-        self.flows = cfg.flows
+        flows = cfg.flows
         links = flow_links(flow_id)
         self.direct_link = links.direct
         self.dup_link = links.dup
-        self.start_us = flow_id * cfg.flows.stagger_us
+        self.start_us = flow_id * flows.stagger_us
         self.stop_us = cfg.stop_us  # no packets at or after this time
+        # the flow's shape, copied once from the scenario so a tick reads
+        # plain attributes
+        self.packet_size = flows.packet_size
+        self.interval_us = flows.interval_us
+        self.on_us = flows.on_us
+        self.off_mean_us = flows.off_mean_us
+        self.duplication = flows.duplication
+        self.selective_first_n = flows.selective_first_n
         self.run_log = run_log
         self.env = None
         self.seq = 0
         self.burst_index = 0  # position within the current burst
         self._burst_end = 0
-        run_log.register_flow(flow_id, cfg.flows.packet_size)
+        run_log.register_flow(flow_id, flows.packet_size)
 
     def on_timer(self, token) -> None:
         if token[0] == "burst":
             self.burst_index = 0
-            self._burst_end = self.env.now + self.flows.on_us
+            self._burst_end = self.env.now + self.on_us
             self._tick()
         elif token[0] == "pkt":
             self._tick()
 
     def _tick(self) -> None:
-        flows = self.flows
-        now = self.env.now
+        env = self.env
+        now = env.now
         if now >= self.stop_us:
             return
-        duplicate = (flows.duplication == FULL
-                     or self.burst_index < flows.selective_first_n)
+        flow_id, seq = self.flow_id, self.seq
+        duplicate = (self.duplication == FULL
+                     or self.burst_index < self.selective_first_n)
         # only selective duplication marks the packets it copies
-        flags = FLAG_SELECTIVE_DUP if duplicate and flows.duplication == SELECTIVE else 0
-        pkt = DataPacket(flow_id=self.flow_id, seq=self.seq, send_ts_us=now,
-                         payload=payload_bytes(self.flow_id, self.seq,
-                                               flows.packet_size),
+        flags = FLAG_SELECTIVE_DUP if duplicate and self.duplication == SELECTIVE else 0
+        pkt = DataPacket(flow_id=flow_id, seq=seq, send_ts_us=now,
+                         payload=payload_bytes(flow_id, seq, self.packet_size),
                          flags=flags)
-        self.run_log.record_send(self.flow_id, self.seq, now)
-        self.env.send(self.direct_link, pkt)
+        self.run_log.record_send(flow_id, seq, now)
+        env.send(self.direct_link, pkt)
         if duplicate:
-            self.env.send(self.dup_link, pkt)
-        self.seq += 1
+            env.send(self.dup_link, pkt)
+        self.seq = seq + 1
         self.burst_index += 1
-        nxt = now + flows.interval_us
-        if nxt < self._burst_end:
-            self.env.schedule(flows.interval_us, ("pkt",))
+        interval = self.interval_us
+        if now + interval < self._burst_end:
+            env.schedule(interval, ("pkt",))
         else:
             off = 0
-            if flows.off_mean_us > 0:
-                off = int(self.env.rng.expovariate(1.0 / flows.off_mean_us))
-            self.env.schedule(flows.interval_us + off, ("burst",))
+            if self.off_mean_us > 0:
+                off = int(env.rng.expovariate(1.0 / self.off_mean_us))
+            env.schedule(interval + off, ("burst",))
 
 
 BURST, IDLE_STATE = "burst", "idle"
@@ -150,6 +161,10 @@ class Receiver:
         self.direct_link = links.direct
         self.data_link = links.up
         self.ctrl_link = links.up_ctrl
+        # the scenario, copied once so no arrival reads through it: the
+        # payload size every delivery is checked against, then the
+        # detector's and the recovery path's timings
+        self.packet_size = cfg.flows.packet_size
         self.fixed_small = cfg.detector.kind == "fixed_small"
         self.long_timeout_us = cfg.rtt_us  # the detector's idle timeout
         self.nominal_gap_us = cfg.flows.interval_us  # gap estimate before any gap
@@ -227,17 +242,17 @@ class Receiver:
             self.run_log.bump("dup_arrivals")
             self._note_arrival(now)
             return
-        expected = payload_bytes(pkt.flow_id, seq,
-                                 self.run_log.flows[pkt.flow_id].packet_size)
-        if pkt.payload != expected:
+        if pkt.payload != payload_bytes(pkt.flow_id, seq, self.packet_size):
             raise RuntimeError(
                 f"corrupt delivery flow={pkt.flow_id} seq={seq}")
         self.run_log.record_delivery(pkt.flow_id, seq, now, recovered)
         self._store(seq, pkt.payload, now)
-        for _ in range(self._coop_wait.pop(seq, 0)):
-            self._send_resp(CoopResponse(entry=(pkt.flow_id, seq),
-                                         payload=pkt.payload, send_ts_us=now),
-                            positive=True)
+        if self._coop_wait:
+            for _ in range(self._coop_wait.pop(seq, 0)):
+                self._send_resp(CoopResponse(entry=(pkt.flow_id, seq),
+                                             payload=pkt.payload,
+                                             send_ts_us=now),
+                                positive=True)
         if seq > self.max_seen:
             # everything skipped over is a new hole; a NACKed frontier
             # past max_seen is already one and keeps its NACK times
@@ -289,7 +304,9 @@ class Receiver:
             gap = now - self.last_arrival_us
             if gap < self.long_timeout_us:
                 self.gaps.append(gap)
-            if gap < self._burst_threshold():
+            # only an idle detector can change mode here, so only it
+            # pays for the median
+            if self.mode != BURST and gap < self._burst_threshold():
                 self.mode = BURST
         else:
             self.mode = BURST

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _stub import StubEnv, TappedLog, unit_scenario
-from caspr import endpoint
+from caspr import endpoint, runner, scenario
 from caspr.codec import encode_batch
 from caspr.endpoint import (
     MAX_HELD_BLOCKS,
@@ -195,6 +195,69 @@ def test_gap_estimate_is_the_median_of_the_window(gaps):
     want = statistics.median(gaps) if gaps else 10_000  # the flow's interval
     got = recv._gap_estimate()
     assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(["two_state", "fixed_small"]),
+       st.lists(st.integers(1, 400_000), min_size=1, max_size=60))
+def test_detector_mode_follows_the_burst_rule_on_every_arrival(kind, gaps):
+    # a reference detector that recomputes the burst threshold, as
+    # statistics.median of the window, on every arrival; long gaps let
+    # det timers fire, drop it to idle and, for fixed_small, park it
+    recv, env, _ = make_receiver(f"detector.kind={kind}")
+    small, long, nominal = endpoint.SMALL_TIMEOUT_US, 150_000, 10_000
+    mode, window, last, unanswered, due = endpoint.IDLE_STATE, [], None, 0, None
+
+    def timeout():
+        return small if kind == "fixed_small" or mode == endpoint.BURST else long
+
+    t = 0
+    for seq, gap in enumerate(gaps):
+        t += gap
+        while due is not None and due <= t:
+            mode = endpoint.IDLE_STATE
+            unanswered += 1
+            due = due + timeout() if unanswered < endpoint.GIVEUP_AFTER else None
+        env.run_until(t)
+        deliver_direct(recv, env, 0, seq, t)
+        if last is None:
+            mode = endpoint.BURST
+        else:
+            if t - last < long:
+                window = (window + [t - last])[-endpoint.GAP_WINDOW:]
+            median = statistics.median(window) if window else nominal
+            if t - last < endpoint.BURST_FACTOR * median:
+                mode = endpoint.BURST
+        last, unanswered, due = t, 0, t + timeout()
+        assert recv.mode == mode
+        assert list(recv.gaps) == window
+        armed = [at for at, tok in env.pending() if tok == ("det", recv.timer_gen)]
+        assert armed == [due]
+
+
+def test_skype_computes_the_burst_threshold_only_for_idle_arrivals(monkeypatch):
+    # a detector already in a burst stays there whatever the gap, so the
+    # median of its window is due only when an arrival finds it idle, not
+    # once per packet
+    threshold, note = Receiver._burst_threshold, Receiver._note_arrival
+    computed, idle_arrivals = [], []
+
+    def counted_threshold(self):
+        computed.append(self.flow_id)
+        return threshold(self)
+
+    def counted_note(self, now):
+        if self.mode != endpoint.BURST:
+            idle_arrivals.append(now)
+        note(self, now)
+
+    monkeypatch.setattr(Receiver, "_burst_threshold", counted_threshold)
+    monkeypatch.setattr(Receiver, "_note_arrival", counted_note)
+    cfg = scenario.load(scenario.bundled_path("skype_analog"),
+                        ["duration_s=5", "cooldown_s=1"])
+    assert runner.run_seed(cfg, 5).sent > 1000
+    assert idle_arrivals
+    assert len(computed) <= len(idle_arrivals)
 
 
 def test_burst_timer_fires_small_then_goes_idle():
