@@ -33,10 +33,11 @@ confirms the hole is real, and a cumulative ACK retracts claims the
 direct path has since satisfied.
 
 Each flow has one receiver, and the engine knows a receiver only by
-its flow.  Three NACKs from the same receiver with no ACK in between
-flip it to proactive mode: newly arriving cross parity that covers the
-receiver opens recovery immediately, without waiting for NACKs that a
-dead direct path may not be able to provoke in time.
+its flow: it builds one port per flow of the scenario.  Three NACKs
+from the same receiver with no ACK in between flip it to proactive
+mode: newly arriving cross parity that covers the receiver opens
+recovery immediately, without waiting for NACKs that a dead direct
+path may not be able to provoke in time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .codec import decode_batch
-from .scenario import Scenario
+from .scenario import Scenario, flow_links
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -115,13 +116,11 @@ class EgressRecovery:
         self.store: dict[int, StoredBatch] = {}
         self.by_entry: dict[Entry, set[int]] = {}
         self.orphans: dict[Entry, _Orphan] = {}
-        self._flow_port: dict[int, _ReceiverPort] = {}  # each flow has one receiver
+        # each flow has one receiver: flow i's port, by flow id
+        self._flow_port: list[_ReceiverPort] = [
+            _ReceiverPort(links.down, links.down_ctrl)
+            for links in map(flow_links, range(cfg.flows.count))]
         self._proactive: set[int] = set()  # flows whose receiver is in proactive mode
-
-    def register_receiver(self, flow_id: int, data_link: str, ctrl_link: str) -> None:
-        if flow_id in self._flow_port:
-            raise ValueError(f"flow {flow_id} registered twice")
-        self._flow_port[flow_id] = _ReceiverPort(data_link, ctrl_link)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -228,9 +227,7 @@ class EgressRecovery:
     # -- loss reports ---------------------------------------------------------
 
     def _on_nack(self, msg: Nack, now: int) -> None:
-        port = self._flow_port.get(msg.flow_id)
-        if port is None:
-            return
+        port = self._flow_port[msg.flow_id]
         port.consec_nacks += 1
         if port.consec_nacks == PROACTIVE_AFTER:
             self._proactive.add(msg.flow_id)
@@ -337,11 +334,9 @@ class EgressRecovery:
         lost_flows = {f for f, s in batch.lost}
         wanted = []
         for e in batch.entries:
-            port = self._flow_port.get(e[0])
-            if (port is None or e[0] in lost_flows or e[0] in batch.requested
-                    or e in batch.decoded):
+            if e[0] in lost_flows or e[0] in batch.requested or e in batch.decoded:
                 continue
-            wanted.append((port.data_link, e))
+            wanted.append((self._flow_port[e[0]].data_link, e))
         # data-link-name order fixes the send order, and so the trace
         for link, e in sorted(wanted):
             batch.requested.add(e[0])

@@ -105,7 +105,6 @@ class Sender:
         self.seq = 0
         self.burst_index = 0  # position within the current burst
         self._burst_end = 0
-        run_log.register_flow(flow_id, flows.packet_size)
 
     def on_timer(self, token) -> None:
         if token[0] == "burst":

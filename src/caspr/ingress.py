@@ -7,13 +7,13 @@ on the one link to the egress DC.  Only parity crosses it; source
 packets are dropped once they have been mixed in, which is what keeps
 inter-DC egress at r = parity/k of the data volume.
 
-Flows join groups of k_max in registration order.  Cross-stream
-placement is round-robin over k_max open queues per flow group with the
-constraint that no queue holds two packets of the same
-flow.  When a packet's flow is already present everywhere, the probe
-wraps around to the queue it started at: that queue is flushed early if
-it holds at least two packets, otherwise its lone packet is evicted
-uncoded.  Flush timers bound the coding delay for queues that fill
+The scenario fixes the flow set, so the groups are built once: flow f
+is in group f // k_max.  Cross-stream placement is round-robin over
+k_max open queues per flow group with the constraint that no queue
+holds two packets of the same flow.  When a packet's flow is already
+present everywhere, the probe wraps around to the queue it started at:
+that queue is flushed early if it holds at least two packets,
+otherwise its lone packet is evicted uncoded.  Flush timers bound the coding delay for queues that fill
 slowly; a generation counter on each queue turns stale timers into
 no-ops, so a timer never fires on a queue that fullness already
 flushed.
@@ -24,20 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import encode_batch
-from .scenario import CROSS_FLUSH_US, IN_FLUSH_US, Coding
+from .scenario import CROSS_FLUSH_US, IN_FLUSH_US, INTER_DC_LINK, Scenario
 from .wire import DataPacket
-
-
-class IngressError(Exception):
-    pass
-
-
-class DuplicateFlow(IngressError):
-    pass
-
-
-class UnknownFlow(IngressError):
-    pass
 
 
 @dataclass(eq=False)
@@ -53,45 +41,23 @@ class _Queue:
         self.gen += 1
 
 
-@dataclass
-class FlowGroup:
-    group_id: int
-    k_max: int
-    members: list[int] = field(default_factory=list)
-    queues: list[_Queue] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.queues:
-            self.queues = [_Queue() for _ in range(self.k_max)]
-
-
 class IngressCoder:
-    """One DC1 node: groups flows and runs both encoders."""
+    """The one DC1 node, ``dc1``: groups flows and runs both encoders."""
 
-    def __init__(self, name: str, coding: Coding, run_log, out_link: str):
-        self.name = name
-        self.coding = coding
+    def __init__(self, cfg: Scenario, run_log):
+        self.name = "dc1"
+        self.coding = cfg.coding
         self.run_log = run_log
-        self.out_link = out_link  # toward the egress DC
+        self.out_link = INTER_DC_LINK  # toward the egress DC
         self.env = None  # attached by the simulator
-        self.groups: list[FlowGroup] = []
-        self._flow_group: dict[int, FlowGroup] = {}
-        self._rr: dict[int, int] = {}
-        self._in_queues: dict[int, _Queue] = {}
-        self._next_batch = 0
-
-    def register_flow(self, flow_id: int) -> FlowGroup:
-        if flow_id in self._flow_group:
-            raise DuplicateFlow(f"flow {flow_id} already registered")
-        if not self.groups or len(self.groups[-1].members) == self.coding.k_max:
-            self.groups.append(FlowGroup(len(self.groups), self.coding.k_max))
-        group = self.groups[-1]
-        group.members.append(flow_id)
-        self._flow_group[flow_id] = group
+        n, k = cfg.flows.count, self.coding.k_max
+        # flow f is in group f // k_max, so only the last group may be short
+        self.group_sizes = [min(k, n - first) for first in range(0, n, k)]
+        self.queues = [[_Queue() for _ in range(k)] for _ in self.group_sizes]
         # first probe of the round-robin lands on queue 0
-        self._rr[flow_id] = group.k_max - 1
-        self._in_queues[flow_id] = _Queue()
-        return group
+        self._rr = [k - 1] * n
+        self._in_queues = [_Queue() for _ in range(n)]
+        self._next_batch = 0
 
     # -- event plumbing -------------------------------------------------
 
@@ -102,9 +68,8 @@ class IngressCoder:
     def on_timer(self, token) -> None:
         kind = token[0]
         if kind == "xq":
-            _, group_id, q_index, gen = token
-            group = self.groups[group_id]
-            q = group.queues[q_index]
+            _, group, q_index, gen = token
+            q = self.queues[group][q_index]
             if q.gen != gen:
                 return
             if len(q.symbols) >= 2:
@@ -122,21 +87,20 @@ class IngressCoder:
     # -- the placement algorithm ----------------------------------------
 
     def process_packet(self, pkt: DataPacket) -> None:
-        group = self._flow_group.get(pkt.flow_id)
-        if group is None:
-            raise UnknownFlow(f"packet for unregistered flow {pkt.flow_id}")
+        flow_id = pkt.flow_id
         if self.coding.in_block:
-            self._push_in(pkt.flow_id, pkt)
-        self._push_cross(group, pkt.flow_id, pkt)
+            self._push_in(flow_id, pkt)
+        self._push_cross(flow_id // self.coding.k_max, flow_id, pkt)
 
-    def _push_cross(self, group: FlowGroup, flow_id: int, pkt: DataPacket) -> None:
-        n = group.k_max
+    def _push_cross(self, group: int, flow_id: int, pkt: DataPacket) -> None:
+        queues = self.queues[group]
+        n = len(queues)
         idx = self._rr[flow_id] = (self._rr[flow_id] + 1) % n
         start = idx
-        q = group.queues[idx]
+        q = queues[idx]
         while flow_id in q.flows:
             idx = self._rr[flow_id] = (idx + 1) % n
-            q = group.queues[idx]
+            q = queues[idx]
             if idx == start:
                 # flow is in every queue; make room in the starting one
                 if len(q.symbols) > 1:
@@ -148,9 +112,8 @@ class IngressCoder:
         q.symbols.append(pkt)
         q.flows.add(flow_id)
         if len(q.symbols) == 1:
-            self.env.schedule(CROSS_FLUSH_US,
-                              ("xq", group.group_id, idx, q.gen))
-        if len(q.symbols) >= 2 and len(q.symbols) == len(group.members):
+            self.env.schedule(CROSS_FLUSH_US, ("xq", group, idx, q.gen))
+        if len(q.symbols) >= 2 and len(q.symbols) == self.group_sizes[group]:
             self._emit(q, cross=True)
 
     def _push_in(self, flow_id: int, pkt: DataPacket) -> None:

@@ -1,9 +1,11 @@
 """Run bookkeeping and post-run analysis.
 
 RunLog is the shared ground-truth ledger, kept per flow and sized by
-the losses, not the packets: senders count their emissions, the direct
-link reports each packet it drops together with its send time, and a
-lost packet's first recovered delivery is noted against that loss.
+the losses, not the packets.  The runner sizes it from the scenario's
+flow set: one FlowTruth for each flow id 0..count-1, and the one packet
+size they all send.  Senders count their emissions, the direct link
+reports each packet it drops together with its send time, and a lost
+packet's first recovered delivery is noted against that loss.
 Plain deliveries leave nothing behind.  The protocol pieces bump named
 counters.  A flow's seqs are 0..n-1 in send order, and a scheduled
 outage drops every packet sent inside its window, so everything
@@ -56,20 +58,17 @@ class Loss:
 
 @dataclass
 class FlowTruth:
-    packet_size: int
     sent: int = 0  # the flow's seqs are 0..sent-1, in send order
     losses: dict[int, Loss] = field(default_factory=dict)  # seq -> Loss, in send order
 
 
 class RunLog:
-    def __init__(self):
-        self.flows: dict[int, FlowTruth] = {}
-        self.counters: Counter = Counter()
+    """The ledger of flows 0..flows-1, which all send packet_size bytes."""
 
-    def register_flow(self, flow_id: int, packet_size: int) -> None:
-        if flow_id in self.flows:
-            raise ValueError(f"flow {flow_id} registered twice")
-        self.flows[flow_id] = FlowTruth(packet_size)
+    def __init__(self, flows: int, packet_size: int):
+        self.packet_size = packet_size
+        self.flows: dict[int, FlowTruth] = {f: FlowTruth() for f in range(flows)}
+        self.counters: Counter = Counter()
 
     def record_send(self, flow_id: int, seq: int, ts_us: int) -> None:
         self.flows[flow_id].sent = seq + 1
@@ -244,14 +243,12 @@ def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
                    dc1_egress_bytes=dc1_egress_bytes,
                    dc2_egress_recovery_bytes=dc2_egress_recovery_bytes,
                    dc2_egress_ctrl_bytes=dc2_egress_ctrl_bytes, dup_bytes=dup_bytes)
-    for flow_id in sorted(run_log.flows):
-        truth = run_log.flows[flow_id]
+    for flow_id, truth in run_log.flows.items():  # in flow id order
         windows = outage_windows.get(flow_id, [])
         losses = sorted(truth.losses.items())
         lost_ts = {seq: loss.send_ts for seq, loss in losses}
         m.sent += truth.sent
         m.lost += len(lost_ts)
-        m.data_wire_bytes += truth.sent * (HEADER_LEN + truth.packet_size)
         in_outage = {s for s, ts in lost_ts.items()
                      if any(start <= ts < end for start, end in windows)}
         m.in_outage_lost += len(in_outage)
@@ -268,6 +265,7 @@ def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
         m.episodes.extend(classify_episodes(lost_ts, flow_id))
         for pct, level in fec_whatif(truth.sent, lost_ts, windows).items():
             m.fec[pct].add(level)
+    m.data_wire_bytes = m.sent * (HEADER_LEN + run_log.packet_size)
     return m
 
 

@@ -9,11 +9,15 @@ Topology per scenario (one ingress, one egress DC):
     dc2 <--ctrl-----> r{i}           loss-free control (confirm handshake)
 
 Links are named ``src>dst``, with a ``:ctrl`` suffix on the control
-pair; ``scenario.flow_links`` spells a flow's names once.  The runner
-builds the links.  Each node takes its flow id and the validated
+pair; ``scenario.flow_links`` spells a flow's names once and
+``scenario.INTER_DC_LINK`` the inter-DC one.  The runner builds the
+links.  Each sender and receiver takes its flow id and the validated
 scenario: it names itself from the flow id, takes the links it sends
 on from ``flow_links``, and reads its timings from the scenario, which
-derives each one once.
+derives each one once.  The scenario also fixes the flow set (ids
+0..count-1), so the run log and both DC nodes are sized by it when
+they are built: the log keeps one ledger per flow, DC1 puts flow f in
+coding group f // k_max, and DC2 holds one port per receiver.
 
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that
@@ -36,7 +40,7 @@ from .egress import EgressRecovery
 from .endpoint import Receiver, Sender
 from .ingress import IngressCoder
 from .netsim import InvariantViolation
-from .scenario import Scenario, flow_links
+from .scenario import INTER_DC_LINK, Scenario, flow_links
 
 
 def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics.RunMetrics:
@@ -47,7 +51,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
     trace_file = open(trace_path, "w") if trace_path else None
     sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
     try:
-        run_log = metrics.RunLog()
+        run_log = metrics.RunLog(cfg.flows.count, cfg.flows.packet_size)
 
         def add_link(name, src, dst, link, loss):
             return sim.add_link(name, src, dst, delay_us=link.delay_us,
@@ -75,7 +79,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             # the ledger learns each direct-path loss and its send time here
             add_link(fl.direct, f"s{i}", f"r{i}", topo.direct, model).on_drop = record_loss
             add_lossy_link(fl.dup, f"s{i}", "dc1", topo.access)
-        add_lossy_link("dc1>dc2", "dc1", "dc2", topo.inter_dc)
+        add_lossy_link(INTER_DC_LINK, "dc1", "dc2", topo.inter_dc)
         for i, fl in enumerate(links):
             add_lossy_link(fl.down, "dc2", f"r{i}", topo.recovery)
             add_lossy_link(fl.up, f"r{i}", "dc2", topo.recovery)
@@ -83,13 +87,9 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             add_link(fl.down_ctrl, "dc2", f"r{i}", topo.recovery, None)
             add_link(fl.up_ctrl, f"r{i}", "dc2", topo.recovery, None)
 
-        ingress = IngressCoder("dc1", cfg.coding, run_log, "dc1>dc2")
-        sim.add_node("dc1", ingress)
-        egress = EgressRecovery(cfg, run_log)
-        sim.add_node(egress.name, egress)
-        for i, fl in enumerate(links):
-            ingress.register_flow(i)
-            egress.register_receiver(i, fl.down, fl.down_ctrl)
+        for dc in (IngressCoder(cfg, run_log), EgressRecovery(cfg, run_log)):
+            sim.add_node(dc.name, dc)
+        for i in range(cfg.flows.count):
             sender = Sender(i, cfg, run_log)
             sim.add_node(sender.name, sender)
             sim.at(sender.start_us, sender.name, ("burst",))
@@ -108,7 +108,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         return metrics.analyze_run(
             cfg.name, seed, cfg.duration_s, cfg.rtt_us, run_log,
             topo.direct.delay_us, outage_by_flow,
-            dc1_egress_bytes=sim.links["dc1>dc2"].sent_bytes,
+            dc1_egress_bytes=sim.links[INTER_DC_LINK].sent_bytes,
             dc2_egress_recovery_bytes=dc2_recovery,
             dc2_egress_ctrl_bytes=dc2_ctrl,
             dup_bytes=sum(sim.links[fl.dup].sent_bytes for fl in links))

@@ -17,7 +17,8 @@ detector and cache ones in ``endpoint``, the proactive threshold in
 derived here once, and the nodes read them from the validated
 scenario; the ingress reads the ``coding`` section as is, once
 validation has held it to ``codec.check_envelope``.  ``flow_links``
-spells each flow's link names once, for the runner and the nodes.
+spells each flow's link names once, and ``INTER_DC_LINK`` the one link
+between the DCs, for the runner and the nodes.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -249,6 +250,10 @@ class FlowLinks(NamedTuple):
 def flow_links(i: int) -> FlowLinks:
     return FlowLinks(f"s{i}>r{i}", f"s{i}>dc1", f"r{i}>dc2", f"r{i}>dc2:ctrl",
                      f"dc2>r{i}", f"dc2>r{i}:ctrl")
+
+
+# the one link between the DCs, which carries only parity
+INTER_DC_LINK = "dc1>dc2"
 
 
 @_frozen

@@ -79,15 +79,11 @@ class TappedLog(RunLog):
     in send order, ``deliveries[flow]`` lists (seq, ts, recovered) in
     delivery order."""
 
-    def __init__(self):
-        super().__init__()
-        self.sends: dict[int, dict[int, int]] = {}
-        self.deliveries: dict[int, list[tuple[int, int, bool]]] = {}
-
-    def register_flow(self, flow_id, packet_size):
-        super().register_flow(flow_id, packet_size)
-        self.sends[flow_id] = {}
-        self.deliveries[flow_id] = []
+    def __init__(self, flows, packet_size):
+        super().__init__(flows, packet_size)
+        self.sends: dict[int, dict[int, int]] = {f: {} for f in range(flows)}
+        self.deliveries: dict[int, list[tuple[int, int, bool]]] = {
+            f: [] for f in range(flows)}
 
     def record_send(self, flow_id, seq, ts_us):
         self.sends[flow_id][seq] = ts_us

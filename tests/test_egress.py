@@ -24,19 +24,18 @@ RTT = 150_000
 
 
 def make_engine(n_receivers=4, deadline_us=None):
-    """DC2 over unit_scenario(): a one-RTT (150 ms) deadline, a 75 ms
-    boundary wait and a 600 ms horizon.  Claims are admitted with no
-    wait for the direct path, which no valid scenario gives; a
-    deadline_us other than the RTT is not one either."""
-    log = RunLog()
-    eng = EgressRecovery(unit_scenario(), log)
+    """DC2 over unit_scenario() with one flow per receiver: a one-RTT
+    (150 ms) deadline, a 75 ms boundary wait and a 600 ms horizon.
+    Claims are admitted with no wait for the direct path, which no valid
+    scenario gives; a deadline_us other than the RTT is not one either."""
+    cfg = unit_scenario(f"flows.count={n_receivers}")
+    log = RunLog(n_receivers, cfg.flows.packet_size)
+    eng = EgressRecovery(cfg, log)
     eng.claim_owd_us = 0
     if deadline_us is not None:
         eng.deadline_us = deadline_us
     env = StubEnv()
     env.attach(eng)
-    for i in range(n_receivers):
-        eng.register_receiver(i, data_link=f"dc2>r{i}", ctrl_link=f"dc2>r{i}:ctrl")
     return eng, env, log
 
 
@@ -288,16 +287,18 @@ def test_duplicate_parity_index_ignored():
     assert len(eng.store[7].parity) == 1
 
 
-def test_unknown_flow_nack_ignored():
-    eng, env, log = make_engine(n_receivers=2)
-    eng.on_message(nack(9, 0), "x")
-    assert not env.sent and not eng.orphans
-
-
-def test_duplicate_receiver_registration_rejected():
-    eng, env, log = make_engine(n_receivers=1)
-    with pytest.raises(ValueError):
-        eng.register_receiver(0, "a", "b")
+def test_each_flow_is_served_on_its_own_links():
+    # flow i's recovery goes out on dc2>r{i}, its confirm query on dc2>r{i}:ctrl
+    eng, env, log = make_engine(n_receivers=3)
+    for i in range(3):
+        for p in in_parities(i, i, range(5)):
+            eng.on_message(p, "dc1>dc2")
+        eng.on_message(nack(i, 2, 40 + i), f"r{i}>dc2")
+    env.run_until(75_000)  # the boundary wait of the uncovered claims
+    assert [(link, type(m)) for link, m, _ in env.sent] == [
+        *((f"dc2>r{i}", CodedPacket) for i in range(3)),
+        *((f"dc2>r{i}:ctrl", Ctrl) for i in range(3))]
+    assert [(m.flow_id, m.seq) for _, m, _ in env.sent[3:]] == [(i, 40 + i) for i in range(3)]
 
 
 def test_in_stream_parity_arriving_after_nack_is_forwarded():

@@ -43,8 +43,9 @@ def test_payload_bytes_shape():
 def make_sender(*sets):
     """Flow 0's sender over unit_scenario(*sets): 64 B every 10 ms in
     50 ms bursts, full duplication, stopping at 10**12 us."""
-    log = TappedLog()
-    sender = Sender(0, unit_scenario(*sets), log)
+    cfg = unit_scenario(*sets)
+    log = TappedLog(cfg.flows.count, cfg.flows.packet_size)
+    sender = Sender(0, cfg, log)
     env = StubEnv()
     env.attach(sender)
     env.schedule(sender.start_us, ("burst",))
@@ -109,10 +110,10 @@ def test_sender_stop_time():
 
 def test_nodes_name_themselves_and_their_links_by_flow():
     cfg = unit_scenario("flows.count=4", "flows.stagger_ms=2")
-    sender = Sender(3, cfg, TappedLog())
+    sender = Sender(3, cfg, TappedLog(4, 64))
     assert (sender.name, sender.direct_link, sender.dup_link) == ("s3", "s3>r3", "s3>dc1")
     assert sender.start_us == 6_000  # three 2 ms staggers
-    recv = Receiver(3, cfg, TappedLog())
+    recv = Receiver(3, cfg, TappedLog(4, 64))
     assert (recv.name, recv.direct_link, recv.data_link, recv.ctrl_link) == (
         "r3", "s3>r3", "r3>dc2", "r3>dc2:ctrl")
 
@@ -122,7 +123,7 @@ def test_nodes_name_themselves_and_their_links_by_flow():
 
 def test_only_the_straggler_receiver_holds_its_responses():
     cfg = unit_scenario("flows.count=3", "straggler={receiver: 1, delay_ms: 400}")
-    delays = [Receiver(i, cfg, TappedLog()).straggler_delay_us for i in range(3)]
+    delays = [Receiver(i, cfg, TappedLog(3, 64)).straggler_delay_us for i in range(3)]
     assert delays == [0, 400_000, 0]
 
 
@@ -130,9 +131,9 @@ def make_receiver(*sets):
     """Flow 0's receiver over unit_scenario(*sets): two-state detector
     with a 150 ms idle timeout and a 10 ms nominal gap, no reorder
     grace, a 150 ms re-NACK window, a 600 ms horizon, no straggler."""
-    log = TappedLog()
-    log.register_flow(0, 64)
-    recv = Receiver(0, unit_scenario(*sets), log)
+    cfg = unit_scenario(*sets)
+    log = TappedLog(cfg.flows.count, cfg.flows.packet_size)
+    recv = Receiver(0, cfg, log)
     env = StubEnv()
     env.attach(recv)
     return recv, env, log

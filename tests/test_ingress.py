@@ -2,15 +2,9 @@
 
 import pytest
 
-from caspr.ingress import (
-    CROSS_FLUSH_US,
-    IN_FLUSH_US,
-    DuplicateFlow,
-    IngressCoder,
-    UnknownFlow,
-)
+from _stub import unit_scenario
+from caspr.ingress import CROSS_FLUSH_US, IN_FLUSH_US, IngressCoder
 from caspr.metrics import RunLog
-from caspr.scenario import Coding
 from caspr.wire import CodedPacket, DataPacket
 
 
@@ -27,10 +21,13 @@ class StubEnv:
         self.timers.append((self.now + delay_us, token))
 
 
-def make_coder(k_max=4, parity_cross=2, **coding):
-    # Coding's own defaults: parity_in=1, in_block=5
-    coding = Coding(k_max=k_max, parity_cross=parity_cross, **coding)
-    coder = IngressCoder("dc1", coding, RunLog(), "dc1>dc2")
+def make_coder(flows, k_max=4, parity_cross=2, **coding):
+    """DC1 over unit_scenario() with ``flows`` flows; the scenario's
+    coding defaults are parity_in=1, in_block=5."""
+    cfg = unit_scenario(f"flows.count={flows}", f"coding.k_max={k_max}",
+                        f"coding.parity_cross={parity_cross}",
+                        *(f"coding.{key}={value}" for key, value in coding.items()))
+    coder = IngressCoder(cfg, RunLog(flows, cfg.flows.packet_size))
     coder.env = StubEnv()
     return coder
 
@@ -52,9 +49,7 @@ def in_sent(env):
 
 
 def test_parity_carries_member_send_times_and_emit_time():
-    coder = make_coder()
-    coder.register_flow(0)
-    coder.register_flow(1)
+    coder = make_coder(2)
     env = coder.env
     # (sent, arrived at DC1, flow, seq); flow 1's packet was sent first
     # but arrives last, so batch order is not send-time order
@@ -72,32 +67,24 @@ def test_parity_carries_member_send_times_and_emit_time():
         (1_200 + IN_FLUSH_US, (1_000, 4_000))]
 
 
-def test_group_assignment_greedy_fill():
-    coder = make_coder(k_max=10, parity_cross=2, in_block=0)
-    for f in range(12):
-        coder.register_flow(f)
-    sizes = sorted(len(g.members) for g in coder.groups)
-    assert sizes == [2, 10]
-    assert coder.groups[0].members == list(range(10))
-
-
-def test_duplicate_flow_rejected():
-    coder = make_coder()
-    coder.register_flow(1)
-    with pytest.raises(DuplicateFlow):
-        coder.register_flow(1)
-
-
-def test_unregistered_flow_rejected():
-    coder = make_coder()
-    with pytest.raises(UnknownFlow):
-        coder.process_packet(pkt(9, 0))
+@pytest.mark.parametrize("flows, sizes", [
+    (1, [1]), (10, [10]), (12, [10, 2]), (25, [10, 10, 5])])
+def test_group_assignment_greedy_fill(flows, sizes):
+    coder = make_coder(flows, k_max=10, parity_cross=2, in_block=0)
+    assert coder.name == "dc1" and coder.out_link == "dc1>dc2"
+    assert coder.group_sizes == sizes
+    # one packet per flow: every probe starts at queue 0 of its group,
+    # and a group of two or more flows fills it and emits at once
+    for f in range(flows):
+        coder.process_packet(pkt(f, 0))
+    batches = {p.batch_id: {m[0] for m in p.members} for p in cross_sent(coder.env)}
+    groups = [set(range(first, first + size))
+              for first, size in zip(range(0, flows, 10), sizes)]
+    assert list(batches.values()) == [g for g in groups if len(g) >= 2]
 
 
 def test_full_queue_emits_cross_batch():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     # one packet from each flow; all four probes start at queue 0
     for f in range(4):
         coder.process_packet(pkt(f, 0, bytes([f]) * 8))
@@ -110,15 +97,13 @@ def test_full_queue_emits_cross_batch():
 
 
 def test_queue_spread_no_flow_twice():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     # two packets per flow before any queue fills: they spread to
     # different queues, no queue ever holds a flow twice
     for seq in range(2):
         for f in range(4):
             coder.process_packet(pkt(f, seq))
-    for q in coder.groups[0].queues:
+    for q in coder.queues[0]:
         flows = [s.flow_id for s in q.symbols]
         assert len(flows) == len(set(flows))
     batches = cross_sent(coder.env)
@@ -129,8 +114,7 @@ def test_queue_spread_no_flow_twice():
 
 
 def test_single_flow_evicts_never_emits_cross():
-    coder = make_coder(in_block=0)
-    coder.register_flow(0)
+    coder = make_coder(1, in_block=0)
     for seq in range(20):
         coder.process_packet(pkt(0, seq))
     assert cross_sent(coder.env) == []
@@ -139,9 +123,7 @@ def test_single_flow_evicts_never_emits_cross():
 
 
 def test_timer_flushes_partial_batch():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     coder.process_packet(pkt(0, 0))
     coder.process_packet(pkt(1, 0))
     assert cross_sent(coder.env) == []
@@ -155,9 +137,7 @@ def test_timer_flushes_partial_batch():
 
 
 def test_timer_evicts_single_packet():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     coder.process_packet(pkt(0, 0))
     coder.on_timer(cross_timers(coder.env)[0][1])
     assert cross_sent(coder.env) == []
@@ -165,9 +145,7 @@ def test_timer_evicts_single_packet():
 
 
 def test_stale_timer_is_noop():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     for f in range(4):
         coder.process_packet(pkt(f, 0))
     emitted = len(coder.env.sent)
@@ -178,8 +156,7 @@ def test_stale_timer_is_noop():
 
 
 def test_in_stream_emits_at_block_boundary():
-    coder = make_coder()
-    coder.register_flow(0)
+    coder = make_coder(1)
     for seq in range(5):
         coder.process_packet(pkt(0, seq, bytes([seq]) * 8))
     parities = in_sent(coder.env)
@@ -192,8 +169,7 @@ def test_in_stream_emits_at_block_boundary():
 
 
 def test_in_stream_timer_flushes_short_block():
-    coder = make_coder()
-    coder.register_flow(0)
+    coder = make_coder(1)
     coder.process_packet(pkt(0, 0))
     coder.process_packet(pkt(0, 1))
     in_timers = [(t, tok) for t, tok in coder.env.timers if tok[0] == "iq"]
@@ -205,9 +181,7 @@ def test_in_stream_timer_flushes_short_block():
 
 
 def test_in_stream_disabled():
-    coder = make_coder(in_block=0)
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4, in_block=0)
     for f in range(4):
         coder.process_packet(pkt(f, 0))
     assert in_sent(coder.env) == []
@@ -215,9 +189,7 @@ def test_in_stream_disabled():
 
 
 def test_batch_ids_monotone_and_distinct():
-    coder = make_coder()
-    for f in range(4):
-        coder.register_flow(f)
+    coder = make_coder(4)
     for seq in range(10):
         for f in range(4):
             coder.process_packet(pkt(f, seq))
@@ -231,9 +203,7 @@ def test_batch_ids_monotone_and_distinct():
 
 def test_coding_latency_bounded_by_flush_timeout():
     # every packet leaves its queue no later than CROSS_FLUSH_US after entry
-    coder = make_coder(k_max=6, parity_cross=1, in_block=0)
-    for f in range(3):
-        coder.register_flow(f)
+    coder = make_coder(3, k_max=6, parity_cross=1, in_block=0)
     env = coder.env
     entered = {}
     t = 0

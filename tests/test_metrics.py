@@ -126,8 +126,7 @@ def test_fec_level_rate_with_no_losses():
 
 
 def make_log(lost=()):
-    log = RunLog()
-    log.register_flow(0, 100)
+    log = RunLog(1, 100)
     for seq in range(3):
         log.record_send(0, seq, seq * 10_000)
         if seq in lost:
@@ -217,10 +216,10 @@ def test_pool_runs_rejects_no_runs():
 @st.composite
 def random_runs(draw, seed):
     """One analyzed run of a few short flows with random losses and repairs."""
-    log = RunLog()
+    flows = draw(st.integers(1, 3))
+    log = RunLog(flows, draw(st.integers(0, 64)))
     outages = {}
-    for flow_id in range(draw(st.integers(1, 3))):
-        log.register_flow(flow_id, draw(st.integers(0, 64)))
+    for flow_id in range(flows):
         ts = 0
         for seq in range(draw(st.integers(0, 25))):
             ts += draw(st.integers(1, 20_000))

@@ -10,6 +10,7 @@ import weakref
 import pytest
 import yaml
 
+from _stub import unit_scenario
 from caspr import egress, endpoint, ingress, metrics, netsim, runner, scenario, wire
 from caspr.cli import main
 from caspr.runner import InvariantViolation, run_scenario, run_seed
@@ -68,6 +69,30 @@ def test_lossless_run_moves_no_recovery_bytes():
     assert m.counters["failed_silent"] == 0
     # coding still ran; parity crossed the inter-DC link
     assert m.dc1_egress_bytes > 0
+
+
+def test_flows_past_the_first_group_code_only_within_their_group(monkeypatch):
+    # every bundled scenario has one group (flows.count == k_max); here
+    # k_max 3 splits seven flows into {0, 1, 2}, {3, 4, 5} and a lone {6}
+    cfg = unit_scenario("flows.count=7", "coding.k_max=3", "duration_s=3",
+                        "cooldown_s=0.5", "flows.on_s=5",
+                        "topology.direct.loss={kind: bernoulli, p: 0.05}")
+    cross = []
+    send = netsim.Simulator._send
+
+    def tap(sim, link_name, msg):
+        if link_name == scenario.INTER_DC_LINK and msg.cross:
+            cross.append({f for f, _, _ in msg.members})
+        send(sim, link_name, msg)
+
+    monkeypatch.setattr(netsim.Simulator, "_send", tap)
+    m = run_seed(cfg, cfg.seeds[0])
+    assert {frozenset(f // 3 for f in flows) for flows in cross} == {
+        frozenset({0}), frozenset({1})}
+    assert not any(6 in flows for flows in cross)
+    # the lone flow's packets never find a partner, so they are evicted
+    assert m.counters["evictions"] > 0
+    assert m.recovered_any == m.lost > 0
 
 
 def run_watched(monkeypatch, cfg, at_check=None, trace_path=None):

@@ -58,13 +58,14 @@ def test_nodes_carry_the_timings_the_scenario_derives():
     cfg = validate(apply_overrides(minimal(), ["topology.direct.jitter_ms=4"]))
     assert cfg.reorder_grace_us == 2 * cfg.topology.direct.jitter_us == 8_000
     assert cfg.boundary_wait_us == CROSS_FLUSH_US + cfg.topology.inter_dc.delay_us == 50_000
-    recv = Receiver(0, cfg, RunLog())
+    log = RunLog(cfg.flows.count, cfg.flows.packet_size)
+    recv = Receiver(0, cfg, log)
     assert recv.long_timeout_us == cfg.rtt_us == 100_000
     assert recv.nominal_gap_us == cfg.flows.interval_us == 10_000
     assert recv.reorder_grace_us == cfg.reorder_grace_us
     assert recv.renack_after_us == cfg.deadline_us
     assert recv.horizon_us == cfg.horizon_us
-    egress = EgressRecovery(cfg, RunLog())
+    egress = EgressRecovery(cfg, log)
     assert egress.claim_owd_us == cfg.topology.direct.max_delay_us == 54_000
     assert (egress.deadline_us, egress.boundary_wait_us, egress.horizon_us) == (
         cfg.deadline_us, cfg.boundary_wait_us, cfg.horizon_us)
