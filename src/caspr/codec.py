@@ -3,13 +3,18 @@
 A batch is an ordered list of source ``wire.DataPacket``s, possibly
 from different flows.  Encoding checks the batch and builds its
 ``num_parity`` parity ``wire.CodedPacket``s, whose payloads are computed
-on first read: all rows of a batch in one kernel call, so a batch that
-nothing decodes or serializes costs no field arithmetic.  The code is
-systematic (source payloads are never transformed) and any ``k`` of the
-``k + p`` packets reconstruct the rest.
+on first read: all rows of a batch in one ``gf256.gf_combine`` call, so
+a batch that nothing decodes or serializes costs no field arithmetic.
+The code is systematic (source payloads are never transformed) and any
+``k`` of the ``k + p`` packets reconstruct the rest.
 Payloads in one batch may differ in length: shorter ones are zero-padded
 to the longest, and each member's original length and send time travel
-in the parity metadata.  Decode maps (flow_id, seq) to payloads.
+in the parity metadata.  Decode maps (flow_id, seq) to payloads.  It
+solves one erasure pattern, (k, p, the parity rows used, the missing
+positions), with a decode matrix that is inverted once per pattern and
+cached, then rebuilds the missing payloads in one ``gf_combine`` call
+over the parity and known payloads as they are; numpy runs only when a
+pattern's matrix is first built.
 
 Cross-flow and in-flow coding use this module identically; they differ
 only in who fills the batch (see ingress).
@@ -63,13 +68,6 @@ def check_envelope(k: int, p: int) -> None:
         raise InvalidParams(f"batch of {k} + {p} parity exceeds field size")
 
 
-def _stack(payloads, rows: int, symbol_len: int) -> np.ndarray:
-    """Read-only (rows, symbol_len) array of the payloads, each
-    zero-padded to symbol_len, staged in one copy."""
-    buf = b"".join(p.ljust(symbol_len, b"\0") for p in payloads)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(rows, symbol_len)
-
-
 class _BatchParity:
     """The parity rows of one batch, all computed by one kernel call on
     the first read of any of them."""
@@ -84,10 +82,8 @@ class _BatchParity:
 
     def row(self, i: int) -> bytes:
         if self.rows is None:
-            k = len(self.sources)
-            data = _stack(self.sources, k, self.symbol_len)
-            parity = gf256.gf_matmul(gf256.parity_matrix(k, self.num_parity), data)
-            self.rows = [r.tobytes() for r in parity]
+            gen = gf256.parity_rows(len(self.sources), self.num_parity)
+            self.rows = gf256.gf_combine(gen, self.sources, self.symbol_len)
             self.sources = None  # the rows no longer need them
         return self.rows[i]
 
@@ -166,20 +162,30 @@ def decode_batch(present: dict[Entry, bytes],
     if len(missing) > len(parity):
         raise InsufficientSymbols(len(missing), len(parity))
 
-    gen = gf256.parity_matrix(len(keys), ref.num_parity)
     use = sorted(parity, key=lambda p: p.parity_index)[:len(missing)]
-
-    # subtract the known sources' contribution from each parity row
-    rows = [p.parity_index for p in use]
-    rhs = _stack((p.payload for p in use), len(use), symbol_len)
-    if known:
-        data = _stack((present[keys[i]][:symbol_len] for i in known),
-                      len(known), symbol_len)
-        rhs = rhs ^ gf256.gf_matmul(gen[np.ix_(rows, known)], data)
-
-    # solve the residual square system for the missing positions
-    a = gen[np.ix_(rows, missing)]
-    inv = gf256.gf_inv_matrix(a)
-    solved = gf256.gf_matmul(inv, rhs)
-    return {keys[i]: solved[r].tobytes()[:ref.members[i][2]]
+    mat = _decode_matrix(len(keys), ref.num_parity,
+                         tuple(p.parity_index for p in use), tuple(missing))
+    rows = [p.payload for p in use]
+    rows += [present[keys[i]][:symbol_len] for i in known]
+    solved = gf256.gf_combine(mat, rows, symbol_len)
+    return {keys[i]: solved[r][:ref.members[i][2]]
             for r, i in enumerate(missing)}
+
+
+@functools.lru_cache(maxsize=1024)
+def _decode_matrix(k: int, num_parity: int, rows: tuple[int, ...],
+                   missing: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The matrix that maps (used parity payloads, known payloads) to the
+    missing ones, for parity ``rows`` and ``missing`` positions.
+
+    With G the generator, the used parity rows P satisfy
+    G[rows, missing] X = P + G[rows, known] D, so the missing payloads
+    are X = inv(G[rows, missing]) [I | G[rows, known]] [P; D].  Built
+    once per erasure pattern; the bounded cache keeps state small at
+    any k.
+    """
+    gen = gf256.parity_matrix(k, num_parity)
+    known = [j for j in range(k) if j not in missing]
+    inv = gf256.gf_inv_matrix(gen[np.ix_(rows, missing)])
+    rhs = np.hstack([np.eye(len(rows), dtype=np.uint8), gen[np.ix_(rows, known)]])
+    return tuple(map(tuple, gf256.gf_matmul(inv, rhs).tolist()))

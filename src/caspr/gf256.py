@@ -2,16 +2,19 @@
 
 Field with primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the
 usual choice for byte-oriented storage codes.  Parity generation and
-reconstruction both reduce to matrix products over the field.  The
+reconstruction both reduce to one kernel, ``gf_combine``: each output
+row is the field sum of the input rows, each scaled by its coefficient.
+Addition in the field is XOR, so the kernel XORs rows as little-endian
+ints; a coefficient of 1 takes the row as it is, and any other
+nonzero coefficient c first maps the row's bytes through ``TABLES[c]``,
+the 256-byte ``bytes.translate`` table of multiplication by c.  The
 codec computes a batch's parity only when a decode or a serialize reads
 it, so in a simulation the products run for decoded batches alone, a
-small share of those encoded.  Addition in the field is XOR, so the
-product kernel XOR-reduces the data rows for a matrix row of all ones
-(the generator's row 0, the single-parity case and a 1x1 decode
-inverse), XORs a data row in for any other coefficient 1, and gathers
-through a full 256x256 product table only for the remaining nonzero
-coefficients; ``perfbench/kernel.py`` times it.  The generator is a pure
-function of (k, p), so it is built once per shape and shared read-only.
+small share of those encoded.  ``gf_matmul`` is the same kernel over
+numpy arrays, for callers that hold matrices; ``perfbench/kernel.py``
+times it.  The generator is a pure function of (k, p), so it is built
+once per shape and shared read-only, as an array (``parity_matrix``)
+and as tuples (``parity_rows``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ MUL = np.zeros((256, 256), dtype=np.uint8)
 _nz = np.arange(1, 256)
 MUL[1:, 1:] = EXP[(LOG[_nz][:, None] + LOG[_nz][None, :]) % ORDER]
 
+# TABLES[c] is row c of MUL as a bytes.translate table: b.translate(TABLES[c])
+# multiplies every byte of b by c
+_mul_bytes = MUL.tobytes()
+TABLES = [_mul_bytes[c << 8:(c + 1) << 8] for c in range(256)]
+
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
@@ -54,30 +62,37 @@ def gf_inv(a: int) -> int:
     return int(EXP[ORDER - LOG[a]])
 
 
-def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """GF matrix product, (p,k) x (k,L) -> (p,L).
+def gf_combine(mat, rows: list[bytes], length: int) -> list[bytes]:
+    """GF matrix product over byte rows, (p,k) x k rows -> p rows of length.
 
-    data is uint8.  A row of all ones is the XOR of the data rows; any
-    other row XORs in the gather MUL[c][data[j]] per nonzero coefficient
-    c, or data[j] itself when c is 1 (MUL[1] is the identity).
+    ``mat`` is a sequence of p coefficient sequences of k ints each.  A
+    row shorter than ``length`` counts as zero-padded at its end, which
+    costs nothing: a trailing zero byte leaves a little-endian int
+    unchanged, and ``TABLES[c][0] == 0``.  No row may be longer.
     """
-    k = mat.shape[1]
-    out = np.zeros((mat.shape[0], data.shape[1]), dtype=np.uint8)
-    for i, row in enumerate(mat.tolist()):
-        acc = out[i]
-        if row.count(1) == k:
-            np.bitwise_xor.reduce(data, axis=0, out=acc)
-            continue
-        for j, c in enumerate(row):
+    out = []
+    for coeffs in mat:
+        acc = 0
+        for c, row in zip(coeffs, rows, strict=True):
             if c == 1:
-                acc ^= data[j]
+                acc ^= int.from_bytes(row, "little")
             elif c:
-                acc ^= MUL[c].take(data[j])
+                acc ^= int.from_bytes(row.translate(TABLES[c]), "little")
+        out.append(acc.to_bytes(length, "little"))
     return out
 
 
+def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """GF matrix product of uint8 arrays, (p,k) x (k,L) -> (p,L), by
+    ``gf_combine``."""
+    length = data.shape[1]
+    out = gf_combine(mat.tolist(), [r.tobytes() for r in data], length)
+    flat = bytearray(b"".join(out))
+    return np.frombuffer(flat, dtype=np.uint8).reshape(mat.shape[0], length)
+
+
 # perfbench reads these names: the backend flag for its environment block
-# and the reference it checks gf_matmul against; numpy is the only kernel
+# and the reference it checks gf_matmul against; gf_combine is the only kernel
 USE_NUMBA = False
 _matmul_numpy = gf_matmul
 
@@ -98,6 +113,12 @@ def parity_matrix(k: int, num_parity: int) -> np.ndarray:
     gen = EXP[(rows * cols) % ORDER].astype(np.uint8)
     gen.flags.writeable = False
     return gen
+
+
+@functools.cache
+def parity_rows(k: int, num_parity: int) -> tuple[tuple[int, ...], ...]:
+    """``parity_matrix(k, num_parity)`` as tuples of ints, for gf_combine."""
+    return tuple(map(tuple, parity_matrix(k, num_parity).tolist()))
 
 
 def gf_inv_matrix(a: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_gf
-from caspr import egress, endpoint, gf256, runner, scenario
+from caspr import codec, egress, endpoint, gf256, runner, scenario
 from caspr.codec import (
     EmptyBatch,
     InsufficientSymbols,
@@ -81,28 +81,36 @@ def test_every_erasure_pattern_matches_oracle():
 
 
 def test_codec_products_go_through_the_kernel(monkeypatch):
-    # perfbench times the codec's field arithmetic by wrapping
-    # gf256.gf_matmul; a product computed anywhere else would be invisible
-    kernel = gf256.gf_matmul
+    # every field product the codec computes goes through the one kernel,
+    # gf256.gf_combine; a product computed anywhere else would escape the
+    # kernel's oracle test and a tracer wrapping it
+    kernel = gf256.gf_combine
     shapes = []
 
-    def counted(mat, data):
-        shapes.append((mat.shape, data.shape))
-        return kernel(mat, data)
+    def counted(mat, rows, length):
+        shapes.append((len(mat), len(rows), length))
+        return kernel(mat, rows, length)
 
-    monkeypatch.setattr(gf256, "gf_matmul", counted)
+    monkeypatch.setattr(gf256, "gf_combine", counted)
     srcs = batch([b"alpha", b"br", b"charlie!", b"d"])
     parity = encode_batch(7, srcs, 2, True, 0)
     # parity bytes are computed on first read, every row of the batch at once
     assert shapes == []
     parity[1].payload
-    assert shapes == [((2, 4), (4, 8))]
+    assert shapes == [(2, 4, 8)]
     parity[0].payload
-    assert shapes == [((2, 4), (4, 8))]
+    assert shapes == [(2, 4, 8)]
     shapes.clear()
-    assert decode_batch(known([srcs[0], srcs[2], srcs[3]]), parity) == known([srcs[1]])
-    # the known sources' contribution to parity row 0, then the 1x1 solve
-    assert shapes == [((1, 3), (3, 8)), ((1, 1), (1, 8))]
+    codec._decode_matrix.cache_clear()
+    present = known([srcs[0], srcs[2], srcs[3]])
+    assert decode_batch(present, parity) == known([srcs[1]])
+    # a cold pattern builds its 1x4 decode matrix (a product of the 1x1
+    # inverse with [I | G[0, known]]), then solves from parity row 0 and
+    # the three known payloads in one product
+    assert shapes == [(1, 1, 4), (1, 4, 8)]
+    shapes.clear()
+    assert decode_batch(present, parity) == known([srcs[1]])
+    assert shapes == [(1, 4, 8)]
 
 
 @st.composite
@@ -123,14 +131,14 @@ def test_parity_read_in_any_order_matches_oracle(case):
     payloads, num_parity, order = case
     expected = oracle_gf.encode(payloads, num_parity)
     srcs = batch(payloads)
-    kernel = gf256.gf_matmul
+    kernel = gf256.gf_combine
     calls = []
 
-    def counted(mat, data):
-        calls.append(mat.shape)
-        return kernel(mat, data)
+    def counted(mat, rows, length):
+        calls.append((len(mat), len(rows)))
+        return kernel(mat, rows, length)
 
-    with mock.patch.object(gf256, "gf_matmul", counted):
+    with mock.patch.object(gf256, "gf_combine", counted):
         parity = encode_batch(5, srcs, num_parity, True, 0)
         sizes = [wire_size(p) for p in parity]
         assert calls == []
@@ -152,27 +160,91 @@ def test_parity_read_in_any_order_matches_oracle(case):
 def test_wide_area_computes_parity_only_for_decoded_batches(monkeypatch):
     # encoding must stay lazy: one parity product per batch some node
     # decoded, none for the thousands of batches nobody reads
-    kernel = gf256.gf_matmul
+    kernel = gf256.gf_combine
     parity_products = []
     decoded = set()
 
-    def counted(mat, data):
-        k = mat.shape[1]
-        if mat is gf256.parity_matrix(k, mat.shape[0]):
-            parity_products.append(mat.shape)
-        return kernel(mat, data)
+    def counted(mat, rows, length):
+        if mat is gf256.parity_rows(len(rows), len(mat)):
+            parity_products.append((len(mat), len(rows)))
+        return kernel(mat, rows, length)
 
     def noted(present, parity):
         decoded.update((p.cross, p.batch_id, p.members) for p in parity)
         return decode_batch(present, parity)
 
-    monkeypatch.setattr(gf256, "gf_matmul", counted)
+    monkeypatch.setattr(gf256, "gf_combine", counted)
     monkeypatch.setattr(endpoint, "decode_batch", noted)
     monkeypatch.setattr(egress, "decode_batch", noted)
     cfg = scenario.load(scenario.bundled_path("wide_area_cbr"))
     runner.run_seed(cfg, 11)
     assert decoded
-    assert len(parity_products) <= len(decoded)
+    assert 1 <= len(parity_products) <= len(decoded)
+
+
+def test_every_erasure_pattern_decodes_cold_and_warm():
+    # every lost-source set at k <= 6, p <= 4, against every parity subset
+    # large enough to repair it, handed over in reverse order; the second
+    # pass finds every pattern's decode matrix cached and must agree
+    cases = []
+    for k in range(1, 7):
+        payloads = [bytes([(k * 11 + i * 5 + t) % 256 for t in range(7 + i % 3)])
+                    for i in range(k)]
+        width = max(map(len, payloads))
+        padded = [pl.ljust(width, b"\0") for pl in payloads]
+        srcs = batch(payloads)
+        for p in range(1, 5):
+            parity = encode_batch(0, srcs, p, True, 0)
+            for lost_n in range(1, min(p, k) + 1):
+                for lost in itertools.combinations(range(k), lost_n):
+                    kept = {i: padded[i] for i in range(k) if i not in lost}
+                    for n in range(lost_n, p + 1):
+                        for pick in itertools.combinations(range(p), n):
+                            expect = oracle_gf.reconstruct(
+                                k, p, kept, {i: parity[i].payload for i in pick})
+                            cases.append((
+                                known(s for i, s in enumerate(srcs) if i not in lost),
+                                [parity[i] for i in reversed(pick)],
+                                {(srcs[i].flow_id, srcs[i].seq): expect[i][:len(payloads[i])]
+                                 for i in lost}))
+    assert codec._decode_matrix.cache_info().maxsize is not None
+    codec._decode_matrix.cache_clear()
+    for present, use, want in cases:
+        got = decode_batch(present, use)
+        assert got == want and list(got) == list(want)
+    cold = codec._decode_matrix.cache_info()
+    assert cold.misses == cold.currsize < len(cases)
+    for present, use, want in cases:
+        got = decode_batch(present, use)
+        assert got == want and list(got) == list(want)
+    warm = codec._decode_matrix.cache_info()
+    assert warm.misses == cold.misses
+    assert warm.hits == cold.hits + len(cases)
+
+
+def test_bursty_inverts_once_per_erasure_pattern(monkeypatch):
+    # the decode matrix is cached per (k, p, parity rows, missing
+    # positions), so a seed inverts one matrix per distinct pattern, not
+    # one per decode; a cache that stops hitting shows up here
+    inverse, decode_matrix = gf256.gf_inv_matrix, codec._decode_matrix
+    inversions, patterns = [], []
+
+    def counted_inverse(a):
+        inversions.append(a.shape)
+        return inverse(a)
+
+    def noted(*pattern):
+        patterns.append(pattern)
+        return decode_matrix(*pattern)
+
+    monkeypatch.setattr(gf256, "gf_inv_matrix", counted_inverse)
+    monkeypatch.setattr(codec, "_decode_matrix", noted)
+    decode_matrix.cache_clear()
+    cfg = scenario.load(scenario.bundled_path("short_flow_nack_economy"),
+                        ["duration_s=15"])
+    runner.run_seed(cfg, 21)
+    assert len(patterns) >= 200
+    assert len(inversions) <= len(set(patterns))
 
 
 def test_round_trip_all_supported_widths():

@@ -22,6 +22,7 @@ def test_tables_against_bitwise_multiply():
         a, b = rng.randrange(256), rng.randrange(256)
         assert gf256.gf_mul(a, b) == oracle_gf.mul(a, b)
         assert gf256.MUL[a, b] == oracle_gf.mul(a, b)
+        assert gf256.TABLES[a][b] == oracle_gf.mul(a, b)
 
 
 def test_field_axioms_sampled():
@@ -78,9 +79,36 @@ def test_matmul_matches_scalar_oracle(operands):
     assert got.tolist() == want
 
 
+@st.composite
+def combine_operands(draw):
+    """(mat, rows, length) for gf_combine: p x k coefficient rows with
+    zero and one drawn often, and k byte rows of ragged lengths up to
+    ``length``, empty rows and ``length == 0`` included."""
+    p, k = draw(st.integers(1, 4)), draw(st.integers(0, 20))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, 255))
+    mat = draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=p, max_size=p))
+    length = draw(st.integers(0, 64))
+    rows = draw(st.lists(st.binary(max_size=length), min_size=k, max_size=k))
+    return mat, rows, length
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(combine_operands())
+def test_combine_matches_scalar_oracle(operands):
+    mat, rows, length = operands
+    padded = [r.ljust(length, b"\0") for r in rows]
+    want = [bytes(functools.reduce(operator.xor,
+                                   (oracle_gf.mul(c, r[t]) for c, r in zip(row, padded)), 0)
+                  for t in range(length)) for row in mat]
+    assert gf256.gf_combine(mat, rows, length) == want
+
+
 def test_parity_matrix_is_one_shared_read_only_array():
     gen = gf256.parity_matrix(7, 3)
     assert gf256.parity_matrix(7, 3) is gen
+    rows = gf256.parity_rows(7, 3)
+    assert gf256.parity_rows(7, 3) is rows
+    assert rows == tuple(map(tuple, gen.tolist()))
     assert not gen.flags.writeable
     with pytest.raises(ValueError):
         gen[1, 1] = 0
