@@ -13,8 +13,9 @@ in the parity metadata.  Decode maps (flow_id, seq) to payloads.  It
 solves one erasure pattern, (k, p, the parity rows used, the missing
 positions), with a decode matrix that is inverted once per pattern and
 cached, then rebuilds the missing payloads in one ``gf_combine`` call
-over the parity and known payloads as they are; numpy runs only when a
-pattern's matrix is first built.
+over the parity and known payloads as they are.  A pattern's matrix is
+built in pure Python from the tuple generator: a small Gauss-Jordan
+inverse, then one more ``gf_combine`` call.
 
 Cross-flow and in-flow coding use this module identically; they differ
 only in who fills the batch (see ingress).
@@ -23,8 +24,6 @@ only in who fills the batch (see ingress).
 from __future__ import annotations
 
 import functools
-
-import numpy as np
 
 from . import gf256
 from .wire import CodedPacket, DataPacket, Entry
@@ -82,7 +81,7 @@ class _BatchParity:
 
     def row(self, i: int) -> bytes:
         if self.rows is None:
-            gen = gf256.parity_rows(len(self.sources), self.num_parity)
+            gen = gf256.parity_matrix(len(self.sources), self.num_parity)
             self.rows = gf256.gf_combine(gen, self.sources, self.symbol_len)
             self.sources = None  # the rows no longer need them
         return self.rows[i]
@@ -174,9 +173,10 @@ def decode_batch(present: dict[Entry, bytes],
 
 @functools.lru_cache(maxsize=1024)
 def _decode_matrix(k: int, num_parity: int, rows: tuple[int, ...],
-                   missing: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+                   missing: tuple[int, ...]) -> tuple[bytes, ...]:
     """The matrix that maps (used parity payloads, known payloads) to the
-    missing ones, for parity ``rows`` and ``missing`` positions.
+    missing ones, for parity ``rows`` and ``missing`` positions, one
+    ``bytes`` row of k coefficients per missing payload.
 
     With G the generator, the used parity rows P satisfy
     G[rows, missing] X = P + G[rows, known] D, so the missing payloads
@@ -186,6 +186,7 @@ def _decode_matrix(k: int, num_parity: int, rows: tuple[int, ...],
     """
     gen = gf256.parity_matrix(k, num_parity)
     known = [j for j in range(k) if j not in missing]
-    inv = gf256.gf_inv_matrix(gen[np.ix_(rows, missing)])
-    rhs = np.hstack([np.eye(len(rows), dtype=np.uint8), gen[np.ix_(rows, known)]])
-    return tuple(map(tuple, gf256.gf_matmul(inv, rhs).tolist()))
+    inv = gf256.gf_inv_matrix([[gen[r][j] for j in missing] for r in rows])
+    rhs = [bytes(int(r == s) for s in rows) + bytes(gen[r][j] for j in known)
+           for r in rows]
+    return tuple(gf256.gf_combine(inv, rhs, k))

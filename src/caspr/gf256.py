@@ -1,65 +1,70 @@
 """GF(2^8) arithmetic for the erasure codec.
 
 Field with primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the
-usual choice for byte-oriented storage codes.  Parity generation and
+usual choice for byte-oriented storage codes.  The tables are plain
+``bytes`` built at import without a per-product loop: ``EXP`` holds the
+powers of 2, ``LOG`` their inverse, and ``TABLES[c]``, the 256-byte
+``bytes.translate`` table of multiplication by c, is the row of logs
+mapped through ``EXP`` shifted by log(c).  Parity generation and
 reconstruction both reduce to one kernel, ``gf_combine``: each output
 row is the field sum of the input rows, each scaled by its coefficient.
 Addition in the field is XOR, so the kernel XORs rows as little-endian
-ints; a coefficient of 1 takes the row as it is, and any other
-nonzero coefficient c first maps the row's bytes through ``TABLES[c]``,
-the 256-byte ``bytes.translate`` table of multiplication by c.  The
+ints; a coefficient of 1 takes the row as it is, and any other nonzero
+coefficient c first maps the row's bytes through ``TABLES[c]``.  The
 codec computes a batch's parity only when a decode or a serialize reads
 it, so in a simulation the products run for decoded batches alone, a
-small share of those encoded.  ``gf_matmul`` is the same kernel over
-numpy arrays, for callers that hold matrices; ``perfbench/kernel.py``
-times it.  The generator is a pure function of (k, p), so it is built
-once per shape and shared read-only, as an array (``parity_matrix``)
-and as tuples (``parity_rows``).
+small share of those encoded.  The generator is a pure function of
+(k, p), so ``parity_matrix`` builds it once per shape as shared tuples;
+``gf_inv_matrix`` inverts the small decode systems over ints.
+``gf_matmul`` wraps the kernel for numpy arrays.  It is a shim kept
+only while the benchmark under ``perfbench/`` calls it, and it imports
+numpy in its body, so no simulation path imports numpy.
 """
 
 from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 POLY = 0x11D
 ORDER = 255
 
-# exp table doubled so log[a]+log[b] never needs a modulo
-EXP = np.zeros(512, dtype=np.uint8)
-LOG = np.zeros(256, dtype=np.int32)
-_x = 1
-for _i in range(ORDER):
-    EXP[_i] = _x
-    LOG[_x] = _i
-    _x <<= 1
-    if _x & 0x100:
-        _x ^= POLY
-EXP[ORDER:2 * ORDER] = EXP[:ORDER]
-EXP[2 * ORDER:] = EXP[:512 - 2 * ORDER]
 
-# full 256x256 product table, 64 KiB; MUL[a, b] == gf_mul(a, b)
-MUL = np.zeros((256, 256), dtype=np.uint8)
-_nz = np.arange(1, 256)
-MUL[1:, 1:] = EXP[(LOG[_nz][:, None] + LOG[_nz][None, :]) % ORDER]
+def _powers():
+    x = 1
+    for _ in range(ORDER):
+        yield x
+        x <<= 1
+        if x & 0x100:
+            x ^= POLY
 
-# TABLES[c] is row c of MUL as a bytes.translate table: b.translate(TABLES[c])
-# multiplies every byte of b by c
-_mul_bytes = MUL.tobytes()
-TABLES = [_mul_bytes[c << 8:(c + 1) << 8] for c in range(256)]
+
+_exp = bytes(_powers())
+# exp table doubled so LOG[a]+LOG[b] never needs a modulo
+EXP = _exp * 2 + _exp[:2]
+_log = [0] * 256
+for _i, _x in enumerate(_exp):
+    _log[_x] = _i
+LOG = tuple(_log)
+
+# TABLES[c] is the bytes.translate table of multiplication by c:
+# b.translate(TABLES[c]) multiplies every byte of b by c.  For c != 0,
+# byte b != 0 maps to EXP[LOG[c] + LOG[b]], so the table is the logs of
+# 1..255 translated through EXP shifted by LOG[c]
+_logs = bytes(LOG[1:])
+TABLES = [bytes(256)] + [b"\x00" + _logs.translate(EXP[LOG[c]:LOG[c] + 256])
+                         for c in range(1, 256)]
 
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(EXP[LOG[a] + LOG[b]])
+    return EXP[LOG[a] + LOG[b]]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("gf_inv(0)")
-    return int(EXP[ORDER - LOG[a]])
+    return EXP[ORDER - LOG[a]]
 
 
 def gf_combine(mat, rows: list[bytes], length: int) -> list[bytes]:
@@ -82,13 +87,16 @@ def gf_combine(mat, rows: list[bytes], length: int) -> list[bytes]:
     return out
 
 
-def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """GF matrix product of uint8 arrays, (p,k) x (k,L) -> (p,L), by
-    ``gf_combine``."""
+def gf_matmul(mat, data):
+    """GF matrix product into a uint8 array, (p,k) x (k,L) -> (p,L), by
+    ``gf_combine``; ``mat`` is an array or nested tuples, ``data`` a
+    uint8 array.  Only the benchmark calls it, so numpy is imported
+    here and nowhere else in the package."""
+    import numpy as np
     length = data.shape[1]
-    out = gf_combine(mat.tolist(), [r.tobytes() for r in data], length)
+    out = gf_combine(np.asarray(mat).tolist(), [r.tobytes() for r in data], length)
     flat = bytearray(b"".join(out))
-    return np.frombuffer(flat, dtype=np.uint8).reshape(mat.shape[0], length)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(out), length)
 
 
 # perfbench reads these names: the backend flag for its environment block
@@ -98,46 +106,40 @@ _matmul_numpy = gf_matmul
 
 
 @functools.cache
-def parity_matrix(k: int, num_parity: int) -> np.ndarray:
-    """Parity generator rows W[i][j] = alpha^(i*j), shape (num_parity, k).
+def parity_matrix(k: int, num_parity: int) -> tuple[tuple[int, ...], ...]:
+    """Parity generator rows W[i][j] = alpha^(i*j), num_parity rows of k.
 
     Row 0 is all ones, so a single parity symbol is the plain XOR of the
     sources.  Stacked under an identity this is MDS (any k of the k+p
     symbols reconstruct) for num_parity <= 3 at any k, and for
     num_parity == 4 up to k == 20; the codec refuses anything beyond
     that envelope, see codec.InvalidParams.  Cached per shape, so the
-    result is one shared read-only array.
+    result is one shared tuple of tuples.
     """
-    rows = np.arange(num_parity, dtype=np.int64)[:, None]
-    cols = np.arange(k, dtype=np.int64)[None, :]
-    gen = EXP[(rows * cols) % ORDER].astype(np.uint8)
-    gen.flags.writeable = False
-    return gen
+    return tuple(tuple(EXP[i * j % ORDER] for j in range(k))
+                 for i in range(num_parity))
 
 
-@functools.cache
-def parity_rows(k: int, num_parity: int) -> tuple[tuple[int, ...], ...]:
-    """``parity_matrix(k, num_parity)`` as tuples of ints, for gf_combine."""
-    return tuple(map(tuple, parity_matrix(k, num_parity).tolist()))
+def gf_inv_matrix(a) -> tuple[tuple[int, ...], ...]:
+    """Invert a small square matrix over the field by Gauss-Jordan.
 
-
-def gf_inv_matrix(a: np.ndarray) -> np.ndarray:
-    """Invert a small square matrix over the field by Gauss-Jordan."""
-    n = a.shape[0]
-    aug = np.zeros((n, 2 * n), dtype=np.uint8)
-    aug[:, :n] = a
-    aug[np.arange(n), n + np.arange(n)] = 1
+    ``a`` is a sequence of n rows of n ints; the inverse comes back as
+    a tuple of n tuples.  Raises ZeroDivisionError when ``a`` is
+    singular.
+    """
+    n = len(a)
+    aug = [[*map(int, row), *(int(r == c) for c in range(n))]
+           for r, row in enumerate(a)]
     for col in range(n):
-        piv = col
-        while piv < n and aug[piv, col] == 0:
-            piv += 1
-        if piv == n:
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
             raise ZeroDivisionError("singular matrix over GF(256)")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = gf_inv(int(aug[col, col]))
-        aug[col] = MUL[inv][aug[col]]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = TABLES[gf_inv(aug[col][col])]
+        pivot = aug[col] = [scale[x] for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] ^= MUL[int(aug[r, col])][aug[col]]
-    return aug[:, n:].copy()
+            c = aug[r][col]
+            if r != col and c:
+                times = TABLES[c]
+                aug[r] = [x ^ times[y] for x, y in zip(aug[r], pivot)]
+    return tuple(tuple(row[n:]) for row in aug)

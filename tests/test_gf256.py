@@ -17,12 +17,14 @@ from caspr import gf256
 
 
 def test_tables_against_bitwise_multiply():
+    # TABLES is the one product table, so every entry is checked
+    assert len(gf256.TABLES) == 256
+    for a, table in enumerate(gf256.TABLES):
+        assert table == bytes(oracle_gf.mul(a, b) for b in range(256))
     rng = random.Random(1)
     for _ in range(2000):
         a, b = rng.randrange(256), rng.randrange(256)
         assert gf256.gf_mul(a, b) == oracle_gf.mul(a, b)
-        assert gf256.MUL[a, b] == oracle_gf.mul(a, b)
-        assert gf256.TABLES[a][b] == oracle_gf.mul(a, b)
 
 
 def test_field_axioms_sampled():
@@ -106,17 +108,15 @@ def test_combine_matches_scalar_oracle(operands):
 def test_parity_matrix_is_one_shared_read_only_array():
     gen = gf256.parity_matrix(7, 3)
     assert gf256.parity_matrix(7, 3) is gen
-    rows = gf256.parity_rows(7, 3)
-    assert gf256.parity_rows(7, 3) is rows
-    assert rows == tuple(map(tuple, gen.tolist()))
-    assert not gen.flags.writeable
-    with pytest.raises(ValueError):
-        gen[1, 1] = 0
+    assert type(gen) is tuple and all(type(row) is tuple for row in gen)
+    assert gen == tuple(map(tuple, oracle_gf.generator_rows(7, 3)))
+    with pytest.raises(TypeError):
+        gen[1][1] = 0
 
 
 def test_parity_matrix_first_row_all_ones():
     for k in (1, 5, 20, 64):
-        assert (gf256.parity_matrix(k, 3)[0] == 1).all()
+        assert gf256.parity_matrix(k, 3)[0] == (1,) * k
 
 
 def test_generator_mds_over_validated_envelope():
@@ -127,7 +127,7 @@ def test_generator_mds_over_validated_envelope():
         for m in range(1, p + 1):
             for rows in itertools.combinations(range(p), m):
                 for cols in itertools.combinations(range(k), m):
-                    sub = w[np.ix_(rows, cols)]
+                    sub = [[w[r][c] for c in cols] for r in rows]
                     try:
                         gf256.gf_inv_matrix(sub)
                     except ZeroDivisionError:
@@ -143,20 +143,27 @@ def test_generator_mds_over_validated_envelope():
 
 
 def test_matrix_inverse_roundtrip():
-    rng = np.random.default_rng(4)
+    def product(a, b):
+        return [[functools.reduce(operator.xor,
+                                  (oracle_gf.mul(x, y) for x, y in zip(row, col)), 0)
+                 for col in zip(*b)] for row in a]
+
+    rng = random.Random(4)
     for n in (1, 2, 4, 7):
         while True:
-            a = rng.integers(0, 256, (n, n), dtype=np.uint8)
+            a = [[rng.randrange(256) for _ in range(n)] for _ in range(n)]
             try:
                 inv = gf256.gf_inv_matrix(a)
                 break
             except ZeroDivisionError:
                 continue
-        prod = gf256.gf_matmul(a, inv.astype(np.uint8))
-        assert (prod == np.eye(n, dtype=np.uint8)).all()
+        assert type(inv) is tuple and all(type(row) is tuple for row in inv)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert product(a, inv) == eye
+        assert product(inv, a) == eye
 
 
 def test_singular_matrix_raises():
-    a = np.array([[1, 1], [1, 1]], dtype=np.uint8)
+    a = ((1, 1), (1, 1))
     with pytest.raises(ZeroDivisionError):
         gf256.gf_inv_matrix(a)

@@ -5,6 +5,8 @@ import csv
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -509,3 +511,35 @@ def test_cli_compare_missing_dir(tmp_path, capsys):
     rc = main(["compare", str(tmp_path / "absent")])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+NUMPY_BLOCKED_RUN = """
+import json, os, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import caspr.cli, caspr.runner
+from caspr import codec
+rc = caspr.cli.main(["run", "short_flow_nack_economy", "--seed", "21",
+                     "--out", "out", "--set", "duration_s=5"])
+print(json.dumps({"rc": rc, "decode_matrices": codec._decode_matrix.cache_info().misses,
+                  "files": sorted(os.listdir("out")),
+                  "numpy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "numpy"
+                                  and sys.modules[m] is not None)}))
+"""
+
+
+def test_a_run_never_imports_numpy(tmp_path):
+    # numpy serves only the benchmark's gf256.gf_matmul wrapper; the CLI,
+    # the runner and a run that decodes (so builds decode matrices) and
+    # writes its CSVs must work with numpy unimportable
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_RUN], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert got["decode_matrices"] > 0
+    assert {"summary.csv", "episodes.csv", "fec_whatif.csv", "cost.csv"} <= set(got["files"])
+    assert got["numpy"] == []
