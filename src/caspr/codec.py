@@ -104,16 +104,14 @@ def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
         raise EmptyBatch("cannot encode an empty batch")
     k = len(sources)
     check_envelope(k, num_parity)
-    seen = set()
-    for s in sources:
-        key = (s.flow_id, s.seq)
-        if key in seen:
-            raise MetadataMismatch(f"duplicate member {key} in batch")
-        seen.add(key)
+    keys = [(s.flow_id, s.seq) for s in sources]
+    if len(set(keys)) < k:
+        dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise MetadataMismatch(f"duplicate member {dup} in batch")
 
     payloads = [s.payload for s in sources]
-    members = tuple((s.flow_id, s.seq, len(s.payload)) for s in sources)
-    member_ts = tuple(s.send_ts_us for s in sources)
+    members = tuple([(s.flow_id, s.seq, len(s.payload)) for s in sources])
+    member_ts = tuple([s.send_ts_us for s in sources])
     symbol_len = max(map(len, payloads))
     memo = _BatchParity(payloads, num_parity, symbol_len)
     return [

@@ -29,8 +29,8 @@ still in flight; batch metadata carries per-member send times exactly
 so such claims can be told apart from real losses, which are always
 reported after the packet had time to arrive.  Inadmissible claims
 stay in the orphan flow; the guard is waived once the receiver
-confirms the hole is real, and a cumulative ACK retracts claims the
-direct path has since satisfied.
+confirms the hole is real, and an ACK retracts the claims below the
+receiver's frontier, which the direct path has since satisfied.
 
 Each flow has one receiver, and the engine knows a receiver only by
 its flow: it builds one port per flow of the scenario.  Three NACKs
@@ -42,7 +42,7 @@ path may not be able to provoke in time.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .codec import decode_batch
 from .scenario import Scenario, flow_links
@@ -72,19 +72,17 @@ class StoredBatch:
     members: tuple
     num_parity: int
     sent_ts: int              # ingress transmit time, shared by every parity copy
-    member_ts: InitVar[tuple[int, ...]]  # aligned with members, shared likewise
+    member_ts: tuple[int, ...]  # each member's send time, aligned with members
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
     lost: set[Entry] = field(default_factory=set)
     requested: set[int] = field(default_factory=set)  # flows asked to help
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
-    entries: tuple[Entry, ...] = field(init=False)
-    member_sent: dict[Entry, int] = field(init=False)
+    entries: tuple[Entry, ...] = field(init=False)  # (flow_id, seq) per member
 
-    def __post_init__(self, member_ts):
-        self.entries = tuple((f, s) for f, s, _ in self.members)
-        self.member_sent = dict(zip(self.entries, member_ts))
+    def __post_init__(self):
+        self.entries = tuple([(f, s) for f, s, _ in self.members])
 
 
 @dataclass
@@ -178,17 +176,20 @@ class EgressRecovery:
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
-        # parity may resolve entries that were NACKed before coverage existed
-        for e in batch.entries:
-            orphan = self.orphans.get(e)
-            if orphan is None:
-                continue
-            if orphan.confirmed:
-                del self.orphans[e]
-                self._recover_entry(e, now, None)
-            elif self._claim_admissible(batch, e, orphan.nack_ts):
-                del self.orphans[e]
-                self._recover_entry(e, now, orphan.nack_ts)
+        # parity may resolve entries that were NACKed before coverage
+        # existed; most batches arrive with no claim pending at all
+        orphans = self.orphans
+        if orphans:
+            for e in batch.entries:
+                orphan = orphans.get(e)
+                if orphan is None:
+                    continue
+                if orphan.confirmed:
+                    del orphans[e]
+                    self._recover_entry(e, now, None)
+                elif self._claim_admissible(batch, e, orphan.nack_ts):
+                    del orphans[e]
+                    self._recover_entry(e, now, orphan.nack_ts)
         self._open_proactive(batch, self._proactive, now)
         if batch.lost:
             if batch.cross:
@@ -242,10 +243,10 @@ class EgressRecovery:
         port = self._flow_port[msg.flow_id]
         port.consec_nacks = 0
         self._proactive.discard(msg.flow_id)
-        # everything at or below the cumulative point reached the
-        # receiver (or was given up on); pending claims there are moot
+        # everything below the receiver's frontier reached it (or was
+        # given up on); pending claims there are moot
         stale = [e for e in self.orphans
-                 if e[0] == msg.flow_id and e[1] <= msg.cum_seq]
+                 if e[0] == msg.flow_id and e[1] < msg.frontier]
         for e in stale:
             del self.orphans[e]
             self.run_log.bump("claims_retracted")
@@ -258,7 +259,8 @@ class EgressRecovery:
             return True
         if batch.sent_ts > nack_ts:
             return False
-        return batch.member_sent[entry] + self.claim_owd_us <= nack_ts
+        sent = batch.member_ts[batch.entries.index(entry)]
+        return sent + self.claim_owd_us <= nack_ts
 
     def _recover_entry(self, entry: Entry, now: int, nack_ts: int | None) -> None:
         batch_ids = sorted(b for b in self.by_entry.get(entry, ())

@@ -23,9 +23,14 @@ lost, the flow just stopped" parks it too.
 
 The receiver tracks its holes, not its deliveries: one map, in seq
 order, of the undelivered seqs from the frontier on, each with the time
-of its first and last NACK once it has been NACKed.  A delivery deletes
-its hole, and with it the hole's NACK history; a hole first NACKed
-longer ago than the recovery horizon is dropped without a delivery.
+of its first and last NACK once it has been NACKed.  Only an arrival
+that jumps past the next expected seq adds holes, the seqs it skipped;
+an in-order one adds none.  A delivery deletes its hole, and with it
+the hole's NACK history; a hole first NACKed longer ago than the
+recovery horizon is dropped without a delivery.  The frontier, the
+first seq neither delivered nor given up, is what an ACK carries: the
+first direct arrival after unanswered NACKs sends one, and the
+recovery DC drops the flow's claims below it.
 
 Receivers keep a cache of recent payloads to answer cooperative
 requests for their own packets.  It is bounded twice: an entry older
@@ -107,32 +112,27 @@ class Sender:
         self._burst_end = 0
 
     def on_timer(self, token) -> None:
-        if token[0] == "burst":
-            self.burst_index = 0
-            self._burst_end = self.env.now + self.on_us
-            self._tick()
-        elif token[0] == "pkt":
-            self._tick()
-
-    def _tick(self) -> None:
+        # every timer sends one packet: a "pkt" token the burst's next,
+        # a "burst" token the first of a new burst
         env = self.env
         now = env.now
+        if token[0] != "pkt":
+            self.burst_index = 0
+            self._burst_end = now + self.on_us
         if now >= self.stop_us:
             return
-        flow_id, seq = self.flow_id, self.seq
-        duplicate = (self.duplication == FULL
-                     or self.burst_index < self.selective_first_n)
+        flow_id, seq, index = self.flow_id, self.seq, self.burst_index
+        duplicate = self.duplication == FULL or index < self.selective_first_n
         # only selective duplication marks the packets it copies
         flags = FLAG_SELECTIVE_DUP if duplicate and self.duplication == SELECTIVE else 0
-        pkt = DataPacket(flow_id=flow_id, seq=seq, send_ts_us=now,
-                         payload=payload_bytes(flow_id, seq, self.packet_size),
-                         flags=flags)
+        pkt = DataPacket(flow_id, seq, now,
+                         payload_bytes(flow_id, seq, self.packet_size), flags)
         self.run_log.record_send(flow_id, seq, now)
         env.send(self.direct_link, pkt)
         if duplicate:
             env.send(self.dup_link, pkt)
         self.seq = seq + 1
-        self.burst_index += 1
+        self.burst_index = index + 1
         interval = self.interval_us
         if now + interval < self._burst_end:
             env.schedule(interval, ("pkt",))
@@ -201,8 +201,7 @@ class Receiver:
     def on_message(self, msg, link_name: str) -> None:
         now = self.env.now
         if isinstance(msg, DataPacket):
-            self._on_data(msg, recovered=link_name != self.direct_link,
-                          now=now)
+            self._on_data(msg, link_name != self.direct_link, now)
         elif isinstance(msg, CodedPacket):
             self._on_parity(msg, now)
         elif isinstance(msg, CoopRequest):
@@ -241,35 +240,40 @@ class Receiver:
             self.run_log.bump("dup_arrivals")
             self._note_arrival(now)
             return
-        if pkt.payload != payload_bytes(pkt.flow_id, seq, self.packet_size):
+        payload = pkt.payload
+        if payload != payload_bytes(pkt.flow_id, seq, self.packet_size):
             raise RuntimeError(
                 f"corrupt delivery flow={pkt.flow_id} seq={seq}")
         self.run_log.record_delivery(pkt.flow_id, seq, now, recovered)
-        self._store(seq, pkt.payload, now)
+        self._store(seq, payload, now)
         if self._coop_wait:
             for _ in range(self._coop_wait.pop(seq, 0)):
                 self._send_resp(CoopResponse(entry=(pkt.flow_id, seq),
-                                             payload=pkt.payload,
+                                             payload=payload,
                                              send_ts_us=now),
                                 positive=True)
-        if seq > self.max_seen:
-            # everything skipped over is a new hole; a NACKed frontier
-            # past max_seen is already one and keeps its NACK times
-            for s in range(max(self.frontier, self.max_seen + 1), seq):
-                self.holes.setdefault(s, None)
+        holes = self.holes
+        max_seen = self.max_seen
+        if seq > max_seen:
             self.max_seen = seq
-            excess = len(self.holes) - MAX_TRACKED_GAP
-            if excess > 0:
-                # runaway gap: forget the oldest holes
-                for s in list(islice(self.holes, excess)):
-                    del self.holes[s]
+            if seq > max_seen + 1 and seq > self.frontier:
+                # a forward jump: everything skipped over is a new hole;
+                # a NACKed frontier past max_seen is already one and
+                # keeps its NACK times.  An in-order arrival adds none.
+                for s in range(max(self.frontier, max_seen + 1), seq):
+                    holes.setdefault(s, None)
+                excess = len(holes) - MAX_TRACKED_GAP
+                if excess > 0:
+                    # runaway gap: forget the oldest holes
+                    for s in list(islice(holes, excess)):
+                        del holes[s]
         missing = ()
-        if self.holes:
-            self.holes.pop(seq, None)
-            missing = tuple(takewhile(seq.__gt__, self.holes))
+        if holes:
+            holes.pop(seq, None)
+            missing = tuple(takewhile(seq.__gt__, holes))
         self._advance()
         if ack_due:
-            # after the frontier move, so cum_seq covers this arrival; before
+            # after the frontier move, so the ACK covers this arrival; before
             # the gap NACKs, so those count as a fresh unanswered streak
             self._ack_alive(now)
         if missing:
@@ -289,18 +293,16 @@ class Receiver:
 
     def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
-        self.env.send(self.data_link,
-                      Ack(flow_id=self.flow_id,
-                          cum_seq=max(0, self.frontier - 1),
-                          send_ts_us=now))
+        self.env.send(self.data_link, Ack(self.flow_id, self.frontier, now))
         self.nack_streak = 0
         self.run_log.bump("acks_sent")
 
     def _note_arrival(self, now: int) -> None:
         self.parked = False
         self.unanswered = 0
-        if self.last_arrival_us is not None:
-            gap = now - self.last_arrival_us
+        last = self.last_arrival_us
+        if last is not None:
+            gap = now - last
             if gap < self.long_timeout_us:
                 self.gaps.append(gap)
             # only an idle detector can change mode here, so only it
@@ -310,8 +312,8 @@ class Receiver:
         else:
             self.mode = BURST
         self.last_arrival_us = now
-        self.timer_gen += 1
-        self.env.schedule(self._timeout(), ("det", self.timer_gen))
+        self.timer_gen = gen = self.timer_gen + 1
+        self.env.schedule(self._timeout(), ("det", gen))
 
     def _gap_estimate(self) -> float:
         """Median of the recent gaps, as statistics.median computes it."""
@@ -495,5 +497,4 @@ class Receiver:
             return
         del self.held[batch_id]
         for (f, s), payload in decode_batch(present, list(block["parity"].values())).items():
-            self._on_data(DataPacket(flow_id=f, seq=s, send_ts_us=now, payload=payload),
-                          recovered=True, now=now)
+            self._on_data(DataPacket(f, s, now, payload), True, now)

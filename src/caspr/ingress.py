@@ -47,10 +47,13 @@ class IngressCoder:
     def __init__(self, cfg: Scenario, run_log):
         self.name = "dc1"
         self.coding = cfg.coding
+        # read on every packet, so copied once into plain attributes
+        self.k_max = self.coding.k_max
+        self.in_block = self.coding.in_block  # 0: in-stream coding off
         self.run_log = run_log
         self.out_link = INTER_DC_LINK  # toward the egress DC
         self.env = None  # attached by the simulator
-        n, k = cfg.flows.count, self.coding.k_max
+        n, k = cfg.flows.count, self.k_max
         # flow f is in group f // k_max, so only the last group may be short
         self.group_sizes = [min(k, n - first) for first in range(0, n, k)]
         self.queues = [[_Queue() for _ in range(k)] for _ in self.group_sizes]
@@ -62,8 +65,12 @@ class IngressCoder:
     # -- event plumbing -------------------------------------------------
 
     def on_message(self, msg, link_name: str) -> None:
+        # only senders' duplicated data reaches DC1
         if isinstance(msg, DataPacket):
-            self.process_packet(msg)
+            flow_id = msg.flow_id
+            if self.in_block:
+                self._push_in(flow_id, msg)
+            self._push_cross(flow_id // self.k_max, flow_id, msg)
 
     def on_timer(self, token) -> None:
         kind = token[0]
@@ -86,12 +93,6 @@ class IngressCoder:
 
     # -- the placement algorithm ----------------------------------------
 
-    def process_packet(self, pkt: DataPacket) -> None:
-        flow_id = pkt.flow_id
-        if self.coding.in_block:
-            self._push_in(flow_id, pkt)
-        self._push_cross(flow_id // self.coding.k_max, flow_id, pkt)
-
     def _push_cross(self, group: int, flow_id: int, pkt: DataPacket) -> None:
         queues = self.queues[group]
         n = len(queues)
@@ -109,11 +110,13 @@ class IngressCoder:
                     self.run_log.bump("evictions", len(q.symbols))
                     q.reset()
                 break
-        q.symbols.append(pkt)
+        symbols = q.symbols
+        symbols.append(pkt)
         q.flows.add(flow_id)
-        if len(q.symbols) == 1:
+        count = len(symbols)
+        if count == 1:
             self.env.schedule(CROSS_FLUSH_US, ("xq", group, idx, q.gen))
-        if len(q.symbols) >= 2 and len(q.symbols) == self.group_sizes[group]:
+        if count >= 2 and count == self.group_sizes[group]:
             self._emit(q, cross=True)
 
     def _push_in(self, flow_id: int, pkt: DataPacket) -> None:
@@ -121,7 +124,7 @@ class IngressCoder:
         q.symbols.append(pkt)
         if len(q.symbols) == 1:
             self.env.schedule(IN_FLUSH_US, ("iq", flow_id, q.gen))
-        if len(q.symbols) >= self.coding.in_block:
+        if len(q.symbols) >= self.in_block:
             self._emit(q, cross=False)
 
     # -- emission --------------------------------------------------------

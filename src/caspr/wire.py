@@ -23,7 +23,9 @@ NACK / ACK / cooperative messages use a recovery extension::
     entry_count(1) then entry_count * [flow_id(8) seq(8)]
 
 and control messages a 9-byte ``kind(1) arg(8)`` extension, with the
-header's flow/seq naming the subject packet.
+header's flow/seq naming the subject packet.  An ACK has no extension:
+its header seq carries the receiver's frontier, the first seq it has
+neither delivered nor given up, so every seq below it is settled.
 
 ``serialize`` is the one description of each layout.  ``deserialize``
 unpacks the fields, then accepts the bytes only if re-serializing its
@@ -178,7 +180,7 @@ class Nack:
 @dataclass(frozen=True, slots=True)
 class Ack:
     flow_id: int
-    cum_seq: int
+    frontier: int  # first seq not yet delivered or given up; rides the header seq
     send_ts_us: int = 0
 
 
@@ -252,7 +254,7 @@ def serialize(msg: Message) -> bytes:
     elif isinstance(msg, Nack):
         pkt_type, flow_id, ext = NACK, msg.flow_id, _entries_ext(msg.entries)
     elif isinstance(msg, Ack):
-        pkt_type, flow_id, seq = ACK, msg.flow_id, msg.cum_seq
+        pkt_type, flow_id, seq = ACK, msg.flow_id, msg.frontier
     elif isinstance(msg, CoopRequest):
         pkt_type, ext = COOP_REQ, _entries_ext(msg.entries)
     elif isinstance(msg, CoopResponse):

@@ -238,7 +238,7 @@ def _valid_blobs():
         parity[0],
         dataclasses.replace(parity[1], cross=False),
         wire.Nack(flow_id=1, entries=((1, 5), (1, 9))),
-        wire.Ack(flow_id=1, cum_seq=77),
+        wire.Ack(flow_id=1, frontier=77),
         wire.CoopRequest(entries=((2, 3),)),
         wire.CoopResponse(entry=(2, 3), payload=b"y" * 24),
         wire.CoopResponse(entry=(2, 3), payload=None),

@@ -232,6 +232,20 @@ def test_parity_arrival_resolves_orphan_before_boundary():
     assert log.counters["confirm_queries"] == 0
 
 
+def test_ack_retracts_only_the_claims_below_the_receivers_frontier():
+    eng, env, log = make_engine()
+    eng.on_message(nack(2, 0), "r2>dc2")
+    eng.on_message(nack(2, 5), "r2>dc2")
+    # a receiver that lost seq 0 ACKs with frontier 0 once the direct
+    # path delivers again: that settles no claim
+    eng.on_message(Ack(2, 0), "r2>dc2")
+    assert set(eng.orphans) == {(2, 0), (2, 5)}
+    assert log.counters["claims_retracted"] == 0
+    eng.on_message(Ack(2, 5), "r2>dc2")
+    assert set(eng.orphans) == {(2, 5)}
+    assert log.counters["claims_retracted"] == 1
+
+
 def test_proactive_mode_after_three_unacked_nacks():
     eng, env, log = make_engine()
     for seq in (10, 11, 12):
@@ -243,7 +257,7 @@ def test_proactive_mode_after_three_unacked_nacks():
     assert log.counters["proactive_entries"] == 1
     assert any(isinstance(m, CoopRequest) for _, m, _ in env.sent)
     # an ACK flips it back off
-    eng.on_message(Ack(flow_id=2, cum_seq=13), "r2>dc2")
+    eng.on_message(Ack(flow_id=2, frontier=14), "r2>dc2")
     env.clear_sent()
     for p in cross_parities(21, [0, 1, 2, 3], seq=14):
         eng.on_message(p, "dc1>dc2")

@@ -356,6 +356,20 @@ def test_ack_sent_on_direct_arrival_after_nacks():
     assert len([m for m in env.on("r0>dc2") if isinstance(m, Ack)]) == 1
 
 
+def test_ack_carries_the_frontier_the_receiver_still_owes():
+    recv, env, log = make_receiver()
+    deliver_direct(recv, env, 0, 1, 10_000)  # seq 0 lost: gap NACK
+    deliver_direct(recv, env, 0, 2, 20_000)  # direct path alive: ACK
+    env.now = 30_000
+    recv.on_message(data(0, 0), "dc2>r0")    # repaired: frontier 3
+    deliver_direct(recv, env, 0, 5, 50_000)  # 3 and 4 lost: gap NACK
+    deliver_direct(recv, env, 0, 6, 60_000)
+    # nothing was delivered below the first ACK's frontier, so it must
+    # not claim seq 0; the second settles everything below 3
+    acks = [m for m in env.on("r0>dc2") if isinstance(m, Ack)]
+    assert acks == [Ack(0, 0, 20_000), Ack(0, 3, 60_000)]
+
+
 def test_duplicate_arrivals_counted_once():
     recv, env, log = make_receiver()
     deliver_direct(recv, env, 0, 0, 0)
@@ -555,6 +569,69 @@ def test_standing_hole_is_one_entry_and_renacked_by_window():
     # the hole is NACKed on its first sighting, then once per re-NACK window
     assert log.counters["gap_nacks"] == 27
     assert {m.entries for m in nacks_on(env)} == {((0, 1),)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["next", "jump", "hole", "old", "timer"]),
+                          st.integers(0, 63), st.booleans(), st.integers(0, 40_000)),
+                max_size=60))
+def test_receiver_bookkeeping_matches_a_delivered_set_model(steps):
+    # the reference keeps the delivered seqs as a set and derives the
+    # holes from it on every step: everything from the frontier to
+    # max_seen not yet delivered, plus a frontier past max_seen that a
+    # timer NACK named.  Horizon abandonment is kept out, so the runaway
+    # trim is the only way a hole is given up.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(endpoint, "MAX_TRACKED_GAP", 5)
+        recv, env, log = make_receiver()
+        recv.horizon_us = 10**12
+        window = recv.renack_after_us
+        delivered, nacked = [], {}  # delivery order; hole -> last NACK time
+        frontier, max_seen, unanswered = 0, -1, 0
+
+        def holes():
+            gaps = [s for s in range(frontier, max_seen + 1) if s not in delivered]
+            return gaps + sorted(s for s in nacked if s > max_seen and s >= frontier)
+
+        t = 0
+        for kind, n, recovered, dt in steps:
+            t += dt
+            env.now = t
+            env.clear_sent()
+            want = []
+            if kind == "timer":
+                recv.on_timer(("det", recv.timer_gen))
+                if unanswered < endpoint.GIVEUP_AFTER:
+                    unanswered += 1
+                    nacked[frontier] = t
+                    want.append((frontier,))
+            else:
+                hs = holes()
+                seq = {"next": max_seen + 1, "jump": max_seen + 2 + n % 6,
+                       "hole": hs[n % len(hs)] if hs else max_seen + 1,
+                       "old": n % (max_seen + 2)}[kind]
+                recv.on_message(data(0, seq), "dc2>r0" if recovered else "s0>r0")
+                unanswered = 0
+                if seq >= frontier and seq not in delivered:
+                    delivered.append(seq)
+                    if seq > max_seen:
+                        max_seen = seq
+                        excess = len(holes()) - endpoint.MAX_TRACKED_GAP
+                        if excess > 0:
+                            frontier = holes()[excess]
+                    hs = holes()
+                    frontier = hs[0] if hs else max(frontier, max_seen + 1)
+                    todo = [s for s in hs
+                            if s < seq and t - nacked.get(s, t - window) >= window]
+                    for s in todo:
+                        nacked[s] = t
+                    if todo:
+                        want.append(tuple(todo))
+            assert (recv.frontier, recv.max_seen) == (frontier, max_seen)
+            assert list(recv.holes) == holes()
+            assert [m.entries for m in nacks_on(env)] == [
+                tuple((0, s) for s in w) for w in want]
+        assert [s for s, _, _ in log.deliveries[0]] == delivered
 
 
 def test_held_blocks_capped_oldest_first():

@@ -32,6 +32,11 @@ def make_coder(flows, k_max=4, parity_cross=2, **coding):
     return coder
 
 
+def feed(coder, packet):
+    """Hand DC1 one sender's duplicate, as its access link does."""
+    coder.on_message(packet, f"s{packet.flow_id}>dc1")
+
+
 def pkt(flow, seq, payload=b"x"):
     return DataPacket(flow_id=flow, seq=seq, send_ts_us=0, payload=payload)
 
@@ -56,7 +61,7 @@ def test_parity_carries_member_send_times_and_emit_time():
     for sent, now, flow, seq in ((1_000, 1_200, 0, 0), (4_000, 4_200, 0, 1),
                                  (500, 6_700, 1, 0)):
         env.now = now
-        coder.process_packet(DataPacket(flow, seq, sent, b"x"))
+        feed(coder, DataPacket(flow, seq, sent, b"x"))
     cross = cross_sent(env)
     assert [m[:2] for m in cross[0].members] == [(0, 0), (1, 0)]
     assert [(p.send_ts_us, p.member_ts) for p in cross] == [(6_700, (1_000, 500))] * 2
@@ -76,7 +81,7 @@ def test_group_assignment_greedy_fill(flows, sizes):
     # one packet per flow: every probe starts at queue 0 of its group,
     # and a group of two or more flows fills it and emits at once
     for f in range(flows):
-        coder.process_packet(pkt(f, 0))
+        feed(coder, pkt(f, 0))
     batches = {p.batch_id: {m[0] for m in p.members} for p in cross_sent(coder.env)}
     groups = [set(range(first, first + size))
               for first, size in zip(range(0, flows, 10), sizes)]
@@ -87,7 +92,7 @@ def test_full_queue_emits_cross_batch():
     coder = make_coder(4)
     # one packet from each flow; all four probes start at queue 0
     for f in range(4):
-        coder.process_packet(pkt(f, 0, bytes([f]) * 8))
+        feed(coder, pkt(f, 0, bytes([f]) * 8))
     parities = cross_sent(coder.env)
     assert len(parities) == 2
     assert all(len(p.members) == 4 for p in parities)
@@ -102,7 +107,7 @@ def test_queue_spread_no_flow_twice():
     # different queues, no queue ever holds a flow twice
     for seq in range(2):
         for f in range(4):
-            coder.process_packet(pkt(f, seq))
+            feed(coder, pkt(f, seq))
     for q in coder.queues[0]:
         flows = [s.flow_id for s in q.symbols]
         assert len(flows) == len(set(flows))
@@ -116,7 +121,7 @@ def test_queue_spread_no_flow_twice():
 def test_single_flow_evicts_never_emits_cross():
     coder = make_coder(1, in_block=0)
     for seq in range(20):
-        coder.process_packet(pkt(0, seq))
+        feed(coder, pkt(0, seq))
     assert cross_sent(coder.env) == []
     # once all 4 queues are seeded every later packet evicts one
     assert coder.run_log.counters["evictions"] == 16
@@ -124,8 +129,8 @@ def test_single_flow_evicts_never_emits_cross():
 
 def test_timer_flushes_partial_batch():
     coder = make_coder(4)
-    coder.process_packet(pkt(0, 0))
-    coder.process_packet(pkt(1, 0))
+    feed(coder, pkt(0, 0))
+    feed(coder, pkt(1, 0))
     assert cross_sent(coder.env) == []
     fire_at, token = cross_timers(coder.env)[0]
     assert fire_at == CROSS_FLUSH_US
@@ -138,7 +143,7 @@ def test_timer_flushes_partial_batch():
 
 def test_timer_evicts_single_packet():
     coder = make_coder(4)
-    coder.process_packet(pkt(0, 0))
+    feed(coder, pkt(0, 0))
     coder.on_timer(cross_timers(coder.env)[0][1])
     assert cross_sent(coder.env) == []
     assert coder.run_log.counters["evictions"] == 1
@@ -147,7 +152,7 @@ def test_timer_evicts_single_packet():
 def test_stale_timer_is_noop():
     coder = make_coder(4)
     for f in range(4):
-        coder.process_packet(pkt(f, 0))
+        feed(coder, pkt(f, 0))
     emitted = len(coder.env.sent)
     # queue 0 flushed by fullness; its timer must do nothing
     coder.on_timer(cross_timers(coder.env)[0][1])
@@ -158,20 +163,20 @@ def test_stale_timer_is_noop():
 def test_in_stream_emits_at_block_boundary():
     coder = make_coder(1)
     for seq in range(5):
-        coder.process_packet(pkt(0, seq, bytes([seq]) * 8))
+        feed(coder, pkt(0, seq, bytes([seq]) * 8))
     parities = in_sent(coder.env)
     assert len(parities) == 1
     assert [m[:2] for m in parities[0].members] == [(0, s) for s in range(5)]
     # next block starts clean
     for seq in range(5, 10):
-        coder.process_packet(pkt(0, seq))
+        feed(coder, pkt(0, seq))
     assert len(in_sent(coder.env)) == 2
 
 
 def test_in_stream_timer_flushes_short_block():
     coder = make_coder(1)
-    coder.process_packet(pkt(0, 0))
-    coder.process_packet(pkt(0, 1))
+    feed(coder, pkt(0, 0))
+    feed(coder, pkt(0, 1))
     in_timers = [(t, tok) for t, tok in coder.env.timers if tok[0] == "iq"]
     assert in_timers and in_timers[0][0] == IN_FLUSH_US
     coder.on_timer(in_timers[0][1])
@@ -183,7 +188,7 @@ def test_in_stream_timer_flushes_short_block():
 def test_in_stream_disabled():
     coder = make_coder(4, in_block=0)
     for f in range(4):
-        coder.process_packet(pkt(f, 0))
+        feed(coder, pkt(f, 0))
     assert in_sent(coder.env) == []
     assert not any(tok[0] == "iq" for _, tok in coder.env.timers)
 
@@ -192,7 +197,7 @@ def test_batch_ids_monotone_and_distinct():
     coder = make_coder(4)
     for seq in range(10):
         for f in range(4):
-            coder.process_packet(pkt(f, seq))
+            feed(coder, pkt(f, seq))
     ids = [m.batch_id for _, m in coder.env.sent if isinstance(m, CodedPacket)]
     seen = []
     for i in ids:
@@ -213,7 +218,7 @@ def test_coding_latency_bounded_by_flush_timeout():
         for f in range(3):
             env.now = t
             before = len(env.timers)
-            coder.process_packet(pkt(f, seq))
+            feed(coder, pkt(f, seq))
             for fire, tok in env.timers[before:]:
                 heapq.heappush(pending, (fire, tok))
             t += 7_000
