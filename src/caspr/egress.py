@@ -1,8 +1,14 @@
 """Egress-side recovery engine living in the second datacenter.
 
-Parity from the ingress is parked here for the recovery horizon,
-unused unless a receiver reports loss.  On a NACK the engine picks the
-cheapest path that can still make the one-RTT budget:
+Parity from the ingress is stored here, unused unless a receiver
+reports loss.  A batch expires one recovery horizon after it was
+stored and leaves the store at the first message the engine handles
+from then on: every batch shares the one horizon, so the store is a
+FIFO that expires lazily (Varghese & Lauck's timing wheels) rather
+than through one timer per batch.  Between messages only a task's
+timer reads the store, and it never fires after its batch's expiry.
+On a NACK the engine picks the cheapest path that can still make the
+one-RTT budget:
 
   1. a payload already decoded earlier is resent from cache,
   2. an in-stream batch covering the entry has its parity forwarded
@@ -42,6 +48,7 @@ path may not be able to provoke in time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .codec import decode_batch
@@ -73,6 +80,7 @@ class StoredBatch:
     num_parity: int
     sent_ts: int              # ingress transmit time, shared by every parity copy
     member_ts: tuple[int, ...]  # each member's send time, aligned with members
+    expires_at: int           # stored time + horizon; covers nothing from then on
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
     lost: set[Entry] = field(default_factory=set)
@@ -112,6 +120,8 @@ class EgressRecovery:
         self.run_log = run_log
         self.env = None
         self.store: dict[int, StoredBatch] = {}
+        # (expires_at, batch_id) in store order, so in expiry order too
+        self._expiry: deque[tuple[int, int]] = deque()
         self.by_entry: dict[Entry, set[int]] = {}
         self.orphans: dict[Entry, _Orphan] = {}
         # each flow has one receiver: flow i's port, by flow id
@@ -124,6 +134,11 @@ class EgressRecovery:
 
     def on_message(self, msg, link_name: str) -> None:
         now = self.env.now
+        # the store expires lazily: nothing reads it between messages
+        # but the task timer, whose delay stops at its batch's expiry
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= now:
+            self._expire_batch(expiry.popleft()[1])
         if isinstance(msg, CodedPacket):
             self._on_coded(msg, now)
         elif isinstance(msg, Nack):
@@ -137,10 +152,7 @@ class EgressRecovery:
 
     def on_timer(self, token) -> None:
         kind = token[0]
-        now = self.env.now
-        if kind == "ttl":
-            self._expire_batch(token[1])
-        elif kind == "task":
+        if kind == "task":
             batch = self.store.get(token[1])
             if batch is not None:
                 self._give_up(batch)
@@ -167,12 +179,14 @@ class EgressRecovery:
         if batch is None:
             # every copy of a batch leaves the ingress in one call, so
             # the first to arrive carries the send times of them all
+            expires_at = now + self.horizon_us
             batch = StoredBatch(msg.batch_id, msg.cross, msg.members,
-                                msg.num_parity, msg.send_ts_us, msg.member_ts)
+                                msg.num_parity, msg.send_ts_us, msg.member_ts,
+                                expires_at)
             self.store[msg.batch_id] = batch
+            self._expiry.append((expires_at, msg.batch_id))
             for e in batch.entries:
                 self.by_entry.setdefault(e, set()).add(msg.batch_id)
-            self.env.schedule(self.horizon_us, ("ttl", msg.batch_id))
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
@@ -214,8 +228,7 @@ class EgressRecovery:
             self.run_log.bump("failed_silent", len(batch.lost - batch.decoded.keys()))
 
     def _expire_batch(self, batch_id: int) -> None:
-        # each batch arms one TTL timer when it is stored, and that timer
-        # is the only way out of the store
+        # the expiry queue is the only way out of the store
         batch = self.store.pop(batch_id)
         self._give_up(batch)
         for e in batch.entries:
@@ -326,7 +339,9 @@ class EgressRecovery:
             # a batch leaves IDLE once, so its one task timer needs no generation
             batch.state = PENDING
             self.run_log.bump("tasks_opened")
-            self.env.schedule(self.deadline_us, ("task", batch.batch_id))
+            # the batch may leave the store first; its task gives up then
+            self.env.schedule(min(self.deadline_us, batch.expires_at - now),
+                              ("task", batch.batch_id))
         self._send_coop_requests(batch, now)
         self._try_decode(batch, now)
 

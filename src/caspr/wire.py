@@ -27,6 +27,11 @@ header's flow/seq naming the subject packet.  An ACK has no extension:
 its header seq carries the receiver's frontier, the first seq it has
 neither delivered nor given up, so every seq below it is settled.
 
+Messages are immutable, so one object may travel on several links:
+``DataPacket``, built for every simulated packet, is a ``NamedTuple``,
+the cheapest immutable record to construct, and the others are frozen
+dataclasses.
+
 ``serialize`` is the one description of each layout.  ``deserialize``
 unpacks the fields, then accepts the bytes only if re-serializing its
 result gives them back, so every message has exactly one encoding (the
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 VERSION = 1
 
@@ -102,8 +108,7 @@ Entry = tuple[int, int]  # (flow_id, seq)
 BatchMember = tuple[int, int, int]  # (flow_id, seq, original payload length)
 
 
-@dataclass(frozen=True, slots=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     flow_id: int
     seq: int
     send_ts_us: int
@@ -112,7 +117,7 @@ class DataPacket:
 
 
 class _Payload:
-    """Data descriptor behind ``CodedPacket.payload``.
+    """Descriptor behind ``CodedPacket.payload``.
 
     The packet's ``_payload`` slot holds either the payload ``bytes`` or
     a ``(thunk, symbol_len)`` pair.  The first read replaces the pair by
@@ -130,11 +135,11 @@ class _Payload:
             object.__setattr__(pkt, "_payload", value)
         return value
 
-    def __set__(self, pkt, value):
-        object.__setattr__(pkt, "_payload", value)
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CodedPacket:
     """One parity packet of a batch.
 
@@ -157,6 +162,18 @@ class CodedPacket:
     payload: bytes = _Payload()
     send_ts_us: int
     member_ts: tuple[int, ...]  # each member's absolute send time, aligned with members
+
+    def __init__(self, cross, batch_id, parity_index, num_parity, members,
+                 payload, send_ts_us, member_ts):
+        # payload goes straight into its slot, past the descriptor
+        _set(self, "cross", cross)
+        _set(self, "batch_id", batch_id)
+        _set(self, "parity_index", parity_index)
+        _set(self, "num_parity", num_parity)
+        _set(self, "members", members)
+        _set(self, "_payload", payload)
+        _set(self, "send_ts_us", send_ts_us)
+        _set(self, "member_ts", member_ts)
 
     @property
     def symbol_len(self) -> int:

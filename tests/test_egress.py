@@ -25,7 +25,8 @@ RTT = 150_000
 
 def make_engine(n_receivers=4, deadline_us=None):
     """DC2 over unit_scenario() with one flow per receiver: a one-RTT
-    (150 ms) deadline, a 75 ms boundary wait and a 600 ms horizon.
+    (150 ms) deadline, a 75 ms boundary wait and a 600 ms horizon, so a
+    batch stored at time t expires at t + 600 ms.
     Claims are admitted with no wait for the direct path, which no valid
     scenario gives; a deadline_us other than the RTT is not one either."""
     cfg = unit_scenario(f"flows.count={n_receivers}")
@@ -281,16 +282,53 @@ def test_proactive_flip_sweeps_already_stored_parity():
 
 
 def test_store_ttl_evicts_batches():
+    # a stored batch arms no timer: DC2's first message past its expiry
+    # takes it out of the store
     eng, env, log = make_engine()
     for p in cross_parities(7, [0, 1, 2, 3]):
         eng.on_message(p, "dc1>dc2")
     assert 7 in eng.store
+    assert env.pending() == []
     env.run_until(eng.horizon_us + 1)
+    # a NACK afterwards finds no coverage and walks the orphan path
+    eng.on_message(nack(2, 0), "r2>dc2")
     assert 7 not in eng.store
     assert eng.by_entry == {}
-    # a NACK afterwards walks the orphan path
-    eng.on_message(nack(2, 0), "r2>dc2")
     assert (2, 0) in eng.orphans
+
+
+@pytest.mark.parametrize("offset, covered", [(-1, True), (0, False)])
+def test_batch_covers_nacks_until_its_expiry(offset, covered):
+    # expires_at is the first instant the batch no longer covers
+    eng, env, log = make_engine()
+    for p in cross_parities(7, [0, 1, 2, 3]):
+        eng.on_message(p, "dc1>dc2")
+    expires_at = eng.store[7].expires_at
+    assert expires_at == eng.horizon_us
+    env.run_until(expires_at + offset)
+    eng.on_message(nack(2, 0), "r2>dc2")
+    assert (7 in eng.store) == covered
+    assert log.counters["tasks_opened"] == int(covered)
+    assert ((2, 0) in eng.orphans) == (not covered)
+
+
+def test_task_gives_up_at_its_batchs_expiry_with_no_later_event():
+    # a task opened half an RTT before its batch expires would run past
+    # the expiry: its timer fires at the expiry instead, so it counts
+    # even when DC2 handles no message after it, as at the end of a run
+    eng, env, log = make_engine()
+    for p in cross_parities(7, [0, 1, 2, 3], num_parity=1):
+        eng.on_message(p, "dc1>dc2")
+    expires_at = eng.store[7].expires_at
+    env.run_until(expires_at - RTT // 2)
+    eng.on_message(nack(2, 0), "r2>dc2")
+    assert env.pending() == [(expires_at, ("task", 7))]
+    env.run_until(expires_at - 1)
+    assert log.counters["failed_silent"] == 0
+    env.run_until(expires_at)
+    assert log.counters["failed_silent"] == 1
+    env.run_until(expires_at + 2 * RTT)
+    assert log.counters["failed_silent"] == 1
 
 
 def test_duplicate_parity_index_ignored():
@@ -358,8 +396,8 @@ def test_parity_after_decode_is_not_decoded_again():
 
 @pytest.mark.parametrize("deadline_us", [RTT, 8 * RTT])
 def test_unrecovered_entry_fails_silent_once(deadline_us):
-    # whichever of the task deadline and the store TTL comes first ends
-    # the task; the later one finds nothing left to count
+    # whichever of the task deadline and the batch's expiry comes first
+    # ends the task; the batch leaving the store later counts nothing
     eng, env, log = make_engine(deadline_us=deadline_us)
     for p in cross_parities(7, [0, 1, 2, 3], num_parity=1):
         eng.on_message(p, "dc1>dc2")
@@ -367,5 +405,6 @@ def test_unrecovered_entry_fails_silent_once(deadline_us):
     env.run_until(min(deadline_us, 4 * RTT) + 1)
     assert log.counters["failed_silent"] == 1
     env.run_until(8 * RTT + 1)
+    eng.on_message(Ack(flow_id=3, frontier=0), "r3>dc2")  # DC2's next event
     assert 7 not in eng.store
     assert log.counters["failed_silent"] == 1

@@ -9,8 +9,11 @@ conservation on every link, recovered_1rtt <= recovered_any <= lost,
 and not one recovery byte out of DC2 when the direct paths lost nothing.
 Each receiver's hole map must also match what it never delivered, and
 its payload cache must stay in time order inside its TTL and count cap.
+After every message DC2 handles, its store must hold no expired batch,
+and its entry index must name only stored batches.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +21,7 @@ from _stub import TappedLog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caspr import endpoint, metrics, netsim, wire
+from caspr import egress, endpoint, metrics, netsim, wire
 from caspr.endpoint import Receiver
 from caspr.runner import run_seed
 from caspr.scenario import bundled_names, bundled_path, load, validate
@@ -142,6 +145,71 @@ def test_random_runs_hold_the_run_invariants(cfg):
     assert m.recovered_1rtt <= m.recovered_any <= m.lost
     if m.lost == 0:
         assert m.dc2_egress_recovery_bytes == 0
+
+
+def run_spying_dc2(cfg, on_message=None):
+    """run_seed with DC2 watched: ``on_message(dc2)`` after each message
+    DC2 handles, and the kinds of the timers DC2 schedules, of those its
+    on_timer runs and of those still pending when the run ends."""
+    seen = {"scheduled": Counter(), "fired": Counter(), "pending": Counter()}
+    handle, timer = egress.EgressRecovery.on_message, egress.EgressRecovery.on_timer
+    schedule, check = netsim.SimEnv.schedule, netsim.Simulator.check_conservation
+
+    def handle_spied(dc2, msg, link_name):
+        handle(dc2, msg, link_name)
+        if on_message is not None:
+            on_message(dc2)
+
+    def timer_spied(dc2, token):
+        seen["fired"][token[0]] += 1
+        timer(dc2, token)
+
+    def schedule_spied(env, delay_us, token):
+        if env.name == "dc2":
+            seen["scheduled"][token[0]] += 1
+        schedule(env, delay_us, token)
+
+    def check_spied(sim):
+        idx = sim.nodes["dc2"].env._idx
+        seen["pending"].update(ev[3][0] for ev in sim._heap if ev[1] == idx)
+        check(sim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(egress.EgressRecovery, "on_message", handle_spied)
+        mp.setattr(egress.EgressRecovery, "on_timer", timer_spied)
+        mp.setattr(netsim.SimEnv, "schedule", schedule_spied)
+        mp.setattr(netsim.Simulator, "check_conservation", check_spied)
+        run_seed(cfg, cfg.seeds[0])
+    return seen
+
+
+def check_store(dc2):
+    """Past each message, DC2 holds no batch past its expiry, and every
+    batch its entry index names is in the store."""
+    now = dc2.env.now
+    assert all(batch.expires_at > now for batch in dc2.store.values()), now
+    assert all(ids and ids <= dc2.store.keys() for ids in dc2.by_entry.values()), now
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_scenarios())
+def test_dc2_store_holds_only_unexpired_indexed_batches(cfg):
+    try:
+        run_spying_dc2(cfg, check_store)
+    except netsim.InvariantViolation as e:
+        # ROADMAP open item 1: an idle fixed_small flow can turn DC2
+        # proactive on a lossless run, and run_seed's end-of-run check
+        # says so; the store was checked at every message before that
+        assert "lossless run moved" in str(e) and cfg.detector.kind == "fixed_small"
+
+
+def test_dc2_arms_no_timer_per_stored_batch():
+    cfg = load(bundled_path("wide_area_cbr"), ["duration_s=3.0", "cooldown_s=0.5"])
+    seen = run_spying_dc2(cfg)
+    assert set(seen["scheduled"]) <= {"task", "boundary", "orphan"}, seen["scheduled"]
+    # every timer DC2 arms either ran or was still pending at the end
+    assert seen["fired"] + seen["pending"] == seen["scheduled"]
+    assert seen["fired"]["task"] > 0
 
 
 def short_bundled(name):

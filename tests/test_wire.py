@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import random
+import typing
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,24 @@ def test_golden_serialize(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESSAGES))
 def test_golden_deserialize(name):
     assert deserialize(golden(name)) == GOLDEN_MESSAGES[name]
+
+
+@pytest.mark.parametrize("kind", typing.get_args(wire.Message), ids=lambda t: t.__name__)
+def test_every_message_type_is_immutable(kind):
+    # the sender puts one DataPacket on both its direct and its duplicate
+    # link, so no receiver may change what another one reads
+    msg = next(m for m in GOLDEN_MESSAGES.values() if type(m) is kind)
+    names = (msg._fields if isinstance(msg, tuple)
+             else [f.name for f in dataclasses.fields(msg)])
+    before = serialize(msg)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(msg, name, getattr(msg, name))
+    # a name no field declares: Python 3.11's slotted frozen dataclasses
+    # refuse it with a TypeError from their __setattr__'s super() call
+    with pytest.raises((AttributeError, TypeError)):
+        msg.extra = 0
+    assert serialize(msg) == before
 
 
 def test_header_is_32_bytes_for_every_type():
