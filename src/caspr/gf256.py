@@ -55,12 +55,6 @@ TABLES = [bytes(256)] + [b"\x00" + _logs.translate(EXP[LOG[c]:LOG[c] + 256])
                          for c in range(1, 256)]
 
 
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return EXP[LOG[a] + LOG[b]]
-
-
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("gf_inv(0)")

@@ -23,7 +23,7 @@ from caspr.codec import (
     decode_batch,
     encode_batch,
 )
-from caspr.wire import DataPacket, deserialize, serialize, wire_size
+from caspr.wire import DataPacket, serialize, wire_size
 
 
 def batch(payloads, flow_base=1):
@@ -147,7 +147,6 @@ def test_parity_read_in_any_order_matches_oracle(case):
         assert calls == [(num_parity, len(payloads))]
         assert [len(raw[i]) for i in range(num_parity)] == sizes
         assert [parity[i].payload for i in order] == [expected[i] for i in order]
-        assert [deserialize(raw[i]) for i in range(num_parity)] == parity
 
         unread = encode_batch(5, srcs, num_parity, True, 0)
         flipped = dataclasses.replace(unread[order[0]], cross=False)

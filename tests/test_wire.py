@@ -1,10 +1,9 @@
-"""Wire format: golden vectors, round trips, error taxonomy, fuzz."""
+"""Wire format: golden vectors, the layouts serialize writes, and wire_size."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import random
 import typing
 from pathlib import Path
 
@@ -15,19 +14,13 @@ from hypothesis import strategies as st
 from caspr import wire
 from caspr.wire import (
     Ack,
-    BadVersion,
     CodedPacket,
     CoopRequest,
     CoopResponse,
     Ctrl,
     DataPacket,
     FieldOverflow,
-    LengthMismatch,
     Nack,
-    Truncated,
-    UnknownType,
-    WireError,
-    deserialize,
     serialize,
     wire_size,
 )
@@ -58,11 +51,6 @@ GOLDEN_MESSAGES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESSAGES))
 def test_golden_serialize(name):
     assert serialize(GOLDEN_MESSAGES[name]) == golden(name)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_MESSAGES))
-def test_golden_deserialize(name):
-    assert deserialize(golden(name)) == GOLDEN_MESSAGES[name]
 
 
 @pytest.mark.parametrize("kind", typing.get_args(wire.Message), ids=lambda t: t.__name__)
@@ -104,11 +92,13 @@ def test_member_ts_is_required():
         CodedPacket(True, 1, 0, 1, ((3, 9, 40),), b"x", 5000)
 
 
-def test_member_ts_round_trip():
+def test_member_ts_travel_as_send_offsets():
     msg = CodedPacket(True, 8, 1, 2, ((1, 5, 10), (2, 6, 10)), b"pq",
                       send_ts_us=90_000, member_ts=(60_000, 75_500))
-    back = deserialize(serialize(msg))
-    assert back == msg
+    raw = serialize(msg)
+    # the last ext bytes, before the 2-byte payload: each member's
+    # sent_before_us, how long before the packet it left its sender
+    assert raw[-10:-2] == (30_000).to_bytes(4, "big") + (14_500).to_bytes(4, "big")
 
 
 def test_member_ts_length_mismatch_rejected():
@@ -124,20 +114,6 @@ def test_member_ts_after_packet_send_rejected():
                       send_ts_us=10, member_ts=(11,))
     with pytest.raises(FieldOverflow):
         serialize(msg)
-
-
-def test_member_ts_offset_past_time_zero_rejected():
-    raw = bytearray(serialize(CodedPacket(False, 4, 0, 1, ((6, 10, 1),),
-                                          b"\xff", 0, (0,))))
-    # the lone ts offset sits in the last 4 ext bytes, before the payload
-    raw[-5:-1] = (7).to_bytes(4, "big")
-    with pytest.raises(FieldOverflow):
-        deserialize(bytes(raw))
-
-
-def test_wire_size_matches_serialize():
-    for msg in GOLDEN_MESSAGES.values():
-        assert wire_size(msg) == len(serialize(msg))
 
 
 entry_st = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
@@ -170,83 +146,8 @@ message_st = st.one_of(
 
 @settings(max_examples=300, derandomize=True)
 @given(message_st)
-def test_round_trip(msg):
-    raw = serialize(msg)
-    assert len(raw) == wire_size(msg)
-    assert deserialize(raw) == msg
-
-
-@settings(max_examples=300, derandomize=True)
-@given(message_st, st.data())
-def test_only_canonical_bytes_parse(msg, data):
-    # whatever deserialize accepts, serialize writes back byte for byte
-    raw = bytearray(serialize(msg))
-    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
-                                         st.integers(0, 255)), max_size=4))
-    for i, value in flips:
-        raw[i] = value
-    buf = bytes(raw[:data.draw(st.none() | st.integers(0, len(raw)))])
-    try:
-        back = deserialize(buf)
-    except WireError:
-        return
-    assert serialize(back) == buf
-
-
-def test_truncated_header():
-    with pytest.raises(Truncated):
-        deserialize(b"")
-    with pytest.raises(Truncated):
-        deserialize(golden("golden_data_empty.hex")[:31])
-
-
-def test_truncated_body():
-    raw = golden("golden_cross_coded.hex")
-    with pytest.raises(Truncated):
-        deserialize(raw[:-1])
-
-
-def test_trailing_garbage_rejected():
-    raw = golden("golden_data_empty.hex") + b"\x00"
-    with pytest.raises(LengthMismatch):
-        deserialize(raw)
-
-
-def test_bad_version():
-    raw = bytearray(golden("golden_data_empty.hex"))
-    raw[0] = 2
-    with pytest.raises(BadVersion):
-        deserialize(bytes(raw))
-
-
-def test_unknown_type():
-    raw = bytearray(golden("golden_data_empty.hex"))
-    raw[1] = 8
-    with pytest.raises(UnknownType):
-        deserialize(bytes(raw))
-
-
-def test_symbol_len_payload_disagreement():
-    raw = bytearray(golden("golden_in_coded.hex"))
-    # symbol_len field sits after batch_id(8)+parity(1)+num_parity(1)+count(1)
-    off = 32 + 8 + 3
-    raw[off:off + 2] = (2).to_bytes(2, "big")
-    with pytest.raises(LengthMismatch):
-        deserialize(bytes(raw))
-
-
-def test_data_with_extension_rejected():
-    raw = bytearray(golden("golden_ctrl_confirm_resp.hex"))
-    raw[1] = wire.DATA
-    with pytest.raises(LengthMismatch):
-        deserialize(bytes(raw))
-
-
-def test_zero_entries_rejected():
-    raw = bytearray(serialize(Nack(1, ((1, 2),), 0)))
-    raw[32] = 0  # entry_count now disagrees with ext_len, and is illegal anyway
-    with pytest.raises(LengthMismatch):
-        deserialize(bytes(raw))
+def test_wire_size_matches_serialize(msg):
+    assert len(serialize(msg)) == wire_size(msg)
 
 
 def test_field_overflow_on_serialize():
@@ -260,50 +161,6 @@ def test_field_overflow_on_serialize():
         serialize(CodedPacket(True, 0, 256, 2, ((1, 1, 1),), b"", 0, (0,)))
     with pytest.raises(FieldOverflow):
         serialize(DataPacket(0, 0, -1))
-
-
-@pytest.mark.parametrize("name, offset", [
-    ("golden_nack_one_entry.hex", 3),  # a flag bit NACK never sets
-    ("golden_in_coded.hex", 19),       # header seq, which coded packets leave 0
-])
-def test_header_field_a_type_never_writes_rejected(name, offset):
-    raw = bytearray(golden(name))
-    raw[offset] = 1
-    with pytest.raises(LengthMismatch):
-        deserialize(bytes(raw))
-
-
-def test_negative_coop_resp_with_payload_rejected():
-    raw = bytearray(serialize(CoopResponse((1, 1), b"x")))
-    raw[3] |= wire.FLAG_COOP_NEGATIVE
-    with pytest.raises(LengthMismatch):
-        deserialize(bytes(raw))
-
-
-def test_fuzz_structured_mutations():
-    # flip bytes of valid messages; only WireError subclasses may escape
-    rng = random.Random(42)
-    corpus = [golden(n) for n in GOLDEN_MESSAGES]
-    for _ in range(20000):
-        raw = bytearray(rng.choice(corpus))
-        for _ in range(rng.randint(1, 4)):
-            raw[rng.randrange(len(raw))] = rng.randrange(256)
-        if rng.random() < 0.3:
-            raw = raw[:rng.randrange(len(raw) + 1)]
-        try:
-            deserialize(bytes(raw))
-        except WireError:
-            pass
-
-
-def test_fuzz_random_bytes():
-    rng = random.Random(7)
-    for _ in range(20000):
-        raw = rng.randbytes(rng.randrange(0, 120))
-        try:
-            deserialize(raw)
-        except WireError:
-            pass
 
 
 def test_wire_imports_no_other_caspr_module():
