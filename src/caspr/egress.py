@@ -7,8 +7,11 @@ from then on: every batch shares the one horizon, so the store is a
 FIFO that expires lazily (Varghese & Lauck's timing wheels) rather
 than through one timer per batch.  Between messages only a task's
 timer reads the store, and it never fires after its batch's expiry.
-On a NACK the engine picks the cheapest path that can still make the
-one-RTT budget:
+DC1 puts a packet in at most one batch of each coding kind, so an entry
+has at most one cover per kind.  Every reactive recovery (a NACK, parity
+for a claim nothing covered yet, a confirmed claim) enters through
+``_recover_entry``, which picks the cheapest path that can still make
+the one-RTT budget:
 
   1. a payload already decoded earlier is resent from cache,
   2. an in-stream batch covering the entry has its parity forwarded
@@ -76,10 +79,9 @@ PROACTIVE_AFTER = 3
 class StoredBatch:
     batch_id: int
     cross: bool
-    members: tuple
-    num_parity: int
+    entries: tuple[Entry, ...]  # (flow_id, seq) per member
     sent_ts: int              # ingress transmit time, shared by every parity copy
-    member_ts: tuple[int, ...]  # each member's send time, aligned with members
+    member_ts: tuple[int, ...]  # each member's send time, aligned with entries
     expires_at: int           # stored time + horizon; covers nothing from then on
     parity: dict[int, CodedPacket] = field(default_factory=dict)
     decoded: dict[Entry, bytes] = field(default_factory=dict)
@@ -87,10 +89,6 @@ class StoredBatch:
     requested: set[int] = field(default_factory=set)  # flows asked to help
     forwarded: set[int] = field(default_factory=set)
     state: str = IDLE
-    entries: tuple[Entry, ...] = field(init=False)  # (flow_id, seq) per member
-
-    def __post_init__(self):
-        self.entries = tuple([(f, s) for f, s, _ in self.members])
 
 
 @dataclass
@@ -122,7 +120,11 @@ class EgressRecovery:
         self.store: dict[int, StoredBatch] = {}
         # (expires_at, batch_id) in store order, so in expiry order too
         self._expiry: deque[tuple[int, int]] = deque()
-        self.by_entry: dict[Entry, set[int]] = {}
+        # the stored batch covering each entry, one map per coding kind:
+        # DC1 puts a packet in one cross queue (or evicts it) and in one
+        # in-stream queue, so no entry has a second cover of either kind
+        self.cross_of: dict[Entry, StoredBatch] = {}
+        self.in_of: dict[Entry, StoredBatch] = {}
         self.orphans: dict[Entry, _Orphan] = {}
         # each flow has one receiver: flow i's port, by flow id
         self._flow_port: list[_ReceiverPort] = [
@@ -148,7 +150,7 @@ class EgressRecovery:
         elif isinstance(msg, CoopResponse):
             self._on_coop_response(msg, now)
         elif isinstance(msg, Ctrl) and msg.kind == CTRL_CONFIRM_RESP:
-            self._on_confirm_response(msg)
+            self._on_confirm_response(msg, now)
 
     def on_timer(self, token) -> None:
         kind = token[0]
@@ -180,30 +182,28 @@ class EgressRecovery:
             # every copy of a batch leaves the ingress in one call, so
             # the first to arrive carries the send times of them all
             expires_at = now + self.horizon_us
-            batch = StoredBatch(msg.batch_id, msg.cross, msg.members,
-                                msg.num_parity, msg.send_ts_us, msg.member_ts,
-                                expires_at)
+            batch = StoredBatch(msg.batch_id, msg.cross,
+                                tuple([(f, s) for f, s, _ in msg.members]),
+                                msg.send_ts_us, msg.member_ts, expires_at)
             self.store[msg.batch_id] = batch
             self._expiry.append((expires_at, msg.batch_id))
+            covers = self.cross_of if msg.cross else self.in_of
             for e in batch.entries:
-                self.by_entry.setdefault(e, set()).add(msg.batch_id)
+                covers[e] = batch
         if msg.parity_index in batch.parity:
             return
         batch.parity[msg.parity_index] = msg
         # parity may resolve entries that were NACKed before coverage
-        # existed; most batches arrive with no claim pending at all
+        # existed; most batches arrive with no claim pending at all.  An
+        # unconfirmed claim is inadmissible for every older cover at its
+        # nack_ts (each NACK and each batch re-checks it), so only this
+        # batch can resolve it, and if it cannot the claim stays as it was
         orphans = self.orphans
         if orphans:
             for e in batch.entries:
                 orphan = orphans.get(e)
-                if orphan is None:
-                    continue
-                if orphan.confirmed:
-                    del orphans[e]
-                    self._recover_entry(e, now, None)
-                elif self._claim_admissible(batch, e, orphan.nack_ts):
-                    del orphans[e]
-                    self._recover_entry(e, now, orphan.nack_ts)
+                if orphan is not None:
+                    self._recover_entry(e, now, None if orphan.confirmed else orphan.nack_ts)
         self._open_proactive(batch, self._proactive, now)
         if batch.lost:
             if batch.cross:
@@ -231,12 +231,9 @@ class EgressRecovery:
         # the expiry queue is the only way out of the store
         batch = self.store.pop(batch_id)
         self._give_up(batch)
+        covers = self.cross_of if batch.cross else self.in_of
         for e in batch.entries:
-            ids = self.by_entry.get(e)
-            if ids is not None:
-                ids.discard(batch_id)
-                if not ids:
-                    del self.by_entry[e]
+            del covers[e]
 
     # -- loss reports ---------------------------------------------------------
 
@@ -264,62 +261,63 @@ class EgressRecovery:
             del self.orphans[e]
             self.run_log.bump("claims_retracted")
 
-    def _claim_admissible(self, batch: StoredBatch, entry: Entry,
-                          nack_ts: int | None) -> bool:
-        """Could the receiver have legitimately missed this entry when
-        it complained?  None means the receiver already confirmed."""
-        if nack_ts is None:
-            return True
+    def _cover(self, covers: dict[Entry, StoredBatch], entry: Entry,
+               nack_ts: int | None) -> StoredBatch | None:
+        """The entry's batch in ``covers``, if the receiver could have missed
+        the entry by ``nack_ts``; None there means the receiver confirmed."""
+        batch = covers.get(entry)
+        if batch is None or nack_ts is None:
+            return batch
         if batch.sent_ts > nack_ts:
-            return False
+            return None
         sent = batch.member_ts[batch.entries.index(entry)]
-        return sent + self.claim_owd_us <= nack_ts
+        return batch if sent + self.claim_owd_us <= nack_ts else None
 
     def _recover_entry(self, entry: Entry, now: int, nack_ts: int | None) -> None:
-        batch_ids = sorted(b for b in self.by_entry.get(entry, ())
-                           if self._claim_admissible(self.store[b], entry, nack_ts))
-        if batch_ids:
-            # admissible coverage takes over any pending orphan claim
-            self.orphans.pop(entry, None)
+        """Every reactive recovery starts here: a NACK, parity landing on
+        an orphan claim and a confirmed claim alike."""
+        cross = self._cover(self.cross_of, entry, nack_ts)
+        in_batch = self._cover(self.in_of, entry, nack_ts)
+        if cross is None and in_batch is None:
+            self._orphan(entry, now, nack_ts)
+            return
+        # admissible coverage takes over any pending orphan claim
+        self.orphans.pop(entry, None)
         # cheapest first: cached payload beats parity forwarding beats
         # opening a cooperative decode
-        for bid in batch_ids:
-            batch = self.store[bid]
-            if entry in batch.decoded:
-                self._send_data(entry, batch.decoded[entry], now)
-                self.run_log.bump("cache_resends")
-                return
-        in_batches = [self.store[b] for b in batch_ids if not self.store[b].cross]
-        for batch in in_batches:
-            batch.lost.add(entry)
-            if len(batch.parity) >= len(batch.lost):
-                self._forward_in_parity(batch)
-                return
-        cross = [self.store[b] for b in batch_ids if self.store[b].cross]
-        if cross:
-            self._recover_via_cross(cross[0], entry, now)
+        if cross is not None and entry in cross.decoded:
+            self._send_data(entry, cross.decoded[entry], now)
+            self.run_log.bump("cache_resends")
             return
-        if in_batches:
-            # covered, but not enough in-stream parity: the forwarded
-            # symbols stand, nothing more can be done from here
-            return
+        if in_batch is not None:
+            in_batch.lost.add(entry)
+            if len(in_batch.parity) >= len(in_batch.lost):
+                self._forward_in_parity(in_batch)
+                return
+        if cross is not None:
+            self._recover_via_cross(cross, entry, now)
+        # otherwise covered, but not enough in-stream parity: the
+        # forwarded symbols stand, nothing more can be done from here
+
+    def _orphan(self, entry: Entry, now: int, nack_ts: int | None) -> None:
+        """Hold a claim no admissible parity covers yet; only the first
+        claim arms the boundary and orphan timers."""
         claim_ts = now if nack_ts is None else nack_ts
         orphan = self.orphans.get(entry)
         if orphan is not None:
             orphan.nack_ts = max(orphan.nack_ts, claim_ts)
-        else:
-            orphan = _Orphan(now, claim_ts)
-            self.orphans[entry] = orphan
-            self.env.schedule(self.boundary_wait_us,
-                              ("boundary", entry[0], entry[1], now))
-            self.env.schedule(self.deadline_us,
-                              ("orphan", entry[0], entry[1], now))
+            return
+        self.orphans[entry] = _Orphan(now, claim_ts)
+        self.env.schedule(self.boundary_wait_us,
+                          ("boundary", entry[0], entry[1], now))
+        self.env.schedule(self.deadline_us,
+                          ("orphan", entry[0], entry[1], now))
 
     def _forward_in_parity(self, batch: StoredBatch) -> None:
         needed = len(batch.lost)  # in-stream batches are never decoded in the DC
         if len(batch.parity) < needed:
             return
-        port = self._flow_port[batch.members[0][0]]
+        port = self._flow_port[batch.entries[0][0]]
         for idx in sorted(batch.parity):
             if len(batch.forwarded) >= needed:
                 break
@@ -364,12 +362,7 @@ class EgressRecovery:
 
     def _on_coop_response(self, msg: CoopResponse, now: int) -> None:
         entry = msg.entry
-        batch = None
-        for bid in sorted(self.by_entry.get(entry, ())):
-            b = self.store[bid]
-            if b.cross:
-                batch = b
-                break
+        batch = self.cross_of.get(entry)
         if batch is None or batch.state in (DECODED, FAILED):
             self.run_log.bump("late_resps")
             return
@@ -378,7 +371,7 @@ class EgressRecovery:
         batch.decoded[entry] = msg.payload
         self._try_decode(batch, now)
 
-    def _on_confirm_response(self, msg: Ctrl) -> None:
+    def _on_confirm_response(self, msg: Ctrl, now: int) -> None:
         entry = (msg.flow_id, msg.seq)
         orphan = self.orphans.get(entry)
         if orphan is None:
@@ -387,9 +380,7 @@ class EgressRecovery:
             orphan.confirmed = True
             # the receiver vouched for the hole itself, so coverage the
             # timestamp guard skipped earlier becomes fair game
-            if self.by_entry.get(entry):
-                del self.orphans[entry]
-                self._recover_entry(entry, self.env.now, None)
+            self._recover_entry(entry, now, None)
         else:
             del self.orphans[entry]
             self.run_log.bump("suppressed")

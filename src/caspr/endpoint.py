@@ -218,12 +218,7 @@ class Receiver:
         elif kind == "resp":
             self.env.send(self.data_link, token[1])
         elif kind == "coopw":
-            seq = token[1]
-            for _ in range(self._coop_wait.pop(seq, 0)):
-                self._send_resp(CoopResponse(entry=(self.flow_id, seq),
-                                             payload=None,
-                                             send_ts_us=self.env.now),
-                                positive=False)
+            self._answer_waiting(token[1], None, self.env.now)
 
     # -- data path ------------------------------------------------------------
 
@@ -247,11 +242,7 @@ class Receiver:
         self.run_log.record_delivery(pkt.flow_id, seq, now, recovered)
         self._store(seq, payload, now)
         if self._coop_wait:
-            for _ in range(self._coop_wait.pop(seq, 0)):
-                self._send_resp(CoopResponse(entry=(pkt.flow_id, seq),
-                                             payload=payload,
-                                             send_ts_us=now),
-                                positive=True)
+            self._answer_waiting(seq, payload, now)
         holes = self.holes
         max_seen = self.max_seen
         if seq > max_seen:
@@ -420,8 +411,7 @@ class Receiver:
             payload = self._cached(seq, now)
             if payload is not None:
                 self._send_resp(CoopResponse(entry=(flow_id, seq),
-                                             payload=payload, send_ts_us=now),
-                                positive=True)
+                                             payload=payload, send_ts_us=now))
                 continue
             if seq > self.max_seen:
                 # nothing this new has arrived yet, so it is not lost, just
@@ -435,11 +425,16 @@ class Receiver:
                                   ("coopw", seq))
                 continue
             self._send_resp(CoopResponse(entry=(flow_id, seq), payload=None,
-                                         send_ts_us=now), positive=False)
+                                         send_ts_us=now))
 
-    def _send_resp(self, resp: CoopResponse, positive: bool) -> None:
-        self.run_log.bump("coop_resps_pos" if positive
-                          else "coop_resps_neg")
+    def _answer_waiting(self, seq: int, payload: bytes | None, now: int) -> None:
+        """Answer the requests held for ``seq`` with ``payload``, None if it never came."""
+        for _ in range(self._coop_wait.pop(seq, 0)):
+            self._send_resp(CoopResponse(entry=(self.flow_id, seq),
+                                         payload=payload, send_ts_us=now))
+
+    def _send_resp(self, resp: CoopResponse) -> None:
+        self.run_log.bump("coop_resps_neg" if resp.payload is None else "coop_resps_pos")
         if self.straggler_delay_us > 0:
             self.env.schedule(self.straggler_delay_us, ("resp", resp))
         else:

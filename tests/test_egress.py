@@ -233,6 +233,33 @@ def test_parity_arrival_resolves_orphan_before_boundary():
     assert log.counters["confirm_queries"] == 0
 
 
+def test_parity_that_cannot_vouch_for_a_claim_leaves_the_orphan_as_it_was():
+    # the NACK left 10 ms after the packet was sent, inside the direct
+    # path's 40 ms bound: parity covering it cannot vouch for the claim
+    eng, env, log = make_engine()
+    eng.claim_owd_us = 40_000
+    env.run_until(10_000)
+    eng.on_message(Nack(flow_id=2, entries=((2, 0),), send_ts_us=10_000), "r2>dc2")
+    orphan = eng.orphans[(2, 0)]
+    timers = env.pending()
+    assert [tok[0] for _, tok in timers] == ["boundary", "orphan"]
+    for p in cross_parities(7, [0, 1, 2, 3]):  # every member sent at 0
+        eng.on_message(p, "dc1>dc2")
+    assert eng.orphans == {(2, 0): orphan} and orphan.nack_ts == 10_000
+    assert env.pending() == timers
+    assert log.counters["tasks_opened"] == 0
+    assert not env.sent
+    # a receiver vouching for a hole nothing covers keeps its claim
+    # waiting for parity, and DC2 sends nothing
+    eng.on_message(nack(1, 5), "r1>dc2")
+    timers = env.pending()
+    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1),
+                   "r1>dc2:ctrl")
+    assert eng.orphans[(1, 5)].confirmed is True
+    assert env.pending() == timers
+    assert not env.sent
+
+
 def test_ack_retracts_only_the_claims_below_the_receivers_frontier():
     eng, env, log = make_engine()
     eng.on_message(nack(2, 0), "r2>dc2")
@@ -293,7 +320,7 @@ def test_store_ttl_evicts_batches():
     # a NACK afterwards finds no coverage and walks the orphan path
     eng.on_message(nack(2, 0), "r2>dc2")
     assert 7 not in eng.store
-    assert eng.by_entry == {}
+    assert eng.cross_of == {} and eng.in_of == {}
     assert (2, 0) in eng.orphans
 
 

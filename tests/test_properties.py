@@ -10,7 +10,7 @@ and not one recovery byte out of DC2 when the direct paths lost nothing.
 Each receiver's hole map must also match what it never delivered, and
 its payload cache must stay in time order inside its TTL and count cap.
 After every message DC2 handles, its store must hold no expired batch,
-and its entry index must name only stored batches.
+and its cover maps must index exactly the stored batches.
 """
 
 from collections import Counter
@@ -184,11 +184,21 @@ def run_spying_dc2(cfg, on_message=None):
 
 
 def check_store(dc2):
-    """Past each message, DC2 holds no batch past its expiry, and every
-    batch its entry index names is in the store."""
+    """Past each message, DC2 holds no batch past its expiry, and its two
+    cover maps index exactly the stored batches: each entry of a stored
+    batch maps, in the map of the batch's kind, to that batch."""
     now = dc2.env.now
     assert all(batch.expires_at > now for batch in dc2.store.values()), now
-    assert all(ids and ids <= dc2.store.keys() for ids in dc2.by_entry.values()), now
+    indexed = {True: 0, False: 0}
+    for batch in dc2.store.values():
+        covers = dc2.cross_of if batch.cross else dc2.in_of
+        assert all(covers.get(e) is batch for e in batch.entries), now
+        indexed[batch.cross] += len(batch.entries)
+    # as many keys as stored entries: no entry of one batch was
+    # overwritten by another batch of the same kind
+    assert (len(dc2.cross_of), len(dc2.in_of)) == (indexed[True], indexed[False]), now
+    assert all(dc2.store.get(b.batch_id) is b
+               for covers in (dc2.cross_of, dc2.in_of) for b in covers.values()), now
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -170,7 +170,7 @@ def live_state(sim):
         "holes": max(len(r.holes) for r in receivers),
         "held": max(len(r.held) for r in receivers),
         "store": len(dc2.store),
-        "by_entry": len(dc2.by_entry),
+        "covers": len(dc2.cross_of) + len(dc2.in_of),
         "orphans": len(dc2.orphans),
     }
 
@@ -188,7 +188,7 @@ def test_run_state_is_bounded_by_the_recovery_horizon(monkeypatch):
         stored = cached * flows.count // cfg.coding.k_max
         bound = {"cache": cached + slack, "holes": slack, "held": slack,
                  "store": stored + slack,
-                 "by_entry": (stored + slack) * cfg.coding.k_max,
+                 "covers": (stored + slack) * cfg.coding.k_max,
                  "orphans": slack}
         m, seen = run_watched(monkeypatch, cfg, live_state)
         state = seen["at_check"]
