@@ -68,8 +68,9 @@ def check_envelope(k: int, p: int) -> None:
 
 
 class _BatchParity:
-    """The parity rows of one batch, all computed by one kernel call on
-    the first read of any of them."""
+    """The parity rows of one batch, the memo each of its packets holds
+    as ``body``: all rows are computed by one kernel call on the first
+    read of any of them."""
 
     __slots__ = ("sources", "num_parity", "symbol_len", "rows")
 
@@ -102,24 +103,24 @@ def encode_batch(batch_id: int, sources: list[DataPacket], num_parity: int,
     """
     if not sources:
         raise EmptyBatch("cannot encode an empty batch")
-    k = len(sources)
-    check_envelope(k, num_parity)
-    keys = [(s.flow_id, s.seq) for s in sources]
-    if len(set(keys)) < k:
-        dup = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise MetadataMismatch(f"duplicate member {dup} in batch")
-
-    payloads = [s.payload for s in sources]
-    members = tuple([(s.flow_id, s.seq, len(s.payload)) for s in sources])
-    member_ts = tuple([s.send_ts_us for s in sources])
-    symbol_len = max(map(len, payloads))
+    check_envelope(len(sources), num_parity)
+    members, member_ts, payloads, seen = [], [], [], set()
+    symbol_len = 0
+    for flow_id, seq, sent_us, payload, _ in sources:
+        key = (flow_id, seq)
+        if key in seen:
+            raise MetadataMismatch(f"duplicate member {key} in batch")
+        seen.add(key)
+        length = len(payload)
+        if length > symbol_len:
+            symbol_len = length
+        members.append((flow_id, seq, length))
+        member_ts.append(sent_us)
+        payloads.append(payload)
+    members, member_ts = tuple(members), tuple(member_ts)
     memo = _BatchParity(payloads, num_parity, symbol_len)
-    return [
-        CodedPacket(cross, batch_id, i, num_parity, members,
-                    (functools.partial(memo.row, i), symbol_len),
-                    send_ts_us, member_ts)
-        for i in range(num_parity)
-    ]
+    return [CodedPacket(cross, batch_id, i, num_parity, members, memo, send_ts_us, member_ts)
+            for i in range(num_parity)]
 
 
 def decode_batch(present: dict[Entry, bytes],

@@ -52,7 +52,7 @@ path may not be able to provoke in time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import decode_batch
 from .scenario import Scenario, flow_links
@@ -75,20 +75,24 @@ IDLE, PENDING, DECODED, FAILED = "idle", "pending", "decoded", "failed"
 PROACTIVE_AFTER = 3
 
 
-@dataclass(eq=False)
 class StoredBatch:
-    batch_id: int
-    cross: bool
-    entries: tuple[Entry, ...]  # (flow_id, seq) per member
-    sent_ts: int              # ingress transmit time, shared by every parity copy
-    member_ts: tuple[int, ...]  # each member's send time, aligned with entries
-    expires_at: int           # stored time + horizon; covers nothing from then on
-    parity: dict[int, CodedPacket] = field(default_factory=dict)
-    decoded: dict[Entry, bytes] = field(default_factory=dict)
-    lost: set[Entry] = field(default_factory=set)
-    requested: set[int] = field(default_factory=set)  # flows asked to help
-    forwarded: set[int] = field(default_factory=set)
-    state: str = IDLE
+    __slots__ = ("batch_id", "cross", "entries", "sent_ts", "member_ts", "expires_at",
+                 "parity", "decoded", "lost", "requested", "forwarded", "state")
+
+    def __init__(self, batch_id: int, cross: bool, entries: tuple[Entry, ...],
+                 sent_ts: int, member_ts: tuple[int, ...], expires_at: int):
+        self.batch_id = batch_id
+        self.cross = cross
+        self.entries = entries      # (flow_id, seq) per member
+        self.sent_ts = sent_ts      # ingress transmit time, shared by every parity copy
+        self.member_ts = member_ts  # each member's send time, aligned with entries
+        self.expires_at = expires_at  # stored time + horizon; covers nothing from then on
+        self.parity: dict[int, CodedPacket] = {}
+        self.decoded: dict[Entry, bytes] = {}
+        self.lost: set[Entry] = set()
+        self.requested: set[int] = set()  # flows asked to help
+        self.forwarded: set[int] = set()
+        self.state = IDLE
 
 
 @dataclass

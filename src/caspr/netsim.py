@@ -1,13 +1,19 @@
 """Deterministic discrete-event network simulator.
 
 Virtual time is integer microseconds; nothing reads the wall clock.
-Events sit in a min-heap of ``(time, origin index, per-origin seq,
-event)`` entries.  Origin indices are assigned by sorting origin names
-when the topology freezes, nodes first and then links, so two runs
-wired in different node orders process identical event sequences: the
-tiebreak is a schedule counter, just scoped per origin instead of
-global.  A node's timer event is its token; a link's delivery event is
-``(link, msg, size)``.
+Events sit in a min-heap of flat tuples that start ``(time, origin
+index, per-origin seq, ...)``: a node's timer is ``(time, idx, seq,
+token)`` and a link's delivery ``(time, idx, seq, link, msg, size)``.
+Origin indices are assigned by sorting origin names when the topology
+freezes, nodes first and then links, so two runs wired in different
+node orders process identical event sequences: the tiebreak is a
+schedule counter, just scoped per origin instead of global, and no two
+entries ever compare past it.
+
+``SimEnv.send`` is the one send implementation: it sizes the message
+through ``wire.wire_size``, draws the link's loss and jitter, keeps the
+link's counters and writes the trace line.  A node sets a timer only
+through ``SimEnv.schedule``; ``Simulator.at`` sets one before the run.
 
 Handlers are bound once, at freeze: each link keeps its destination's
 ``on_message`` and the simulator keeps each node's ``on_timer`` in a
@@ -175,6 +181,7 @@ class SimEnv:
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
         self._heap = sim._heap
+        self._links = sim.links
         self._idx = -1  # origin index, assigned at freeze
         self._seq = count()
         self.name = name
@@ -185,7 +192,36 @@ class SimEnv:
         return self._sim.now
 
     def send(self, link_name: str, msg: wire.Message) -> None:
-        self._sim._send(link_name, msg)
+        link = self._links.get(link_name)
+        if link is None:
+            raise ValueError(f"unknown link {link_name!r}")
+        size = wire.wire_size(msg)
+        link.sent_count += 1
+        link.sent_bytes += size
+        sim = self._sim
+        now = sim.now
+        if link.loss is not None and link.loss.drop(now):
+            link.dropped_count += 1
+            link.dropped_bytes += size
+            if link.on_drop is not None:
+                link.on_drop(msg, now)
+            if sim.trace_file is not None:
+                sim._trace(link, msg, size, None)
+            return
+        # Link rejects jitter above the delay, so arrive is never before now
+        arrive = now + link.delay_us
+        if link.jitter_us:
+            # randint(-j, j) as CPython 3.11 draws it, without its two frames
+            getrandbits = link.jitter_rng.getrandbits
+            r = getrandbits(link.jitter_bits)
+            while r >= link.jitter_span:
+                r = getrandbits(link.jitter_bits)
+            arrive += r - link.jitter_us
+        link.inflight_count += 1
+        link.inflight_bytes += size
+        heappush(self._heap, (arrive, link.idx, next(link.seq), link, msg, size))
+        if sim.trace_file is not None:
+            sim._trace(link, msg, size, arrive)
 
     def schedule(self, delay_us: int, token: tuple) -> None:
         if delay_us < 0:
@@ -268,37 +304,6 @@ class Simulator:
         for link in self.links.values():
             link.deliver = None
 
-    def _send(self, link_name: str, msg: wire.Message) -> None:
-        link = self.links.get(link_name)
-        if link is None:
-            raise ValueError(f"unknown link {link_name!r}")
-        size = wire.wire_size(msg)
-        link.sent_count += 1
-        link.sent_bytes += size
-        now = self.now
-        if link.loss is not None and link.loss.drop(now):
-            link.dropped_count += 1
-            link.dropped_bytes += size
-            if link.on_drop is not None:
-                link.on_drop(msg, now)
-            if self.trace_file is not None:
-                self._trace(link, msg, size, None)
-            return
-        # Link rejects jitter above the delay, so arrive is never before now
-        arrive = now + link.delay_us
-        if link.jitter_us:
-            # randint(-j, j) as CPython 3.11 draws it, without its two frames
-            getrandbits = link.jitter_rng.getrandbits
-            r = getrandbits(link.jitter_bits)
-            while r >= link.jitter_span:
-                r = getrandbits(link.jitter_bits)
-            arrive += r - link.jitter_us
-        link.inflight_count += 1
-        link.inflight_bytes += size
-        heappush(self._heap, (arrive, link.idx, next(link.seq), (link, msg, size)))
-        if self.trace_file is not None:
-            self._trace(link, msg, size, arrive)
-
     def _trace(self, link: Link, msg: wire.Message, size: int, arrive: int | None) -> None:
         rec = {"ts": self.now, "link": link.name, "type": type(msg).__name__,
                "size": size,
@@ -318,12 +323,13 @@ class Simulator:
         on_timer = self._on_timer
         n_nodes = len(on_timer)  # node origins come before link origins
         while heap and heap[0][0] <= until_us:
-            t, idx, _seq, event = heappop(heap)
-            self.now = t
+            event = heappop(heap)
+            self.now = event[0]
+            idx = event[1]
             if idx < n_nodes:
-                on_timer[idx](event)
+                on_timer[idx](event[3])
             else:
-                link, msg, size = event
+                _, _, _, link, msg, size = event
                 link.inflight_count -= 1
                 link.inflight_bytes -= size
                 link.delivered_count += 1

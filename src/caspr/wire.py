@@ -27,10 +27,11 @@ header's flow/seq naming the subject packet.  An ACK has no extension:
 its header seq carries the receiver's frontier, the first seq it has
 neither delivered nor given up, so every seq below it is settled.
 
-Messages are immutable, so one object may travel on several links:
-``DataPacket``, built for every simulated packet, is a ``NamedTuple``,
-the cheapest immutable record to construct, and the others are frozen
-dataclasses.
+Messages are immutable, so one object may travel on several links.
+Every message is a ``NamedTuple``, the cheapest immutable record to
+construct.  A ``CodedPacket`` holds either its payload bytes or the
+batch's one shared parity memo, which computes the payload on first
+read.
 
 ``serialize`` is the one description of each layout, pinned by the
 golden vectors under ``tests/data``, and ``wire_size`` its byte count
@@ -41,7 +42,6 @@ simulator charges a message its size on every link it is sent on.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 VERSION = 1
@@ -75,7 +75,8 @@ _ENTRY = struct.Struct(">QQ")
 _CTRL_EXT = struct.Struct(">BQ")
 
 HEADER_LEN = _BASE.size
-assert HEADER_LEN == 32
+if HEADER_LEN != 32:
+    raise RuntimeError(f"header packs to {HEADER_LEN} bytes, not 32")
 
 
 class FieldOverflow(ValueError):
@@ -94,106 +95,79 @@ class DataPacket(NamedTuple):
     flags: int = 0
 
 
-class _Payload:
-    """Descriptor behind ``CodedPacket.payload``.
-
-    The packet's ``_payload`` slot holds either the payload ``bytes`` or
-    a ``(thunk, symbol_len)`` pair.  The first read replaces the pair by
-    ``thunk()``, so every reader gets bytes, and a payload that nothing
-    reads is never computed.
-    """
-
-    def __get__(self, pkt, owner=None):
-        if pkt is None:
-            # class access; dataclass takes this to mean "no default"
-            raise AttributeError("payload")
-        value = pkt._payload
-        if type(value) is tuple:
-            value = value[0]()
-            object.__setattr__(pkt, "_payload", value)
-        return value
-
-
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
-class CodedPacket:
+class CodedPacket(NamedTuple):
     """One parity packet of a batch.
 
-    ``payload`` may be given as a ``(thunk, symbol_len)`` pair, whose
-    ``thunk()`` returns the bytes on the first read of ``payload``
-    (``codec.encode_batch`` builds its packets so); ``symbol_len`` and
-    ``wire_size`` never compute it.
+    ``body`` holds the payload ``bytes``, or the batch's one shared
+    parity memo (``codec.encode_batch`` builds its packets so): an
+    object whose ``symbol_len`` is the payload length and whose
+    ``row(parity_index)`` computes the payload on first read.
+    ``payload`` always reads bytes; ``symbol_len`` and ``wire_size``
+    never compute them.  Packets compare and hash by value, payload
+    read, whichever form their body takes.
     """
-
-    # slots written out: dataclass(slots=True) would put a plain slot
-    # where the payload descriptor stands
-    __slots__ = ("cross", "batch_id", "parity_index", "num_parity", "members",
-                 "_payload", "send_ts_us", "member_ts")
 
     cross: bool
     batch_id: int
     parity_index: int
     num_parity: int
     members: tuple[BatchMember, ...]
-    payload: bytes = _Payload()
+    body: object  # bytes, or the batch's parity memo
     send_ts_us: int
     member_ts: tuple[int, ...]  # each member's absolute send time, aligned with members
 
-    def __init__(self, cross, batch_id, parity_index, num_parity, members,
-                 payload, send_ts_us, member_ts):
-        # payload goes straight into its slot, past the descriptor
-        _set(self, "cross", cross)
-        _set(self, "batch_id", batch_id)
-        _set(self, "parity_index", parity_index)
-        _set(self, "num_parity", num_parity)
-        _set(self, "members", members)
-        _set(self, "_payload", payload)
-        _set(self, "send_ts_us", send_ts_us)
-        _set(self, "member_ts", member_ts)
+    @property
+    def payload(self) -> bytes:
+        body = self.body
+        return body if type(body) is bytes else body.row(self.parity_index)
 
     @property
     def symbol_len(self) -> int:
         """Length of ``payload``, read without computing it."""
-        value = self._payload
-        return value[1] if type(value) is tuple else len(value)
+        body = self.body
+        return len(body) if type(body) is bytes else body.symbol_len
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, since frozen
-        # fields refuse the slot-by-slot restore
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def _value(self) -> tuple:
+        return self[:5] + (self.payload,) + self[6:]
+
+    def __eq__(self, other):
+        if type(other) is not CodedPacket:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __ne__(self, other):
+        if type(other) is not CodedPacket:
+            return NotImplemented
+        return self._value() != other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
-@dataclass(frozen=True, slots=True)
-class Nack:
+class Nack(NamedTuple):
     flow_id: int
     entries: tuple[Entry, ...]
     send_ts_us: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
+class Ack(NamedTuple):
     flow_id: int
     frontier: int  # first seq not yet delivered or given up; rides the header seq
     send_ts_us: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CoopRequest:
+class CoopRequest(NamedTuple):
     entries: tuple[Entry, ...]
     send_ts_us: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CoopResponse:
+class CoopResponse(NamedTuple):
     entry: Entry
     payload: bytes | None  # None means "don't have it"
     send_ts_us: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Ctrl:
+class Ctrl(NamedTuple):
     kind: int
     flow_id: int
     seq: int

@@ -98,7 +98,8 @@ def reconstruct(k: int, num_parity: int, kept: dict[int, bytes],
     length = None
     for v in list(kept.values()) + list(parity_kept.values()):
         length = len(v) if length is None else length
-        assert len(v) == length
+        if len(v) != length:
+            raise ValueError(f"survivor of {len(v)} bytes among rows of {length}")
     prows = generator_rows(k, num_parity)
     rows = []
     rhs = []
@@ -108,5 +109,6 @@ def reconstruct(k: int, num_parity: int, kept: dict[int, bytes],
     for idx in sorted(parity_kept):
         rows.append(prows[idx])
         rhs.append(parity_kept[idx])
-    assert len(rows) >= k, "not enough survivors"
+    if len(rows) < k:
+        raise ValueError(f"not enough survivors: {len(rows)} of {k}")
     return solve([row[:] for row in rows[:k]], rhs[:k])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import pickle
 from unittest import mock
@@ -149,7 +148,7 @@ def test_parity_read_in_any_order_matches_oracle(case):
         assert [parity[i].payload for i in order] == [expected[i] for i in order]
 
         unread = encode_batch(5, srcs, num_parity, True, 0)
-        flipped = dataclasses.replace(unread[order[0]], cross=False)
+        flipped = unread[order[0]]._replace(cross=False)
         assert flipped.payload == expected[order[0]] and not flipped.cross
         assert pickle.loads(pickle.dumps(unread[order[-1]])) == parity[order[-1]]
         assert [unread[i].payload for i in order] == [expected[i] for i in order]

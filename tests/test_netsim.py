@@ -164,17 +164,17 @@ EDGE_JITTERS = [j for k in range(1, 16) for j in (2 ** (k - 1) - 1, 2 ** (k - 1)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        jitter=st.one_of(st.sampled_from(EDGE_JITTERS), st.integers(1, 100_000)))
 def test_jitter_draws_are_randint_draws(seed, jitter):
-    # _send writes out the getrandbits loop behind randint(-j, j); a
+    # SimEnv.send writes out the getrandbits loop behind randint(-j, j); a
     # different draw would move every jittered arrival in the artifacts
     trace = io.StringIO()
     sim = Simulator(0, trace_file=trace)
-    sim.add_node("a", Recorder())
+    env = sim.add_node("a", Recorder())
     sim.add_node("b", Recorder())
     link = sim.add_link("a>b", "a", "b", delay_us=jitter, jitter_us=jitter)
     link.jitter_rng = random.Random(seed)
     sim._freeze()
     for _ in range(40):
-        sim._send("a>b", wire.Ack(1, 0, 0))
+        env.send("a>b", wire.Ack(1, 0, 0))
     offsets = [json.loads(line)["arrive_ts"] - jitter
                for line in trace.getvalue().splitlines()]
     ref = random.Random(seed)
@@ -204,9 +204,9 @@ def test_per_link_streams_independent():
         env = sim.add_node("driver", Recorder())
         sim._freeze()
         for i in range(200):
-            sim._send("direct", wire.DataPacket(1, i, 0))
+            env.send("direct", wire.DataPacket(1, i, 0))
             if with_cloud:
-                sim._send("cloud", wire.DataPacket(1, i, 0))
+                env.send("cloud", wire.DataPacket(1, i, 0))
         return dropped
 
     assert direct_drops(False) == direct_drops(True)
@@ -274,10 +274,10 @@ def test_conservation_check_survives_python_O(counter):
 
 def test_unknown_link_send_raises():
     sim = Simulator(0)
-    sim.add_node("a", Recorder())
+    env = sim.add_node("a", Recorder())
     sim._freeze()
     with pytest.raises(ValueError):
-        sim._send("nope", wire.Ack(1, 0, 0))
+        env.send("nope", wire.Ack(1, 0, 0))
 
 
 def test_negative_delay_schedule_rejected():
@@ -359,8 +359,8 @@ def test_same_instant_events_fire_in_origin_order():
     sim.add_link("b>a", "b", "a", delay_us=100)
     sim.add_link("a>b", "a", "b", delay_us=100)
     sim._freeze()
-    sim._send("b>a", wire.Ack(1, 0, 0))
-    sim._send("a>b", wire.Ack(1, 0, 0))
+    nodes["b"].env.send("b>a", wire.Ack(1, 0, 0))
+    nodes["a"].env.send("a>b", wire.Ack(1, 0, 0))
     nodes["b"].env.schedule(100, ("t",))
     nodes["a"].env.schedule(100, ("t",))
     sim.run(100)

@@ -235,19 +235,19 @@ def bundled_cuts():
     """Each bundled scenario's short cut, run at its first seed with every
     sent message checked against the wire: the message types sent, and
     the runs' metrics."""
-    send = netsim.Simulator._send
+    send = netsim.SimEnv.send
     types = set()
 
-    def send_checked(sim, link_name, msg):
+    def send_checked(env, link_name, msg):
         buf = wire.serialize(msg)
         assert len(buf) == wire.wire_size(msg), msg
         types.add(wire.TYPE_NAMES[buf[1]])  # the header's pkt_type
         if isinstance(msg, wire.CoopResponse) and msg.payload is None:
             types.add("COOP_RESP negative")
-        send(sim, link_name, msg)
+        send(env, link_name, msg)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netsim.Simulator, "_send", send_checked)
+        mp.setattr(netsim.SimEnv, "send", send_checked)
         runs = []
         for name in bundled_names():
             cfg = short_bundled(name)

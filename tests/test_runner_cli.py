@@ -80,14 +80,14 @@ def test_flows_past_the_first_group_code_only_within_their_group(monkeypatch):
                         "cooldown_s=0.5", "flows.on_s=5",
                         "topology.direct.loss={kind: bernoulli, p: 0.05}")
     cross = []
-    send = netsim.Simulator._send
+    send = netsim.SimEnv.send
 
-    def tap(sim, link_name, msg):
+    def tap(env, link_name, msg):
         if link_name == scenario.INTER_DC_LINK and msg.cross:
             cross.append({f for f, _, _ in msg.members})
-        send(sim, link_name, msg)
+        send(env, link_name, msg)
 
-    monkeypatch.setattr(netsim.Simulator, "_send", tap)
+    monkeypatch.setattr(netsim.SimEnv, "send", tap)
     m = run_seed(cfg, cfg.seeds[0])
     assert {frozenset(f // 3 for f in flows) for flows in cross} == {
         frozenset({0}), frozenset({1})}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
+import pickle
 import typing
 from pathlib import Path
 
@@ -11,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caspr
+import oracle_gf
 from caspr import wire
+from caspr.codec import encode_batch
 from caspr.wire import (
     Ack,
     CodedPacket,
@@ -175,3 +180,54 @@ def test_wire_imports_no_other_caspr_module():
             imported.add("." * node.level + (node.module or ""))
     assert {m for m in imported
             if m.startswith(".") or m.split(".")[0] == "caspr"} == set()
+
+
+def test_coded_packet_compares_and_hashes_by_value_in_every_form():
+    # a CodedPacket's body is its payload bytes or its batch's parity
+    # memo; equality, hashing and serialize read the payload either way
+    sources = [DataPacket(f, 10 + f, 1_000 * f, bytes([f + 1]) * (3 + f)) for f in range(3)]
+    members = tuple((f, 10 + f, 3 + f) for f in range(3))
+    expected = oracle_gf.encode([s.payload for s in sources], 2)[1]
+    built = CodedPacket(True, 7, 1, 2, members, expected, 9_000, (0, 1_000, 2_000))
+
+    def unread():
+        return encode_batch(7, sources, 2, True, 9_000)[1]
+
+    def read():
+        pkt = unread()
+        assert pkt.payload == expected
+        return pkt
+
+    forms = {
+        "built": lambda: built,
+        "unread": unread,
+        "read": read,
+        "pickled unread": lambda: pickle.loads(pickle.dumps(unread())),
+        "pickled read": lambda: pickle.loads(pickle.dumps(read())),
+        "copied unread": lambda: copy.copy(unread()),
+        "deep-copied unread": lambda: copy.deepcopy(unread()),
+        "replaced unread": lambda: unread()._replace(cross=True),
+        "replaced body": lambda: unread()._replace(body=unread().body),
+        "replaced payload": lambda: built._replace(body=expected),
+    }
+    for name, form in forms.items():
+        assert type(form()) is CodedPacket, name
+        assert form() == built and built == form(), name
+        assert not form() != built and not built != form(), name
+        assert hash(form()) == hash(built), name
+        assert serialize(form()) == serialize(built), name
+        assert form().symbol_len == len(expected), name
+        assert form() != built._replace(parity_index=0), name
+        assert form() != built._replace(body=bytes(len(expected))), name
+        assert form() != encode_batch(7, sources, 2, True, 9_000)[0], name
+
+
+def test_no_source_module_checks_with_a_bare_assert():
+    # python -O strips assert statements, and a run's invariants must
+    # hold under it too, so the package raises explicitly instead
+    found = []
+    for path in sorted(Path(caspr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
