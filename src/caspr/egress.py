@@ -42,11 +42,13 @@ confirms the hole is real, and an ACK retracts the claims below the
 receiver's frontier, which the direct path has since satisfied.
 
 Each flow has one receiver, and the engine knows a receiver only by
-its flow: it builds one port per flow of the scenario.  Three NACKs
-from the same receiver with no ACK in between flip it to proactive
-mode: newly arriving cross parity that covers the receiver opens
-recovery immediately, without waiting for NACKs that a dead direct
-path may not be able to provoke in time.
+its flow: it reaches flow f's receiver on ``flow_links(f)``.  Three
+NACKs from the same receiver with no ACK in between flip it to
+proactive mode: cross parity that covers the receiver opens recovery
+for its unclaimed entries without waiting for NACKs that a dead direct
+path may not be able to provoke in time.  The flip opens them in every
+cross batch already stored, and cross parity arriving while the mode
+lasts opens them in its batch.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .codec import decode_batch
-from .scenario import Scenario, flow_links
+from .scenario import FlowLinks, Scenario, flow_links
 from .wire import (
     Ack,
     CTRL_CONFIRM_QUERY,
@@ -90,23 +92,18 @@ class StoredBatch:
         self.parity: dict[int, CodedPacket] = {}
         self.decoded: dict[Entry, bytes] = {}
         self.lost: set[Entry] = set()
-        self.requested: set[int] = set()  # flows asked to help
+        self.requested: set[Entry] = set()  # members asked for by their receivers
         self.forwarded: set[int] = set()
         self.state = IDLE
 
 
-@dataclass
+@dataclass(eq=False)
 class _Orphan:
-    created_us: int
-    nack_ts: int = 0          # latest claim with no admissible coverage
+    """A loss claim no admissible stored parity covers yet.  Its timers
+    carry it and act only while it is still the entry's claim."""
+
+    nack_ts: int              # latest claim with no admissible coverage
     confirmed: bool = False   # the receiver vouched for the hole
-
-
-@dataclass
-class _ReceiverPort:
-    data_link: str
-    ctrl_link: str
-    consec_nacks: int = 0
 
 
 class EgressRecovery:
@@ -122,18 +119,18 @@ class EgressRecovery:
         self.run_log = run_log
         self.env = None
         self.store: dict[int, StoredBatch] = {}
-        # (expires_at, batch_id) in store order, so in expiry order too
-        self._expiry: deque[tuple[int, int]] = deque()
+        # the stored batches in store order, so in expiry order too
+        self._expiry: deque[StoredBatch] = deque()
         # the stored batch covering each entry, one map per coding kind:
         # DC1 puts a packet in one cross queue (or evicts it) and in one
         # in-stream queue, so no entry has a second cover of either kind
         self.cross_of: dict[Entry, StoredBatch] = {}
         self.in_of: dict[Entry, StoredBatch] = {}
         self.orphans: dict[Entry, _Orphan] = {}
-        # each flow has one receiver: flow i's port, by flow id
-        self._flow_port: list[_ReceiverPort] = [
-            _ReceiverPort(links.down, links.down_ctrl)
-            for links in map(flow_links, range(cfg.flows.count))]
+        # each flow has one receiver: flow f's links and the NACKs its
+        # receiver sent since its last ACK, by flow id
+        self._links: list[FlowLinks] = [flow_links(f) for f in range(cfg.flows.count)]
+        self._nacks_since_ack = [0] * cfg.flows.count
         self._proactive: set[int] = set()  # flows whose receiver is in proactive mode
 
     # -- dispatch ---------------------------------------------------------
@@ -143,8 +140,8 @@ class EgressRecovery:
         # the store expires lazily: nothing reads it between messages
         # but the task timer, whose delay stops at its batch's expiry
         expiry = self._expiry
-        while expiry and expiry[0][0] <= now:
-            self._expire_batch(expiry.popleft()[1])
+        while expiry and expiry[0].expires_at <= now:
+            self._expire_batch(expiry.popleft())
         if isinstance(msg, CodedPacket):
             self._on_coded(msg, now)
         elif isinstance(msg, Nack):
@@ -163,19 +160,16 @@ class EgressRecovery:
             if batch is not None:
                 self._give_up(batch)
         elif kind == "boundary":
-            _, f, s, created = token
-            orphan = self.orphans.get((f, s))
-            if orphan is not None and orphan.created_us == created and not orphan.confirmed:
-                port = self._flow_port[f]
-                self.env.send(port.ctrl_link,
+            _, (f, s), orphan = token
+            if self.orphans.get((f, s)) is orphan and not orphan.confirmed:
+                self.env.send(self._links[f].down_ctrl,
                               Ctrl(kind=CTRL_CONFIRM_QUERY, flow_id=f, seq=s,
                                    send_ts_us=self.env.now))
                 self.run_log.bump("confirm_queries")
         elif kind == "orphan":
-            _, f, s, created = token
-            orphan = self.orphans.get((f, s))
-            if orphan is not None and orphan.created_us == created:
-                del self.orphans[(f, s)]
+            _, entry, orphan = token
+            if self.orphans.get(entry) is orphan:
+                del self.orphans[entry]
                 self.run_log.bump("failed_silent")
 
     # -- parity intake ------------------------------------------------------
@@ -185,12 +179,11 @@ class EgressRecovery:
         if batch is None:
             # every copy of a batch leaves the ingress in one call, so
             # the first to arrive carries the send times of them all
-            expires_at = now + self.horizon_us
             batch = StoredBatch(msg.batch_id, msg.cross,
                                 tuple([(f, s) for f, s, _ in msg.members]),
-                                msg.send_ts_us, msg.member_ts, expires_at)
+                                msg.send_ts_us, msg.member_ts, now + self.horizon_us)
             self.store[msg.batch_id] = batch
-            self._expiry.append((expires_at, msg.batch_id))
+            self._expiry.append(batch)
             covers = self.cross_of if msg.cross else self.in_of
             for e in batch.entries:
                 covers[e] = batch
@@ -231,9 +224,9 @@ class EgressRecovery:
             batch.state = FAILED
             self.run_log.bump("failed_silent", len(batch.lost - batch.decoded.keys()))
 
-    def _expire_batch(self, batch_id: int) -> None:
+    def _expire_batch(self, batch: StoredBatch) -> None:
         # the expiry queue is the only way out of the store
-        batch = self.store.pop(batch_id)
+        del self.store[batch.batch_id]
         self._give_up(batch)
         covers = self.cross_of if batch.cross else self.in_of
         for e in batch.entries:
@@ -242,9 +235,8 @@ class EgressRecovery:
     # -- loss reports ---------------------------------------------------------
 
     def _on_nack(self, msg: Nack, now: int) -> None:
-        port = self._flow_port[msg.flow_id]
-        port.consec_nacks += 1
-        if port.consec_nacks == PROACTIVE_AFTER:
+        self._nacks_since_ack[msg.flow_id] += 1
+        if self._nacks_since_ack[msg.flow_id] == PROACTIVE_AFTER:
             self._proactive.add(msg.flow_id)
             # parity already in the store covers losses the dead direct
             # path can no longer provoke NACKs for; open those too
@@ -254,8 +246,7 @@ class EgressRecovery:
             self._recover_entry(entry, now, msg.send_ts_us)
 
     def _on_ack(self, msg: Ack) -> None:
-        port = self._flow_port[msg.flow_id]
-        port.consec_nacks = 0
+        self._nacks_since_ack[msg.flow_id] = 0
         self._proactive.discard(msg.flow_id)
         # everything below the receiver's frontier reached it (or was
         # given up on); pending claims there are moot
@@ -311,24 +302,22 @@ class EgressRecovery:
         if orphan is not None:
             orphan.nack_ts = max(orphan.nack_ts, claim_ts)
             return
-        self.orphans[entry] = _Orphan(now, claim_ts)
-        self.env.schedule(self.boundary_wait_us,
-                          ("boundary", entry[0], entry[1], now))
-        self.env.schedule(self.deadline_us,
-                          ("orphan", entry[0], entry[1], now))
+        orphan = self.orphans[entry] = _Orphan(claim_ts)
+        self.env.schedule(self.boundary_wait_us, ("boundary", entry, orphan))
+        self.env.schedule(self.deadline_us, ("orphan", entry, orphan))
 
     def _forward_in_parity(self, batch: StoredBatch) -> None:
         needed = len(batch.lost)  # in-stream batches are never decoded in the DC
         if len(batch.parity) < needed:
             return
-        port = self._flow_port[batch.entries[0][0]]
+        link = self._links[batch.entries[0][0]].down
         for idx in sorted(batch.parity):
             if len(batch.forwarded) >= needed:
                 break
             if idx in batch.forwarded:
                 continue
             batch.forwarded.add(idx)
-            self.env.send(port.data_link, batch.parity[idx])
+            self.env.send(link, batch.parity[idx])
             self.run_log.bump("in_forwards")
 
     def _recover_via_cross(self, batch: StoredBatch, entry: Entry, now: int) -> None:
@@ -349,16 +338,15 @@ class EgressRecovery:
 
     def _send_coop_requests(self, batch: StoredBatch, now: int) -> None:
         # a cross batch holds at most one entry per flow, so each helper
-        # is asked for exactly one
-        lost_flows = {f for f, s in batch.lost}
+        # is asked for exactly one: its member, unless that one is lost
         wanted = []
         for e in batch.entries:
-            if e[0] in lost_flows or e[0] in batch.requested or e in batch.decoded:
+            if e in batch.lost or e in batch.requested or e in batch.decoded:
                 continue
-            wanted.append((self._flow_port[e[0]].data_link, e))
+            wanted.append((self._links[e[0]].down, e))
         # data-link-name order fixes the send order, and so the trace
         for link, e in sorted(wanted):
-            batch.requested.add(e[0])
+            batch.requested.add(e)
             self.env.send(link, CoopRequest(entries=(e,), send_ts_us=now))
             self.run_log.bump("coop_reqs")
 
@@ -407,7 +395,6 @@ class EgressRecovery:
             self._send_data(entry, batch.decoded[entry], now)
 
     def _send_data(self, entry: Entry, payload: bytes, now: int) -> None:
-        port = self._flow_port[entry[0]]
-        self.env.send(port.data_link,
+        self.env.send(self._links[entry[0]].down,
                       DataPacket(flow_id=entry[0], seq=entry[1],
                                  send_ts_us=now, payload=payload))

@@ -11,12 +11,13 @@ The scenario fixes the flow set, so the groups are built once: flow f
 is in group f // k_max.  Cross-stream placement is round-robin over
 k_max open queues per flow group with the constraint that no queue
 holds two packets of the same flow.  When a packet's flow is already
-present everywhere, the probe wraps around to the queue it started at:
-that queue is flushed early if it holds at least two packets,
-otherwise its lone packet is evicted uncoded.  Flush timers bound the coding delay for queues that fill
-slowly; a generation counter on each queue turns stale timers into
-no-ops, so a timer never fires on a queue that fullness already
-flushed.
+present everywhere, the probe wraps around to the queue it started at
+and flushes it early.  Flush timers bound the coding delay for queues
+that fill slowly; a generation counter on each queue turns stale timers
+into no-ops, so a timer never fires on a queue that fullness already
+flushed, and a live timer's queue still holds the packet that armed it.
+A cross queue is flushed by one rule, ``_flush``: coded if it holds at
+least two packets, otherwise its lone packet is evicted uncoded.
 """
 
 from __future__ import annotations
@@ -64,32 +65,26 @@ class IngressCoder:
 
     # -- event plumbing -------------------------------------------------
 
-    def on_message(self, msg, link_name: str) -> None:
-        # only senders' duplicated data reaches DC1
-        if isinstance(msg, DataPacket):
-            flow_id = msg.flow_id
-            if self.in_block:
-                self._push_in(flow_id, msg)
-            self._push_cross(flow_id // self.k_max, flow_id, msg)
+    def on_message(self, msg: DataPacket, link_name: str) -> None:
+        # only senders' duplicated data reaches DC1: its one inbound
+        # link per flow is the sender's, and a node sends only on its own
+        flow_id = msg.flow_id
+        if self.in_block:
+            self._push_in(flow_id, msg)
+        self._push_cross(flow_id // self.k_max, flow_id, msg)
 
     def on_timer(self, token) -> None:
         kind = token[0]
         if kind == "xq":
             _, group, q_index, gen = token
             q = self.queues[group][q_index]
-            if q.gen != gen:
-                return
-            if len(q.symbols) >= 2:
-                self._emit(q, cross=True)
-            elif q.symbols:
-                self.run_log.bump("evictions", len(q.symbols))
-                q.reset()
+            if q.gen == gen:
+                self._flush(q)
         elif kind == "iq":
             _, flow_id, gen = token
             q = self._in_queues[flow_id]
-            if q.gen != gen or not q.symbols:
-                return
-            self._emit(q, cross=False)
+            if q.gen == gen:
+                self._emit(q, cross=False)
 
     # -- the placement algorithm ----------------------------------------
 
@@ -104,11 +99,7 @@ class IngressCoder:
             q = queues[idx]
             if idx == start:
                 # flow is in every queue; make room in the starting one
-                if len(q.symbols) > 1:
-                    self._emit(q, cross=True)
-                else:
-                    self.run_log.bump("evictions", len(q.symbols))
-                    q.reset()
+                self._flush(q)
                 break
         symbols = q.symbols
         symbols.append(pkt)
@@ -128,6 +119,14 @@ class IngressCoder:
             self._emit(q, cross=False)
 
     # -- emission --------------------------------------------------------
+
+    def _flush(self, q: _Queue) -> None:
+        """Code a cross queue early, or evict its lone packet uncoded."""
+        if len(q.symbols) >= 2:
+            self._emit(q, cross=True)
+        else:
+            self.run_log.bump("evictions")
+            q.reset()
 
     def _emit(self, q: _Queue, cross: bool) -> None:
         batch_id = self._next_batch

@@ -376,7 +376,6 @@ FEC_FIELDS = ["schema", "scenario", "seed", "overhead_pct", "fec_rate",
 def fec_rows(m: RunMetrics) -> list[dict]:
     rows = []
     caspr = m.recovery_rate
-    in_outage_lost = sum(lv.lost_in_outage for lv in m.fec.values()) > 0
     for pct in sorted(m.fec):
         level = m.fec[pct]
         fec_rate = level.rate()
@@ -387,7 +386,7 @@ def fec_rows(m: RunMetrics) -> list[dict]:
             "caspr_rate": caspr,
             "delta_points": (caspr - fec_rate) * 100.0,
             "pct_increase": ((caspr - fec_rate) / fec_rate * 100.0) if fec_rate > 0 else None,
-            "fec_rate_in_outage": level.rate_in_outage() if in_outage_lost else None,
+            "fec_rate_in_outage": level.rate_in_outage(),
             "caspr_rate_in_outage": m.in_outage_rate,
         })
     return rows

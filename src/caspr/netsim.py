@@ -17,9 +17,11 @@ through ``SimEnv.schedule``; ``Simulator.at`` sets one before the run.
 
 Handlers are bound once, at freeze: each link keeps its destination's
 ``on_message`` and the simulator keeps each node's ``on_timer`` in a
-list indexed by origin, so the loop looks nothing up by name.  Those
-bound methods close a cycle (node -> env -> simulator), and ``close()``
-breaks it by dropping the nodes, the handlers and the pending events.
+list indexed by origin, so the loop looks nothing up by name.  Each
+node's env is bound to the links leaving it, so a node sends only on
+its own links.  Those bound methods close a cycle (node -> env ->
+simulator), and ``close()`` breaks it by dropping the nodes, the
+handlers and the pending events.
 
 Every link owns two private random streams (loss and jitter), seeded by
 hashing the master seed with the link's name, so adding or reseeding
@@ -181,7 +183,7 @@ class SimEnv:
     def __init__(self, sim: Simulator, name: str):
         self._sim = sim
         self._heap = sim._heap
-        self._links = sim.links
+        self._links: dict[str, Link] = {}  # the links leaving this node, bound at freeze
         self._idx = -1  # origin index, assigned at freeze
         self._seq = count()
         self.name = name
@@ -194,7 +196,7 @@ class SimEnv:
     def send(self, link_name: str, msg: wire.Message) -> None:
         link = self._links.get(link_name)
         if link is None:
-            raise ValueError(f"unknown link {link_name!r}")
+            raise ValueError(f"node {self.name!r} has no link {link_name!r}")
         size = wire.wire_size(msg)
         link.sent_count += 1
         link.sent_bytes += size
@@ -279,10 +281,12 @@ class Simulator:
         self._on_timer = [self.nodes[name].on_timer for name in names]
         for idx, name in enumerate(sorted(self.links), len(names)):
             link = self.links[name]
-            if link.dst not in self.nodes:
-                raise ValueError(f"link {name}: unknown node {link.dst!r}")
+            for end in (link.src, link.dst):
+                if end not in self.nodes:
+                    raise ValueError(f"link {name}: unknown node {end!r}")
             link.idx = idx
             link.deliver = self.nodes[link.dst].on_message
+            self.nodes[link.src].env._links[name] = link
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):
             if node_name not in self.nodes:

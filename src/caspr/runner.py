@@ -17,7 +17,8 @@ on from ``flow_links``, and reads its timings from the scenario, which
 derives each one once.  The scenario also fixes the flow set (ids
 0..count-1), so the run log and both DC nodes are sized by it when
 they are built: the log keeps one ledger per flow, DC1 puts flow f in
-coding group f // k_max, and DC2 holds one port per receiver.
+coding group f // k_max, and DC2 keeps each receiver's links and NACK
+count by its flow id.
 
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that

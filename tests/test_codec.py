@@ -332,6 +332,19 @@ def test_duplicate_parity_index_rejected():
         decode_batch({}, [a[0], a[0]])
 
 
+def test_parity_index_out_of_range_rejected():
+    a = encode_batch(1, batch([b"a", b"b"]), 2, True, 0)
+    with pytest.raises(MetadataMismatch, match="parity_index 2 out of range"):
+        decode_batch({}, [a[0], a[1]._replace(parity_index=2)])
+
+
+def test_parity_of_unequal_length_rejected():
+    a = encode_batch(1, batch([b"aa", b"bb"]), 2, True, 0)
+    short = a[1]._replace(body=a[1].payload[:1])
+    with pytest.raises(MetadataMismatch, match="unequal length"):
+        decode_batch({}, [a[0], short])
+
+
 def test_duplicate_member_rejected():
     dup = [DataPacket(1, 5, 0, b"x"), DataPacket(1, 5, 0, b"y")]
     with pytest.raises(MetadataMismatch):
@@ -349,6 +362,12 @@ def test_envelope_validation():
     # inside the envelope these are fine
     encode_batch(0, batch([b"x"] * 20), 4, True, 0)
     encode_batch(0, batch([b"x"] * 50), 3, True, 0)
+
+
+def test_envelope_caps_a_batch_with_its_parity_at_the_field_size():
+    check_envelope(252, 3)
+    with pytest.raises(InvalidParams, match="exceeds field size"):
+        check_envelope(253, 3)
 
 
 def test_scenario_accepts_exactly_the_codec_envelope():

@@ -208,6 +208,31 @@ def test_unanswered_orphan_fails_silent():
     assert log.counters["confirm_queries"] == 1
 
 
+def test_a_superseded_claims_timers_leave_the_next_claim_alone():
+    # the receiver denies the first claim at 75 ms and claims the same
+    # entry again at 100 ms: the first claim's orphan timer (150 ms)
+    # must not end the second, whose own timers run 175 ms and 250 ms
+    eng, env, log = make_engine()
+    eng.on_message(nack(1, 5), "r1>dc2")
+    env.run_until(eng.boundary_wait_us)
+    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=0),
+                   "r1>dc2:ctrl")
+    assert log.counters["suppressed"] == 1 and eng.orphans == {}
+    env.run_until(100_000)
+    eng.on_message(nack(1, 5), "r1>dc2")
+    env.run_until(RTT)
+    assert (1, 5) in eng.orphans
+    assert log.counters["failed_silent"] == 0
+    env.run_until(175_000)
+    queries = [m.send_ts_us for m in env.on("dc2>r1:ctrl")]
+    assert queries == [75_000, 175_000]
+    env.run_until(250_000 - 1)
+    assert log.counters["failed_silent"] == 0
+    env.run_until(250_000)
+    assert log.counters["failed_silent"] == 1
+    assert eng.orphans == {}
+
+
 def test_confirmed_real_loss_keeps_waiting_for_parity():
     eng, env, log = make_engine()
     eng.on_message(nack(1, 5), "r1>dc2")

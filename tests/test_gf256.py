@@ -164,3 +164,8 @@ def test_singular_matrix_raises():
     a = ((1, 1), (1, 1))
     with pytest.raises(ZeroDivisionError):
         gf256.gf_inv_matrix(a)
+
+
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        gf256.gf_inv(0)

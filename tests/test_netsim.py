@@ -201,7 +201,7 @@ def test_per_link_streams_independent():
             sim.add_node("c", Recorder())
             sim.add_link("cloud", "a", "c", delay_us=10,
                          loss=Bernoulli(0.9, sim.loss_rng("cloud")))
-        env = sim.add_node("driver", Recorder())
+        env = a.env
         sim._freeze()
         for i in range(200):
             env.send("direct", wire.DataPacket(1, i, 0))
@@ -308,6 +308,56 @@ def test_link_to_unknown_node_rejected_at_freeze():
     sim.add_link("a>b", "a", "b", delay_us=1)
     with pytest.raises(ValueError, match="unknown node 'b'"):
         sim.run(10)
+
+
+def test_link_from_unknown_node_rejected_at_freeze():
+    # each link is bound to its source's env when the topology freezes
+    sim = Simulator(0)
+    sim.add_node("b", Recorder())
+    sim.add_link("a>b", "a", "b", delay_us=1)
+    with pytest.raises(ValueError, match="unknown node 'a'"):
+        sim.run(10)
+
+
+def test_a_node_sends_only_on_its_own_links():
+    sim = Simulator(0)
+    a, b = Recorder(), Recorder()
+    sim.add_node("a", a)
+    sim.add_node("b", b)
+    sim.add_link("a>b", "a", "b", delay_us=1)
+    sim._freeze()
+    with pytest.raises(ValueError, match="node 'b' has no link 'a>b'"):
+        b.env.send("a>b", wire.DataPacket(1, 0, 0))
+    a.env.send("a>b", wire.DataPacket(1, 0, 0))
+    sim.run(10)
+    assert [(t, ln) for t, ln, _ in b.messages] == [(1, "a>b")]
+    assert sim.links["a>b"].sent_count == 1
+
+
+def test_topology_is_fixed_once_frozen():
+    sim = Simulator(0)
+    sim.add_node("a", Recorder())
+    sim.run(0)
+    with pytest.raises(RuntimeError, match="frozen"):
+        sim.add_node("b", Recorder())
+    with pytest.raises(RuntimeError, match="frozen"):
+        sim.add_link("a>a", "a", "a", delay_us=1)
+    with pytest.raises(RuntimeError, match="frozen"):
+        sim.at(5, "a", ("tick",))
+
+
+def test_prestart_timer_for_unknown_node_rejected_at_freeze():
+    sim = Simulator(0)
+    sim.add_node("a", Recorder())
+    sim.at(0, "b", ("tick",))
+    with pytest.raises(ValueError, match="unknown node 'b'"):
+        sim.run(10)
+
+
+def test_negative_link_delay_rejected():
+    sim = Simulator(1)
+    with pytest.raises(ValueError, match="negative delay"):
+        sim.add_link("x>y", "x", "y", delay_us=-1)
 
 
 def test_derive_rng_stable_and_scoped():
