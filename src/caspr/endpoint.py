@@ -5,7 +5,9 @@ Senders emit fixed-size packets on an ON/OFF schedule, every packet on
 the direct path and a copy (all of them, or just the first few of each
 burst under selective duplication) toward the ingress DC.  Payloads are
 a cheap deterministic function of (flow, seq) so receivers can verify
-every delivered byte against ground truth.
+every delivered byte against ground truth.  Senders never touch the
+run log (the direct link reports its own drops); a receiver notes in it
+only its recovered deliveries, and bumps its counters.
 
 The receiver's loss detector is receiver-driven and two-state.  Gaps in
 the arriving sequence space trigger NACKs after a short reordering
@@ -88,7 +90,7 @@ FULL, SELECTIVE = "full", "selective"
 class Sender:
     """Flow ``flow_id``'s source, node ``s{i}``."""
 
-    def __init__(self, flow_id: int, cfg: Scenario, run_log):
+    def __init__(self, flow_id: int, cfg: Scenario):
         self.name = f"s{flow_id}"
         self.flow_id = flow_id
         flows = cfg.flows
@@ -105,7 +107,6 @@ class Sender:
         self.off_mean_us = flows.off_mean_us
         self.duplication = flows.duplication
         self.selective_first_n = flows.selective_first_n
-        self.run_log = run_log
         self.env = None
         self.seq = 0
         self.burst_index = 0  # position within the current burst
@@ -127,7 +128,6 @@ class Sender:
         flags = FLAG_SELECTIVE_DUP if duplicate and self.duplication == SELECTIVE else 0
         pkt = DataPacket(flow_id, seq, now,
                          payload_bytes(flow_id, seq, self.packet_size), flags)
-        self.run_log.record_send(flow_id, seq, now)
         env.send(self.direct_link, pkt)
         if duplicate:
             env.send(self.dup_link, pkt)
@@ -239,7 +239,8 @@ class Receiver:
         if payload != payload_bytes(pkt.flow_id, seq, self.packet_size):
             raise RuntimeError(
                 f"corrupt delivery flow={pkt.flow_id} seq={seq}")
-        self.run_log.record_delivery(pkt.flow_id, seq, now, recovered)
+        if recovered:
+            self.run_log.record_recovery(pkt.flow_id, seq, now)
         self._store(seq, payload, now)
         if self._coop_wait:
             self._answer_waiting(seq, payload, now)

@@ -1,18 +1,20 @@
 """Run bookkeeping and post-run analysis.
 
-RunLog is the shared ground-truth ledger, kept per flow and sized by
-the losses, not the packets.  The runner sizes it from the scenario's
-flow set: one FlowTruth for each flow id 0..count-1, and the one packet
-size they all send.  Senders count their emissions, the direct link
-reports each packet it drops together with its send time, and a lost
-packet's first recovered delivery is noted against that loss.
-Plain deliveries leave nothing behind.  The protocol pieces bump named
-counters.  A flow's seqs are 0..n-1 in send order, and a scheduled
+RunLog is the ground-truth ledger of what only the run can tell: each
+flow's direct-path losses, each loss's first recovery, and the named
+counters.  The runner sizes it from the scenario's flow set, one loss
+map for each flow id 0..count-1.  Each direct link reports every packet
+it drops, with its send time, straight to the ledger, and a receiver
+notes each recovered delivery against the loss it repairs.  Sends and
+plain deliveries leave nothing behind; the protocol pieces bump named
+counters.  Every packet and byte total comes from the simulator's link
+counters instead, and the name, timings and outage windows from the
+scenario.  A flow's seqs are 0..n-1 in send order, and a scheduled
 outage drops every packet sent inside its window, so everything
 downstream (loss episodes, recovery rates, the on-path FEC what-if, the
-egress cost model, CSV artifacts) is a pure function of the RunLog plus
-the simulator's per-link byte counters; two runs with equal seeds
-produce byte-identical artifacts.
+egress cost model, CSV artifacts) is a pure function of the scenario,
+the RunLog and the link counters; two runs with equal seeds produce
+byte-identical artifacts.
 
 Each seed's RunLog is analyzed once into a RunMetrics of run-wide totals.
 A scenario's seeds are then pooled once, by summing packets and bytes
@@ -31,9 +33,10 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .wire import HEADER_LEN
+from .scenario import INTER_DC_LINK, Scenario, flow_links
 
 SUMMARY_SCHEMA = "caspr.summary/1"
 EPISODES_SCHEMA = "caspr.episodes/1"
@@ -48,6 +51,9 @@ MULTI_MAX = 14
 FEC_OVERHEADS = (20, 40, 100)
 FEC_BLOCK = 5
 
+# cloud egress price, USD per GB
+PRICE_PER_GB = 0.087
+
 
 @dataclass(slots=True)
 class Loss:
@@ -56,32 +62,23 @@ class Loss:
     recovered_ts: int | None = None  # its first recovered delivery
 
 
-@dataclass
-class FlowTruth:
-    sent: int = 0  # the flow's seqs are 0..sent-1, in send order
-    losses: dict[int, Loss] = field(default_factory=dict)  # seq -> Loss, in send order
-
-
 class RunLog:
-    """The ledger of flows 0..flows-1, which all send packet_size bytes."""
+    """The ledger of flows 0..flows-1."""
 
-    def __init__(self, flows: int, packet_size: int):
-        self.packet_size = packet_size
-        self.flows: dict[int, FlowTruth] = {f: FlowTruth() for f in range(flows)}
+    def __init__(self, flows: int):
+        # flow -> seq -> Loss; a link drops at send time, so in seq order
+        self.losses: dict[int, dict[int, Loss]] = {f: {} for f in range(flows)}
         self.counters: Counter = Counter()
 
-    def record_send(self, flow_id: int, seq: int, ts_us: int) -> None:
-        self.flows[flow_id].sent = seq + 1
+    def record_loss(self, pkt, ts_us: int) -> None:
+        """The direct path dropped pkt, sent at ts_us: a link's on_drop."""
+        self.losses[pkt.flow_id][pkt.seq] = Loss(ts_us)
 
-    def record_loss(self, flow_id: int, seq: int, ts_us: int) -> None:
-        """The direct path dropped seq, sent at ts_us."""
-        self.flows[flow_id].losses[seq] = Loss(ts_us)
-
-    def record_delivery(self, flow_id: int, seq: int, ts_us: int, recovered: bool) -> None:
-        if recovered:
-            loss = self.flows[flow_id].losses.get(seq)
-            if loss is not None and loss.recovered_ts is None:
-                loss.recovered_ts = ts_us
+    def record_recovery(self, flow_id: int, seq: int, ts_us: int) -> None:
+        """seq reached its receiver at ts_us over the cloud path."""
+        loss = self.losses[flow_id].get(seq)
+        if loss is not None and loss.recovered_ts is None:
+            loss.recovered_ts = ts_us
 
     def bump(self, name: str, n: int = 1) -> None:
         self.counters[name] += n
@@ -141,8 +138,7 @@ class FecLevel:
         return self.recovered_in_outage / self.lost_in_outage
 
 
-def fec_whatif(sent: int, lost_ts: dict[int, int],
-               outage_windows: list[tuple[int, int]],
+def fec_whatif(sent: int, lost: Collection[int], in_outage: set[int],
                overheads: tuple[int, ...] = FEC_OVERHEADS) -> dict[int, FecLevel]:
     """On-path FEC counterfactual over one flow's direct-path trace.
 
@@ -151,29 +147,27 @@ def fec_whatif(sent: int, lost_ts: dict[int, int],
     next block's first n packets as the parity fate (parity would have
     traveled right behind the block through the same loss process).  A
     block's losses are recovered iff lost <= surviving parity.
-    lost_ts maps each lost seq to its send time; a block counts as in
-    an outage if one of its losses was sent inside a window, since an
-    outage drops every packet sent inside it.
+    lost holds the lost seqs; a block counts as in an outage if one of
+    its losses is in in_outage, the lost seqs sent inside an outage
+    window.
     """
     levels = {pct: FecLevel(pct) for pct in overheads}
     blocks: dict[int, list[int]] = {}
-    for seq in lost_ts:
+    for seq in lost:
         blocks.setdefault(seq // FEC_BLOCK, []).append(seq)
     for b, block_lost in blocks.items():
-        in_outage = any(
-            any(start <= lost_ts[s] < end for start, end in outage_windows)
-            for s in block_lost)
+        outage_block = not in_outage.isdisjoint(block_lost)
         nxt = (b + 1) * FEC_BLOCK
         for pct, level in levels.items():
             n_parity = max(1, pct * FEC_BLOCK // 100)
             parity_fates = range(nxt, min(nxt + n_parity, nxt + FEC_BLOCK, sent))
-            surviving = sum(1 for s in parity_fates if s not in lost_ts)
+            surviving = sum(1 for s in parity_fates if s not in lost)
             # a truncated next block means the parity never existed
             surviving -= max(0, n_parity - len(parity_fates))
             ok = len(block_lost) <= max(0, surviving)
             level.lost += len(block_lost)
             level.recovered += len(block_lost) if ok else 0
-            if in_outage:
+            if outage_block:
                 level.lost_in_outage += len(block_lost)
                 level.recovered_in_outage += len(block_lost) if ok else 0
     return levels
@@ -232,40 +226,39 @@ class RunMetrics:
         return 2 * self.data_wire_bytes
 
 
-def analyze_run(scenario_name: str, seed: int, duration_s: float, rtt_us: int,
-                run_log: RunLog, direct_one_way_us: int,
-                outage_windows: dict[int, list[tuple[int, int]]],
-                dc1_egress_bytes: int, dc2_egress_recovery_bytes: int,
-                dc2_egress_ctrl_bytes: int, dup_bytes: int) -> RunMetrics:
-    """Turn one run's ledger into its metrics."""
-    m = RunMetrics(scenario_name, seed, duration_s, flows=len(run_log.flows),
+def analyze_run(cfg: Scenario, seed: int, run_log: RunLog, links) -> RunMetrics:
+    """Turn one run's ledger into its metrics.  links maps each link
+    name to its link, whose counters give every packet and byte total."""
+    one_way_us, rtt_us = cfg.topology.direct.delay_us, cfg.rtt_us
+    m = RunMetrics(cfg.name, seed, cfg.duration_s, flows=cfg.flows.count,
                    counters=Counter(run_log.counters),
-                   dc1_egress_bytes=dc1_egress_bytes,
-                   dc2_egress_recovery_bytes=dc2_egress_recovery_bytes,
-                   dc2_egress_ctrl_bytes=dc2_egress_ctrl_bytes, dup_bytes=dup_bytes)
-    for flow_id, truth in run_log.flows.items():  # in flow id order
-        windows = outage_windows.get(flow_id, [])
-        losses = sorted(truth.losses.items())
-        lost_ts = {seq: loss.send_ts for seq, loss in losses}
-        m.sent += truth.sent
-        m.lost += len(lost_ts)
-        in_outage = {s for s, ts in lost_ts.items()
-                     if any(start <= ts < end for start, end in windows)}
+                   dc1_egress_bytes=links[INTER_DC_LINK].sent_bytes)
+    for flow_id, losses in run_log.losses.items():  # in flow id order
+        fl = flow_links(flow_id)
+        direct = links[fl.direct]
+        m.sent += direct.sent_count
+        m.data_wire_bytes += direct.sent_bytes
+        m.dup_bytes += links[fl.dup].sent_bytes
+        m.dc2_egress_recovery_bytes += links[fl.down].sent_bytes
+        m.dc2_egress_ctrl_bytes += links[fl.down_ctrl].sent_bytes
+        windows = cfg.outages_us(flow_id)
+        in_outage = {seq for seq, loss in losses.items()
+                     if any(start <= loss.send_ts < end for start, end in windows)}
+        m.lost += len(losses)
         m.in_outage_lost += len(in_outage)
-        for seq, loss in losses:
+        for seq, loss in losses.items():
             if loss.recovered_ts is None:
                 continue
             m.recovered_any += 1
-            ratio = (loss.recovered_ts - (loss.send_ts + direct_one_way_us)) / rtt_us
+            ratio = (loss.recovered_ts - (loss.send_ts + one_way_us)) / rtt_us
             m.ratios.append(ratio)
             if ratio <= 1.0:
                 m.recovered_1rtt += 1
                 if seq in in_outage:
                     m.in_outage_recovered_1rtt += 1
-        m.episodes.extend(classify_episodes(lost_ts, flow_id))
-        for pct, level in fec_whatif(truth.sent, lost_ts, windows).items():
+        m.episodes.extend(classify_episodes(losses, flow_id))
+        for pct, level in fec_whatif(direct.sent_count, losses, in_outage).items():
             m.fec[pct].add(level)
-    m.data_wire_bytes = m.sent * (HEADER_LEN + run_log.packet_size)
     return m
 
 
@@ -291,8 +284,8 @@ def pool_runs(runs: list[RunMetrics]) -> RunMetrics:
     return pooled
 
 
-def egress_dollars(n_bytes: int, price_per_gb: float) -> float:
-    return n_bytes / 1e9 * price_per_gb
+def egress_dollars(n_bytes: int) -> float:
+    return n_bytes / 1e9 * PRICE_PER_GB
 
 
 def _fmt(x) -> str:
@@ -400,11 +393,11 @@ COST_FIELDS = ["schema", "scenario", "seed", "component", "bytes", "dollars",
                "ratio_to_full_overlay"]
 
 
-def cost_rows(m: RunMetrics, price_per_gb: float) -> list[dict]:
+def cost_rows(m: RunMetrics) -> list[dict]:
     def row(component, n_bytes, baseline=None):
         return {"schema": COST_SCHEMA, "scenario": m.scenario, "seed": m.seed,
                 "component": component, "bytes": n_bytes,
-                "dollars": egress_dollars(n_bytes, price_per_gb),
+                "dollars": egress_dollars(n_bytes),
                 "ratio_to_full_overlay": (n_bytes / baseline) if baseline else None}
 
     return [
@@ -418,13 +411,11 @@ def cost_rows(m: RunMetrics, price_per_gb: float) -> list[dict]:
     ]
 
 
-def write_cost_csv(path, runs: list[RunMetrics], pooled: RunMetrics,
-                   price_per_gb: float) -> None:
-    _write_csv(path, COST_FIELDS, (row for m in [*runs, pooled]
-                                   for row in cost_rows(m, price_per_gb)))
+def write_cost_csv(path, runs: list[RunMetrics], pooled: RunMetrics) -> None:
+    _write_csv(path, COST_FIELDS, (row for m in [*runs, pooled] for row in cost_rows(m)))
 
 
-def render_summary_text(m: RunMetrics, seeds: int, price_per_gb: float) -> str:
+def render_summary_text(m: RunMetrics, seeds: int) -> str:
     """The human-readable summary.txt of a run, from its pooled metrics."""
     out = io.StringIO()
     p = lambda s="": print(s, file=out)
@@ -446,7 +437,7 @@ def render_summary_text(m: RunMetrics, seeds: int, price_per_gb: float) -> str:
       f"failed-silent {m.counters.get('failed_silent', 0)}, "
       f"evictions {m.counters.get('evictions', 0)}")
     p("  cloud egress: "
-      f"DC1 {m.dc1_egress_bytes} B (${egress_dollars(m.dc1_egress_bytes, price_per_gb):.4f}), "
+      f"DC1 {m.dc1_egress_bytes} B (${egress_dollars(m.dc1_egress_bytes):.4f}), "
       f"DC2 recovery {m.dc2_egress_recovery_bytes} B, ctrl {m.dc2_egress_ctrl_bytes} B")
     if m.data_wire_bytes:
         p(f"  vs full overlay {m.overlay_bytes} B: "

@@ -16,9 +16,12 @@ scenario: it names itself from the flow id, takes the links it sends
 on from ``flow_links``, and reads its timings from the scenario, which
 derives each one once.  The scenario also fixes the flow set (ids
 0..count-1), so the run log and both DC nodes are sized by it when
-they are built: the log keeps one ledger per flow, DC1 puts flow f in
-coding group f // k_max, and DC2 keeps each receiver's links and NACK
-count by its flow id.
+they are built: the log keeps one loss map per flow, DC1 puts flow f
+in coding group f // k_max, and DC2 keeps each receiver's links and
+NACK count by its flow id.  Each direct link hands its drops to the
+log's ``record_loss``; senders never see the log.  After the run,
+``metrics.analyze_run`` reads the log, the scenario and the link table,
+which holds every packet and byte total.
 
 Every run self-checks two invariants before its metrics are trusted:
 link byte conservation, and (when the direct paths lost nothing) that
@@ -52,7 +55,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
     trace_file = open(trace_path, "w") if trace_path else None
     sim = netsim.Simulator(master_seed=seed, trace_file=trace_file)
     try:
-        run_log = metrics.RunLog(cfg.flows.count, cfg.flows.packet_size)
+        run_log = metrics.RunLog(cfg.flows.count)
 
         def add_link(name, src, dst, link, loss):
             return sim.add_link(name, src, dst, delay_us=link.delay_us,
@@ -61,24 +64,18 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         def add_lossy_link(name, src, dst, link):
             add_link(name, src, dst, link, link.loss_model(sim.loss_rng(name)))
 
-        outage_by_flow: dict[int, list[tuple[int, int]]] = {}
-        for outage in cfg.outages:
-            outage_by_flow.setdefault(outage.flow, []).append(
-                (outage.start_us, outage.end_us))
-
-        def record_loss(pkt, now):
-            run_log.record_loss(pkt.flow_id, pkt.seq, now)
-
         # links first so loss models can draw from per-link streams
         for i, fl in enumerate(links):
             model = topo.direct.loss_model(sim.loss_rng(fl.direct))
-            if i in outage_by_flow:
-                parts = [netsim.ScheduledOutage(sorted(outage_by_flow[i]))]
+            windows = cfg.outages_us(i)
+            if windows:
+                parts = [netsim.ScheduledOutage(windows)]
                 if model is not None:
                     parts.append(model)
                 model = netsim.Composite(parts)
             # the ledger learns each direct-path loss and its send time here
-            add_link(fl.direct, f"s{i}", f"r{i}", topo.direct, model).on_drop = record_loss
+            direct = add_link(fl.direct, f"s{i}", f"r{i}", topo.direct, model)
+            direct.on_drop = run_log.record_loss
             add_lossy_link(fl.dup, f"s{i}", "dc1", topo.access)
         add_lossy_link(INTER_DC_LINK, "dc1", "dc2", topo.inter_dc)
         for i, fl in enumerate(links):
@@ -91,7 +88,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         for dc in (IngressCoder(cfg, run_log), EgressRecovery(cfg, run_log)):
             sim.add_node(dc.name, dc)
         for i in range(cfg.flows.count):
-            sender = Sender(i, cfg, run_log)
+            sender = Sender(i, cfg)
             sim.add_node(sender.name, sender)
             sim.at(sender.start_us, sender.name, ("burst",))
             receiver = Receiver(i, cfg, run_log)
@@ -100,19 +97,11 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
         sim.run(until_us=cfg.duration_us)
         sim.check_conservation()
 
-        dc2_recovery = sum(sim.links[fl.down].sent_bytes for fl in links)
-        dc2_ctrl = sum(sim.links[fl.down_ctrl].sent_bytes for fl in links)
-        if not any(truth.losses for truth in run_log.flows.values()) and dc2_recovery:
+        m = metrics.analyze_run(cfg, seed, run_log, sim.links)
+        if not m.lost and m.dc2_egress_recovery_bytes:
             raise InvariantViolation(
-                f"lossless run moved {dc2_recovery} recovery bytes out of DC2")
-
-        return metrics.analyze_run(
-            cfg.name, seed, cfg.duration_s, cfg.rtt_us, run_log,
-            topo.direct.delay_us, outage_by_flow,
-            dc1_egress_bytes=sim.links[INTER_DC_LINK].sent_bytes,
-            dc2_egress_recovery_bytes=dc2_recovery,
-            dc2_egress_ctrl_bytes=dc2_ctrl,
-            dup_bytes=sum(sim.links[fl.dup].sent_bytes for fl in links))
+                f"lossless run moved {m.dc2_egress_recovery_bytes} recovery bytes out of DC2")
+        return m
     finally:
         # nodes and their bound handlers reach the simulator through
         # node.env; closing breaks that cycle, so the run is freed on
@@ -172,11 +161,10 @@ def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
     else:
         runs = list(map(_run_seed_job, *jobs))
     pooled = metrics.pool_runs(runs)
-    price = cfg.cost.price_per_gb
     metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs, pooled)
     metrics.write_episodes_csv(os.path.join(out_dir, "episodes.csv"), runs)
     metrics.write_fec_csv(os.path.join(out_dir, "fec_whatif.csv"), runs, pooled)
-    metrics.write_cost_csv(os.path.join(out_dir, "cost.csv"), runs, pooled, price)
+    metrics.write_cost_csv(os.path.join(out_dir, "cost.csv"), runs, pooled)
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write(metrics.render_summary_text(pooled, len(runs), price))
+        f.write(metrics.render_summary_text(pooled, len(runs)))
     return runs

@@ -18,7 +18,9 @@ derived here once, and the nodes read them from the validated
 scenario; the ingress reads the ``coding`` section as is, once
 validation has held it to ``codec.check_envelope``.  ``flow_links``
 spells each flow's link names once, and ``INTER_DC_LINK`` the one link
-between the DCs, for the runner and the nodes.
+between the DCs, for the runner, the nodes and the analysis;
+``Scenario.outages_us`` gives a flow's outage windows to the runner and
+the analysis.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
@@ -305,11 +307,6 @@ class Straggler:
 
 
 @_frozen
-class Cost:
-    price_per_gb: float = number(0.087, ge=0)
-
-
-@_frozen
 class Scenario:
     name: str = text(pattern="^[a-z0-9_]+$")
     description: str = text("")
@@ -324,7 +321,6 @@ class Scenario:
     coding: Coding = section(Coding)
     detector: Detector = section(Detector, Detector())
     straggler: Straggler | None = section(Straggler, None)
-    cost: Cost = section(Cost, Cost())
 
     duration_us = _Micros("duration_s")
 
@@ -332,6 +328,10 @@ class Scenario:
     def stop_us(self) -> int:
         """When senders stop: the cooldown before the end is left to drain."""
         return int(round((self.duration_s - self.cooldown_s) * 1_000_000))
+
+    def outages_us(self, flow: int) -> list[tuple[int, int]]:
+        """The flow's scheduled outages, as sorted [start_us, end_us) windows."""
+        return sorted((o.start_us, o.end_us) for o in self.outages if o.flow == flow)
 
     @property
     def rtt_us(self) -> int:

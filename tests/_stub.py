@@ -1,11 +1,10 @@
 """Minimal single-node event loop for driving protocol units in tests,
-a run log that keeps every send and delivery it is told of, and the
-one-flow scenario the protocol units are built from."""
+a spy on receivers' deliveries, and the one-flow scenario the protocol
+units are built from."""
 
 import heapq
 import random
 
-from caspr.metrics import RunLog
 from caspr.scenario import apply_overrides, validate
 
 UNIT = {
@@ -73,22 +72,12 @@ class StubEnv:
         self.sent = []
 
 
-class TappedLog(RunLog):
-    """A RunLog that also keeps, through its record hooks, the per-packet
-    trail the ledger itself drops: ``sends[flow]`` maps seq -> send time
-    in send order, ``deliveries[flow]`` lists (seq, ts, recovered) in
-    delivery order."""
-
-    def __init__(self, flows, packet_size):
-        super().__init__(flows, packet_size)
-        self.sends: dict[int, dict[int, int]] = {f: {} for f in range(flows)}
-        self.deliveries: dict[int, list[tuple[int, int, bool]]] = {
-            f: [] for f in range(flows)}
-
-    def record_send(self, flow_id, seq, ts_us):
-        self.sends[flow_id][seq] = ts_us
-        super().record_send(flow_id, seq, ts_us)
-
-    def record_delivery(self, flow_id, seq, ts_us, recovered):
-        self.deliveries[flow_id].append((seq, ts_us, recovered))
-        super().record_delivery(flow_id, seq, ts_us, recovered)
+def tap_deliveries(on_data, deliveries):
+    """Receiver._on_data, wrapped to append each first delivery of a seq
+    to deliveries[flow] as (seq, ts, recovered), in delivery order: the
+    per-packet trail the run log does not keep."""
+    def tapped(recv, pkt, recovered, now):
+        if not recv._delivered(pkt.seq):
+            deliveries[recv.flow_id].append((pkt.seq, now, recovered))
+        on_data(recv, pkt, recovered, now)
+    return tapped

@@ -30,7 +30,7 @@ def make_engine(n_receivers=4, deadline_us=None):
     Claims are admitted with no wait for the direct path, which no valid
     scenario gives; a deadline_us other than the RTT is not one either."""
     cfg = unit_scenario(f"flows.count={n_receivers}")
-    log = RunLog(n_receivers, cfg.flows.packet_size)
+    log = RunLog(n_receivers)
     eng = EgressRecovery(cfg, log)
     eng.claim_owd_us = 0
     if deadline_us is not None:

@@ -1,12 +1,13 @@
 """Sender pacing and duplication, receiver detection and serving."""
 
 import statistics
+from types import MethodType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _stub import StubEnv, TappedLog, unit_scenario
+from _stub import StubEnv, tap_deliveries, unit_scenario
 from caspr import endpoint, runner, scenario
 from caspr.codec import encode_batch
 from caspr.endpoint import (
@@ -26,6 +27,7 @@ from caspr.wire import (
     FLAG_SELECTIVE_DUP,
     Nack,
 )
+from caspr.metrics import RunLog
 
 
 def test_payload_bytes_shape():
@@ -43,17 +45,15 @@ def test_payload_bytes_shape():
 def make_sender(*sets):
     """Flow 0's sender over unit_scenario(*sets): 64 B every 10 ms in
     50 ms bursts, full duplication, stopping at 10**12 us."""
-    cfg = unit_scenario(*sets)
-    log = TappedLog(cfg.flows.count, cfg.flows.packet_size)
-    sender = Sender(0, cfg, log)
+    sender = Sender(0, unit_scenario(*sets))
     env = StubEnv()
     env.attach(sender)
     env.schedule(sender.start_us, ("burst",))
-    return sender, env, log
+    return sender, env
 
 
 def test_cbr_full_duplication():
-    sender, env, log = make_sender()
+    sender, env = make_sender()
     env.run_until(49_999)
     direct = env.on("s0>r0")
     dup = env.on("s0>dc1")
@@ -61,12 +61,13 @@ def test_cbr_full_duplication():
     assert [p.send_ts_us for p in direct] == [0, 10_000, 20_000, 30_000, 40_000]
     assert dup == direct
     assert all(p.payload == payload_bytes(0, p.seq, 64) for p in direct)
-    assert list(log.sends[0].items()) == [(s, s * 10_000) for s in range(5)]
-    assert log.flows[0].sent == 5
+    assert [(p.seq, t) for link, p, t in env.sent if link == "s0>r0"] == [
+        (s, s * 10_000) for s in range(5)]
+    assert len(env.on("s0>r0")) == 5
 
 
 def test_seq_continues_across_bursts():
-    sender, env, log = make_sender("flows.on_s=0.03", "flows.off_mean_s=0.1")
+    sender, env = make_sender("flows.on_s=0.03", "flows.off_mean_s=0.1")
     env.run_until(2_000_000)
     seqs = [p.seq for p in env.on("s0>r0")]
     assert seqs == list(range(len(seqs)))
@@ -77,7 +78,7 @@ def test_seq_continues_across_bursts():
 
 
 def test_selective_duplication_marks_and_limits():
-    sender, env, log = make_sender("flows.duplication=selective",
+    sender, env = make_sender("flows.duplication=selective",
                                    "flows.selective_first_n=2",
                                    "flows.off_mean_s=0.05")
     env.run_until(300_000)
@@ -102,7 +103,7 @@ def test_selective_duplication_marks_and_limits():
 
 
 def test_sender_stop_time():
-    sender, env, log = make_sender("flows.on_s=10")
+    sender, env = make_sender("flows.on_s=10")
     sender.stop_us = 35_000  # inside the first burst, unlike any valid scenario
     env.run_until(1_000_000)
     assert [p.seq for p in env.on("s0>r0")] == [0, 1, 2, 3]
@@ -110,10 +111,10 @@ def test_sender_stop_time():
 
 def test_nodes_name_themselves_and_their_links_by_flow():
     cfg = unit_scenario("flows.count=4", "flows.stagger_ms=2")
-    sender = Sender(3, cfg, TappedLog(4, 64))
+    sender = Sender(3, cfg)
     assert (sender.name, sender.direct_link, sender.dup_link) == ("s3", "s3>r3", "s3>dc1")
     assert sender.start_us == 6_000  # three 2 ms staggers
-    recv = Receiver(3, cfg, TappedLog(4, 64))
+    recv = Receiver(3, cfg, RunLog(4))
     assert (recv.name, recv.direct_link, recv.data_link, recv.ctrl_link) == (
         "r3", "s3>r3", "r3>dc2", "r3>dc2:ctrl")
 
@@ -123,17 +124,21 @@ def test_nodes_name_themselves_and_their_links_by_flow():
 
 def test_only_the_straggler_receiver_holds_its_responses():
     cfg = unit_scenario("flows.count=3", "straggler={receiver: 1, delay_ms: 400}")
-    delays = [Receiver(i, cfg, TappedLog(3, 64)).straggler_delay_us for i in range(3)]
+    delays = [Receiver(i, cfg, RunLog(3)).straggler_delay_us for i in range(3)]
     assert delays == [0, 400_000, 0]
 
 
 def make_receiver(*sets):
     """Flow 0's receiver over unit_scenario(*sets): two-state detector
     with a 150 ms idle timeout and a 10 ms nominal gap, no reorder
-    grace, a 150 ms re-NACK window, a 600 ms horizon, no straggler."""
+    grace, a 150 ms re-NACK window, a 600 ms horizon, no straggler.
+    log holds its run log's counters, and its first deliveries as
+    ``deliveries[0]`` rows of (seq, ts, recovered)."""
     cfg = unit_scenario(*sets)
-    log = TappedLog(cfg.flows.count, cfg.flows.packet_size)
-    recv = Receiver(0, cfg, log)
+    run_log = RunLog(cfg.flows.count)
+    recv = Receiver(0, cfg, run_log)
+    log = SimpleNamespace(counters=run_log.counters, deliveries={0: []})
+    recv._on_data = MethodType(tap_deliveries(Receiver._on_data, log.deliveries), recv)
     env = StubEnv()
     env.attach(recv)
     return recv, env, log

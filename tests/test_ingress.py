@@ -27,7 +27,7 @@ def make_coder(flows, k_max=4, parity_cross=2, **coding):
     cfg = unit_scenario(f"flows.count={flows}", f"coding.k_max={k_max}",
                         f"coding.parity_cross={parity_cross}",
                         *(f"coding.{key}={value}" for key, value in coding.items()))
-    coder = IngressCoder(cfg, RunLog(flows, cfg.flows.packet_size))
+    coder = IngressCoder(cfg, RunLog(flows))
     coder.env = StubEnv()
     return coder
 

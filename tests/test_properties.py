@@ -17,14 +17,14 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from _stub import TappedLog
+from _stub import tap_deliveries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caspr import egress, endpoint, metrics, netsim, wire
 from caspr.endpoint import Receiver
 from caspr.runner import run_seed
-from caspr.scenario import bundled_names, bundled_path, load, validate
+from caspr.scenario import bundled_names, bundled_path, flow_links, load, validate
 
 LOSSES = {
     "none": None,
@@ -71,12 +71,13 @@ def small_scenarios(draw):
     return validate(doc)
 
 
-def check_holes(recv):
+def check_holes(recv, delivered):
     """The hole map holds, in seq order from the frontier on, exactly the
-    seqs up to max_seen that the receiver never delivered."""
+    seqs up to max_seen that the receiver never delivered: delivered
+    lists its deliveries as (seq, ts, recovered) rows."""
     keys = list(recv.holes)
     assert keys == sorted(keys) and all(s >= recv.frontier for s in keys)
-    got = {seq for seq, _, _ in recv.run_log.deliveries[recv.flow_id]}
+    got = {seq for seq, _, _ in delivered}
     never = set(range(recv.frontier, recv.max_seen + 1)) - got
     assert {s for s in keys if s <= recv.max_seen} == never, recv.name
 
@@ -92,13 +93,16 @@ def check_cache(recv):
 
 def run_observed(cfg):
     """run_seed, plus the simulator it built and every send and delivery
-    its run log was told of, as ``deliveries[flow]`` rows of (seq, ts,
-    recovered) and ``flows[flow].send_ts`` maps.  Each receiver's hole
-    map and cache are checked at the end of the run, before run_seed lets
-    go of the nodes."""
+    of its flows, as ``deliveries[flow]`` rows of (seq, ts, recovered)
+    and ``flows[flow].send_ts`` maps.  Sends are read off the direct
+    links, deliveries off the receivers.  Each receiver's hole map and
+    cache are checked at the end of the run, before run_seed lets go of
+    the nodes."""
     seen = {}
-    check = netsim.Simulator.check_conservation
-    analyze = metrics.analyze_run
+    flows = range(cfg.flows.count)
+    sends = {f: {} for f in flows}
+    deliveries = {f: [] for f in flows}
+    check, send = netsim.Simulator.check_conservation, netsim.SimEnv.send
 
     def keep_sim(sim):
         seen["sim"] = sim
@@ -106,23 +110,23 @@ def run_observed(cfg):
                      if isinstance(node, Receiver)]
         assert len(receivers) == cfg.flows.count
         for recv in receivers:
-            check_holes(recv)
+            check_holes(recv, deliveries[recv.flow_id])
             check_cache(recv)
         check(sim)
 
-    def keep_log(*args, **kwargs):
-        seen["log"] = args[4]
-        return analyze(*args, **kwargs)
+    def send_spied(env, link_name, msg):
+        if type(msg) is wire.DataPacket and link_name == flow_links(msg.flow_id).direct:
+            sends[msg.flow_id][msg.seq] = env.now
+        send(env, link_name, msg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netsim.Simulator, "check_conservation", keep_sim)
-        mp.setattr(metrics, "analyze_run", keep_log)
-        mp.setattr(metrics, "RunLog", TappedLog)
+        mp.setattr(netsim.SimEnv, "send", send_spied)
+        mp.setattr(Receiver, "_on_data", tap_deliveries(Receiver._on_data, deliveries))
         m = run_seed(cfg, cfg.seeds[0])
-    log = seen["log"]
     return m, seen["sim"], SimpleNamespace(
-        deliveries=log.deliveries,
-        flows={f: SimpleNamespace(send_ts=sends) for f, sends in log.sends.items()})
+        deliveries=deliveries,
+        flows={f: SimpleNamespace(send_ts=sent) for f, sent in sends.items()})
 
 
 # derandomize seeds the examples from this test's source, so an edit to

@@ -111,9 +111,9 @@ def run_watched(monkeypatch, cfg, at_check=None, trace_path=None):
             seen["at_check"] = at_check(sim)
         check(sim)
 
-    def keep_log(*args, **kwargs):
-        seen["log"] = args[4]
-        return analyze(*args, **kwargs)
+    def keep_log(cfg, seed, run_log, links):
+        seen["log"] = run_log
+        return analyze(cfg, seed, run_log, links)
 
     monkeypatch.setattr(netsim.Simulator, "check_conservation", keep_sim)
     monkeypatch.setattr(metrics, "analyze_run", keep_log)
@@ -123,18 +123,37 @@ def run_watched(monkeypatch, cfg, at_check=None, trace_path=None):
 
 def ledger_entries(log):
     """Every entry of every container the run log holds."""
-    return (len(log.flows) + len(log.counters)
-            + sum(len(truth.losses) for truth in log.flows.values()))
+    return (len(log.losses) + len(log.counters)
+            + sum(len(losses) for losses in log.losses.values()))
 
 
 def test_lossless_run_leaves_no_per_packet_ledger_entries(monkeypatch):
     m, seen = run_watched(monkeypatch, lossless(duration_s=30.0))
-    log = seen["log"]
+    log, sim = seen["log"], seen["sim"]
     assert m.sent == 3 * 2900 and m.lost == 0
-    assert [truth.sent for truth in log.flows.values()] == [2900] * 3
-    assert all(truth.losses == {} for truth in log.flows.values())
+    assert [sim.links[f"s{i}>r{i}"].sent_count for i in range(3)] == [2900] * 3
+    assert log.losses == {0: {}, 1: {}, 2: {}}
     # a record per flow and per counter name, none per packet
-    assert ledger_entries(log) <= len(log.flows) + len(metrics.COUNTER_COLS)
+    assert ledger_entries(log) <= len(log.losses) + len(metrics.COUNTER_COLS)
+
+
+def test_lossless_run_makes_no_ledger_call_per_packet(monkeypatch):
+    calls = []
+
+    def spied(name, method):
+        def call(log, *args, **kwargs):
+            calls.append(name)
+            return method(log, *args, **kwargs)
+        return call
+
+    for name, method in list(vars(metrics.RunLog).items()):
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(metrics.RunLog, name, spied(name, method))
+    m, seen = run_watched(monkeypatch, lossless())
+    assert m.sent == 3 * 300 and m.lost == 0
+    # the protocol pieces bump their counters, and that is all
+    assert set(calls) == {"bump"}
+    assert seen["log"].losses == {0: {}, 1: {}, 2: {}}
 
 
 def test_lossy_run_leaves_one_ledger_record_per_direct_drop(monkeypatch, tmp_path):
@@ -149,13 +168,13 @@ def test_lossy_run_leaves_one_ledger_record_per_direct_drop(monkeypatch, tmp_pat
         flow = rec.get("flow")
         if rec["outcome"] == "dropped" and rec["link"] == f"s{flow}>r{flow}":
             dropped.setdefault(flow, []).append((rec["seq"], rec["ts"]))
-    for i, truth in log.flows.items():
-        ledger = [(s, loss.send_ts) for s, loss in truth.losses.items()]
+    for i, losses in log.losses.items():
+        ledger = [(s, loss.send_ts) for s, loss in losses.items()]
         assert ledger == dropped.get(i, [])
-    losses = [loss for truth in log.flows.values() for loss in truth.losses.values()]
+    losses = [loss for flow in log.losses.values() for loss in flow.values()]
     assert len(losses) == m.lost > 0
     assert sum(loss.recovered_ts is not None for loss in losses) == m.recovered_any > 0
-    assert ledger_entries(log) <= len(log.flows) + len(metrics.COUNTER_COLS) + m.lost
+    assert ledger_entries(log) <= len(log.losses) + len(metrics.COUNTER_COLS) + m.lost
 
 
 def live_state(sim):
@@ -198,7 +217,7 @@ def test_run_state_is_bounded_by_the_recovery_horizon(monkeypatch):
             assert n <= bound[name], (duration_s, name, n, bound[name])
         log, sim = seen["log"], seen["sim"]
         drops = sum(sim.links[f"s{i}>r{i}"].dropped_count for i in range(flows.count))
-        assert ledger_entries(log) - len(log.flows) - len(log.counters) == m.lost == drops > 0
+        assert ledger_entries(log) - len(log.losses) - len(log.counters) == m.lost == drops > 0
 
 
 def test_run_seed_frees_its_simulation_without_the_cyclic_gc(monkeypatch):

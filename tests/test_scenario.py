@@ -45,7 +45,6 @@ def test_minimal_scenario_gets_defaults():
     assert cfg.coding.in_block == 5
     assert cfg.coding.parity_in == 1
     assert cfg.detector.kind == "two_state"
-    assert cfg.cost.price_per_gb == 0.087
     assert cfg.flows.duplication == "full"
     assert cfg.outages == ()
     assert cfg.topology.direct.jitter_ms == 0.0
@@ -58,7 +57,7 @@ def test_nodes_carry_the_timings_the_scenario_derives():
     cfg = validate(apply_overrides(minimal(), ["topology.direct.jitter_ms=4"]))
     assert cfg.reorder_grace_us == 2 * cfg.topology.direct.jitter_us == 8_000
     assert cfg.boundary_wait_us == CROSS_FLUSH_US + cfg.topology.inter_dc.delay_us == 50_000
-    log = RunLog(cfg.flows.count, cfg.flows.packet_size)
+    log = RunLog(cfg.flows.count)
     recv = Receiver(0, cfg, log)
     assert recv.long_timeout_us == cfg.rtt_us == 100_000
     assert recv.nominal_gap_us == cfg.flows.interval_us == 10_000
@@ -295,9 +294,10 @@ REJECTED = [
     ("straggler", {**STRAGGLER, "receiver": -1}, "straggler.receiver"),
     ("straggler", {**STRAGGLER, "delay_ms": 0}, "straggler.delay_ms"),
     ("straggler", {**STRAGGLER, "jitter_ms": 1.0}, "jitter_ms"),
-    # cost
-    ("cost.price_per_gb", -0.01, "cost.price_per_gb"),
-    ("cost.currency", "usd", "currency"),
+    # cost: the section is gone, its one knob folded into
+    # metrics.PRICE_PER_GB, so the section is an unknown key
+    ("cost.price_per_gb", 0.087, "cost: unknown key"),
+    ("cost.currency", "usd", "cost: unknown key"),
     # appended, so the ids of the cases above stay as they were
     ("seeds", [4, 1, 4], "seeds: 4 repeated"),
     # folded knobs at a value they used to accept (their default, where
@@ -428,7 +428,7 @@ def test_bundled_files_round_trip_defaults():
         raw = yaml.safe_load(f)
     # defaults fill only what the file leaves unsaid
     assert dataclasses.asdict(cfg.straggler) == raw["straggler"]
-    assert cfg.cost.price_per_gb == 0.087 and "cost" not in raw
+    assert cfg.detector.kind == "two_state" and "detector" not in raw
 
 
 # a documented ``--set PATH=VALUE`` recipe; PATH is lower case, so the
