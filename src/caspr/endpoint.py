@@ -34,16 +34,21 @@ first seq neither delivered nor given up, is what an ACK carries: the
 first direct arrival after unanswered NACKs sends one, and the
 recovery DC drops the flow's claims below it.
 
-Receivers keep a cache of recent payloads to answer cooperative
-requests for their own packets.  It is bounded twice: an entry older
-than the recovery horizon is never served and is evicted at the next
-store, and past the count cap the oldest entries go too.  Receivers
-also hold forwarded in-stream parity, for at most the horizon, until
-enough of the block is present to decode the rest.
+Receivers cache the arrival time of each recent delivery, to answer
+cooperative requests for their own packets and to decode forwarded
+in-stream blocks.  The payload itself is rebuilt from (flow, seq) when
+one of those asks for it; every arrival was checked against that same
+ground truth, so the rebuilt bytes are the delivered ones.  The cache
+is bounded twice: an entry older than the recovery horizon is never
+served and is evicted at the next store, and past the count cap the
+oldest entries go too.  Receivers also hold forwarded in-stream parity,
+for at most the horizon, until enough of the block is present to decode
+the rest; no payload is built for a block until it can decode.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict, deque
 from itertools import islice, takewhile
 
@@ -67,21 +72,31 @@ from .wire import (
 MAX_TRACKED_GAP = 4096
 # forwarded in-stream blocks held for decode; the oldest go first
 MAX_HELD_BLOCKS = 512
-# payloads cached for cooperative requests; past this the oldest go
+# deliveries cached for cooperative requests and in-stream decodes;
+# past this the oldest go
 CACHE_PACKETS = 2048
 
 _PATTERN = bytes(range(256)) * 257  # long enough for any 16-bit payload
+_HEAD = struct.Struct(">QQ")  # flow, seq
+# size -> (its body's pack, the 256 tails _PATTERN[off:off + size - 16]),
+# built on the first body of that size: 256 * (size - 16) bytes
+_BODIES: dict = {}
 
 
 def payload_bytes(flow_id: int, seq: int, size: int) -> bytes:
-    """Deterministic packet body, distinct per (flow, seq)."""
-    if size <= 0:
-        return b""
-    head = flow_id.to_bytes(8, "big") + seq.to_bytes(8, "big")
-    if size <= 16:
-        return head[:size]
-    off = (flow_id * 131 + seq * 17) % 256
-    return head + _PATTERN[off:off + size - 16]
+    """Deterministic packet body, distinct per (flow, seq): the 16-byte
+    head (flow, seq) then ``_PATTERN`` from an offset set by both, cut to
+    ``size``.  One pack builds it."""
+    body = _BODIES.get(size)
+    if body is None:
+        if size <= 16:
+            return _HEAD.pack(flow_id, seq)[:max(size, 0)]
+        tail = size - 16
+        body = _BODIES[size] = (
+            struct.Struct(f"{_HEAD.format}{tail}s").pack,
+            [_PATTERN[off:off + tail] for off in range(256)])
+    pack, tails = body
+    return pack(flow_id, seq, tails[(flow_id * 131 + seq * 17) % 256])
 
 
 FULL, SELECTIVE = "full", "selective"
@@ -189,9 +204,13 @@ class Receiver:
         self.timer_gen = 0
         self.unanswered = 0
         self.parked = False               # give-up or confirmed end of flow
-        # seq -> (payload, ts) in time order, at most horizon_us old and
-        # CACHE_PACKETS long
-        self.cache: OrderedDict = OrderedDict()
+        # seq -> arrival time, in time order, at most horizon_us old and
+        # CACHE_PACKETS long; the payload is rebuilt when asked for.  A
+        # seq is stored once, at its first delivery.  The deque holds the
+        # same seqs oldest first for eviction: finding a dict's first key
+        # walks past every key deleted before it
+        self.cache: dict[int, int] = {}
+        self._cache_order: deque = deque()
         self.held: OrderedDict = OrderedDict()   # batch_id -> held in-stream block
         self.nack_streak = 0                     # NACKs since the last ACK
         self._coop_wait: dict[int, int] = {}     # seq -> responses held for it
@@ -228,8 +247,10 @@ class Receiver:
 
     def _on_data(self, pkt: DataPacket, recovered: bool, now: int) -> None:
         seq = pkt.seq
+        frontier, max_seen, holes = self.frontier, self.max_seen, self.holes
         ack_due = not recovered and self.nack_streak > 0
-        if self._delivered(seq):
+        if seq < frontier or (seq <= max_seen and seq not in holes):
+            # already delivered: _delivered(seq), on the values just read
             if ack_due:
                 self._ack_alive(now)
             self.run_log.bump("dup_arrivals")
@@ -241,18 +262,16 @@ class Receiver:
                 f"corrupt delivery flow={pkt.flow_id} seq={seq}")
         if recovered:
             self.run_log.record_recovery(pkt.flow_id, seq, now)
-        self._store(seq, payload, now)
+        self._store(seq, now)
         if self._coop_wait:
             self._answer_waiting(seq, payload, now)
-        holes = self.holes
-        max_seen = self.max_seen
         if seq > max_seen:
             self.max_seen = seq
-            if seq > max_seen + 1 and seq > self.frontier:
+            if seq > max_seen + 1 and seq > frontier:
                 # a forward jump: everything skipped over is a new hole;
                 # a NACKed frontier past max_seen is already one and
                 # keeps its NACK times.  An in-order arrival adds none.
-                for s in range(max(self.frontier, max_seen + 1), seq):
+                for s in range(max(frontier, max_seen + 1), seq):
                     holes.setdefault(s, None)
                 excess = len(holes) - MAX_TRACKED_GAP
                 if excess > 0:
@@ -280,8 +299,10 @@ class Receiver:
 
     def _advance(self) -> None:
         """Move the frontier to the first hole, or past everything seen."""
-        self.frontier = next(iter(self.holes),
-                             max(self.frontier, self.max_seen + 1))
+        if self.holes:
+            self.frontier = next(iter(self.holes))
+        elif self.frontier <= self.max_seen:
+            self.frontier = self.max_seen + 1
 
     def _ack_alive(self, now: int) -> None:
         # direct path demonstrably alive again
@@ -389,28 +410,29 @@ class Receiver:
 
     # -- payload cache ----------------------------------------------------------
 
-    def _store(self, seq: int, payload: bytes, now: int) -> None:
-        cache = self.cache
-        cache[seq] = (payload, now)
-        # stored in time order, so the entries _cached would refuse are
-        # a prefix; the new entry itself always stays (CACHE_PACKETS >= 1)
+    def _store(self, seq: int, now: int) -> None:
+        cache, order = self.cache, self._cache_order
+        cache[seq] = now
+        order.append(seq)
+        # stored in time order, so the entries _cached would refuse are a
+        # prefix; the new entry itself always stays (CACHE_PACKETS >= 1)
         oldest = now - self.horizon_us
-        while (len(cache) > CACHE_PACKETS
-               or next(iter(cache.values()))[1] < oldest):
-            cache.popitem(last=False)
+        while len(order) > CACHE_PACKETS or cache[order[0]] < oldest:
+            del cache[order.popleft()]
 
-    def _cached(self, seq: int, now: int) -> bytes | None:
-        item = self.cache.get(seq)
-        if item is None or now - item[1] > self.horizon_us:
-            return None
-        return item[0]
+    def _cached(self, seq: int, now: int) -> bool:
+        """Whether ``seq`` arrived, is still cached and is at most the
+        horizon old: then its payload can be served, rebuilt by
+        payload_bytes, which every arrival was checked against."""
+        stamp = self.cache.get(seq)
+        return stamp is not None and now - stamp <= self.horizon_us
 
     # -- cooperative serving -----------------------------------------------------
 
     def _on_coop_request(self, msg: CoopRequest, now: int) -> None:
         for flow_id, seq in msg.entries:
-            payload = self._cached(seq, now)
-            if payload is not None:
+            if self._cached(seq, now):
+                payload = payload_bytes(flow_id, seq, self.packet_size)
                 self._send_resp(CoopResponse(entry=(flow_id, seq),
                                              payload=payload, send_ts_us=now))
                 continue
@@ -479,12 +501,9 @@ class Receiver:
         if now - block["since"] > self.horizon_us:
             del self.held[batch_id]
             return
-        present = {}
-        for f, s, _ in block["members"]:
-            payload = self._cached(s, now)
-            if payload is not None:
-                present[(f, s)] = payload
-        missing = len(block["members"]) - len(present)
+        members = block["members"]
+        have = [(f, s) for f, s, _ in members if self._cached(s, now)]
+        missing = len(members) - len(have)
         if not missing:
             del self.held[batch_id]
             self.run_log.bump("discarded_parity")
@@ -492,5 +511,8 @@ class Receiver:
         if missing > len(block["parity"]):
             return
         del self.held[batch_id]
+        # payloads are built only for a block that decodes
+        size = self.packet_size
+        present = {(f, s): payload_bytes(f, s, size) for f, s in have}
         for (f, s), payload in decode_batch(present, list(block["parity"].values())).items():
             self._on_data(DataPacket(f, s, now, payload), True, now)

@@ -39,6 +39,30 @@ def test_payload_bytes_shape():
     assert payload_bytes(1, 2, 64) != payload_bytes(2, 2, 64)
 
 
+def written_out_payload(flow, seq, size):
+    """The body built step by step: a head of two 8-byte big-endian
+    fields, then the byte ramp from an offset set by flow and seq."""
+    if size <= 0:
+        return b""
+    head = flow.to_bytes(8, "big") + seq.to_bytes(8, "big")
+    if size <= 16:
+        return head[:size]
+    off = (flow * 131 + seq * 17) % 256
+    return head + (bytes(range(256)) * 257)[off:off + size - 16]
+
+
+def test_payload_bytes_matches_the_written_out_build(monkeypatch):
+    # a fresh table, so the 16 MB one for 65,503 B goes with the test
+    monkeypatch.setattr(endpoint, "_BODIES", {})
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (3, 77), (7, 2**40 - 1),
+             (2**40, 2**40 + 1), (2**40 + 3, 0)]
+    for size in [*range(18), 199, 200, 201, 1_199, 1_200, 1_201, 65_503]:
+        for flow, seq in pairs:
+            body = payload_bytes(flow, seq, size)
+            assert type(body) is bytes and len(body) == size, (flow, seq, size)
+            assert body == written_out_payload(flow, seq, size), (flow, seq, size)
+
+
 # -- sender -------------------------------------------------------------------
 
 
@@ -522,6 +546,40 @@ def test_insufficient_parity_held_until_data_arrives():
     recv.on_message(data(0, 3), "dc2>r0")
     delivered = {s for s, _, _ in log.deliveries[0]}
     assert delivered == {0, 1, 2, 3, 4}
+
+
+def test_cache_keeps_stamps_and_builds_payloads_only_to_serve(monkeypatch):
+    recv, env, log = make_receiver()
+    built, decoded_from = [], []
+    monkeypatch.setattr(endpoint, "payload_bytes",
+                        lambda *a: built.append(a) or payload_bytes(*a))
+    decode = endpoint.decode_batch
+    monkeypatch.setattr(endpoint, "decode_batch",
+                        lambda present, parity: decoded_from.append(dict(present))
+                        or decode(present, parity))
+    for seq in (0, 1):
+        deliver_direct(recv, env, 0, seq, seq * 1_000)
+    assert dict(recv.cache) == {0: 0, 1: 1_000}
+    # three of five members missing, one parity: held, and nothing built
+    built.clear()
+    env.now = 2_000
+    recv.on_message(in_block(11, range(5))[0], "dc2>r0")
+    assert 11 in recv.held and built == []
+    # an arrival while the block is still short builds only its own check
+    deliver_direct(recv, env, 0, 2, 3_000)
+    assert 11 in recv.held and built == [(0, 2, 64)]
+    # a cooperative answer is the rebuilt ground truth
+    built.clear()
+    env.now = 4_000
+    recv.on_message(CoopRequest(entries=((0, 1),)), "dc2>r0")
+    [resp] = [m for m in env.on("r0>dc2") if isinstance(m, CoopResponse)]
+    assert resp.payload == payload_bytes(0, 1, 64) and built == [(0, 1, 64)]
+    # seq 3 completes the block: its four cached members are rebuilt for
+    # the decode, and the decoded seq 4 passes the delivery check
+    deliver_direct(recv, env, 0, 3, 5_000)
+    assert decoded_from == [{(0, s): payload_bytes(0, s, 64) for s in range(4)}]
+    assert not recv.held and recv.frontier == 5
+    assert log.deliveries[0][-1] == (4, 5_000, True)
 
 
 def in_block(batch_id, seqs, num_parity=1):

@@ -85,7 +85,7 @@ def check_holes(recv, delivered):
 def check_cache(recv):
     """The payload cache is in time order, spans at most the recovery
     horizon and holds at most CACHE_PACKETS entries."""
-    stamps = [ts for _, ts in recv.cache.values()]
+    stamps = list(recv.cache.values())
     assert stamps == sorted(stamps), recv.name
     assert not stamps or stamps[-1] - stamps[0] <= recv.horizon_us, recv.name
     assert len(stamps) <= endpoint.CACHE_PACKETS, recv.name
