@@ -54,7 +54,6 @@ lasts opens them in its batch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .codec import decode_batch
 from .scenario import FlowLinks, Scenario, flow_links
@@ -97,13 +96,14 @@ class StoredBatch:
         self.state = IDLE
 
 
-@dataclass(eq=False)
 class _Orphan:
     """A loss claim no admissible stored parity covers yet.  Its timers
     carry it and act only while it is still the entry's claim."""
+    __slots__ = ("nack_ts", "confirmed")
 
-    nack_ts: int              # latest claim with no admissible coverage
-    confirmed: bool = False   # the receiver vouched for the hole
+    def __init__(self, nack_ts: int):
+        self.nack_ts = nack_ts      # latest claim with no admissible coverage
+        self.confirmed = False      # the receiver vouched for the hole
 
 
 class EgressRecovery:

@@ -22,19 +22,19 @@ least two packets, otherwise its lone packet is evicted uncoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .codec import encode_batch
 from .scenario import CROSS_FLUSH_US, IN_FLUSH_US, INTER_DC_LINK, Scenario
 from .wire import DataPacket
 
 
-@dataclass(eq=False)
 class _Queue:
-    # the batch's source packets, in the order encode_batch binds them
-    symbols: list[DataPacket] = field(default_factory=list)
-    flows: set[int] = field(default_factory=set)
-    gen: int = 0
+    __slots__ = ("symbols", "flows", "gen")
+
+    def __init__(self):
+        # the batch's source packets, in the order encode_batch binds them
+        self.symbols: list[DataPacket] = []
+        self.flows: set[int] = set()
+        self.gen = 0
 
     def reset(self) -> None:
         self.symbols = []

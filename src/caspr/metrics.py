@@ -34,7 +34,7 @@ import csv
 import io
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .scenario import INTER_DC_LINK, Scenario, flow_links
 
@@ -55,11 +55,21 @@ FEC_BLOCK = 5
 PRICE_PER_GB = 0.087
 
 
-@dataclass(slots=True)
 class Loss:
     """One packet the direct path dropped."""
-    send_ts: int
-    recovered_ts: int | None = None  # its first recovered delivery
+    __slots__ = ("send_ts", "recovered_ts")
+
+    def __init__(self, send_ts: int, recovered_ts: int | None = None):
+        self.send_ts = send_ts
+        self.recovered_ts = recovered_ts  # its first recovered delivery
+
+    def __eq__(self, other):
+        if other.__class__ is not Loss:
+            return NotImplemented
+        return (self.send_ts, self.recovered_ts) == (other.send_ts, other.recovered_ts)
+
+    def __repr__(self) -> str:
+        return f"Loss({self.send_ts!r}, {self.recovered_ts!r})"
 
 
 class RunLog:
@@ -84,8 +94,7 @@ class RunLog:
         self.counters[name] += n
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     flow_id: int
     start_seq: int
     length: int
@@ -115,13 +124,13 @@ def classify_episodes(lost_seqs, flow_id: int) -> list[Episode]:
     return episodes
 
 
-@dataclass
 class FecLevel:
-    overhead_pct: int
-    lost: int = 0
-    recovered: int = 0
-    lost_in_outage: int = 0
-    recovered_in_outage: int = 0
+    def __init__(self, overhead_pct: int):
+        self.overhead_pct = overhead_pct
+        self.lost = 0
+        self.recovered = 0
+        self.lost_in_outage = 0
+        self.recovered_in_outage = 0
 
     def add(self, other: FecLevel) -> None:
         self.lost += other.lost
@@ -173,31 +182,32 @@ def fec_whatif(sent: int, lost: Collection[int], in_outage: set[int],
     return levels
 
 
-@dataclass
 class RunMetrics:
     """One seed's results, or several seeds pooled (seed "all")."""
-    scenario: str
-    seed: int | str
-    duration_s: float
-    flows: int = 0
-    sent: int = 0
-    lost: int = 0                # on the direct path
-    recovered_1rtt: int = 0
-    recovered_any: int = 0
-    ratios: list[float] = field(default_factory=list)  # recovery time / RTT per recovered loss
-    episodes: list[Episode] = field(default_factory=list)
-    fec: dict[int, FecLevel] = field(
-        default_factory=lambda: {pct: FecLevel(pct) for pct in FEC_OVERHEADS})
-    counters: Counter = field(default_factory=Counter)
-    # byte accounting
-    dc1_egress_bytes: int = 0
-    dc2_egress_recovery_bytes: int = 0
-    dc2_egress_ctrl_bytes: int = 0
-    dup_bytes: int = 0
-    data_wire_bytes: int = 0     # all direct-path data, the full-relay baseline unit
-    # losses whose send time fell inside a scheduled outage window
-    in_outage_lost: int = 0
-    in_outage_recovered_1rtt: int = 0
+
+    def __init__(self, scenario: str, seed: int | str, duration_s: float, flows: int,
+                 counters: Counter):
+        self.scenario = scenario
+        self.seed = seed
+        self.duration_s = duration_s
+        self.flows = flows
+        self.sent = 0
+        self.lost = 0                # on the direct path
+        self.recovered_1rtt = 0
+        self.recovered_any = 0
+        self.ratios: list[float] = []  # recovery time / RTT per recovered loss
+        self.episodes: list[Episode] = []
+        self.fec = {pct: FecLevel(pct) for pct in FEC_OVERHEADS}
+        self.counters = counters
+        # byte accounting
+        self.dc1_egress_bytes = 0
+        self.dc2_egress_recovery_bytes = 0
+        self.dc2_egress_ctrl_bytes = 0
+        self.dup_bytes = 0
+        self.data_wire_bytes = 0     # all direct-path data, the full-relay baseline unit
+        # losses whose send time fell inside a scheduled outage window
+        self.in_outage_lost = 0
+        self.in_outage_recovered_1rtt = 0
 
     @property
     def recovery_rate(self) -> float:
@@ -230,9 +240,8 @@ def analyze_run(cfg: Scenario, seed: int, run_log: RunLog, links) -> RunMetrics:
     """Turn one run's ledger into its metrics.  links maps each link
     name to its link, whose counters give every packet and byte total."""
     one_way_us, rtt_us = cfg.topology.direct.delay_us, cfg.rtt_us
-    m = RunMetrics(cfg.name, seed, cfg.duration_s, flows=cfg.flows.count,
-                   counters=Counter(run_log.counters),
-                   dc1_egress_bytes=links[INTER_DC_LINK].sent_bytes)
+    m = RunMetrics(cfg.name, seed, cfg.duration_s, cfg.flows.count, Counter(run_log.counters))
+    m.dc1_egress_bytes = links[INTER_DC_LINK].sent_bytes
     for flow_id, losses in run_log.losses.items():  # in flow id order
         fl = flow_links(flow_id)
         direct = links[fl.direct]
@@ -273,8 +282,10 @@ def pool_runs(runs: list[RunMetrics]) -> RunMetrics:
     if not runs:
         raise ValueError("pool_runs needs at least one run")
     pooled = RunMetrics(runs[0].scenario, "all", sum(m.duration_s for m in runs),
-                        flows=max(m.flows for m in runs),  # seeds share the flow set
-                        **{name: sum(getattr(m, name) for m in runs) for name in _SUMMED})
+                        max(m.flows for m in runs),  # seeds share the flow set
+                        Counter())
+    for name in _SUMMED:
+        setattr(pooled, name, sum(getattr(m, name) for m in runs))
     for m in runs:
         pooled.ratios.extend(m.ratios)
         pooled.episodes.extend(m.episodes)

@@ -31,7 +31,6 @@ one link never perturbs the draws of another.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from heapq import heappop, heappush
 from itertools import count
@@ -239,6 +238,10 @@ class Simulator:
         self.nodes: dict[str, Node] = {}
         self.links: dict[str, Link] = {}
         self.trace_file = trace_file
+        if trace_file is not None:
+            # only a traced run writes JSON, so only it imports json
+            import json
+            self._encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         self._heap: list = []
         self._on_timer: list = []  # each node's on_timer, by origin index
         self._prestart: list[tuple[int, str, tuple]] = []
@@ -318,7 +321,7 @@ class Simulator:
             rec["seq"] = msg.seq
         elif isinstance(msg, wire.CodedPacket):
             rec["batch"] = msg.batch_id
-        self.trace_file.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        self.trace_file.write(self._encode(rec) + "\n")
 
     def run(self, until_us: int) -> None:
         if not self._frozen:

@@ -2,12 +2,12 @@
 
 A scenario is a YAML document describing one experiment: topology
 delays and loss processes, the flow workload, the coding widths, the
-detector kind, and the seed list.  Each YAML section maps to one frozen
-dataclass below, and each field declares its YAML name (the attribute
-name), type, bounds and default once; the name's suffix is its unit
-(``_ms`` or ``_s``).  Fields keep the value the YAML parsed; the
-``*_us`` attributes convert them to integer microseconds of virtual
-time.
+detector kind, and the seed list.  Each YAML section maps to one
+``Record`` subclass below, a frozen record with value equality, and
+each field declares its YAML name (the attribute name), type, bounds
+and default once; the name's suffix is its unit (``_ms`` or ``_s``).
+Fields keep the value the YAML parsed; the ``*_us`` attributes convert
+them to integer microseconds of virtual time.
 
 Only what a workload varies is a field.  The cloud path's timings are
 fixed by the design: the repair deadline and the recovery horizon (in
@@ -29,10 +29,8 @@ instead of silently running with a default.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import re
-from dataclasses import MISSING, dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -42,18 +40,30 @@ from . import netsim
 from .codec import InvalidParams, check_envelope
 
 
+# files and ``--set`` values parse with libyaml's parser when this PyYAML
+# was built with it, several times faster than the pure-Python one it
+# falls back to otherwise; both build the same safe types
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ScenarioError(Exception):
     """Invalid scenario document; message lists every problem found."""
 
 
 # -- field declarations -------------------------------------------------------
-# Each declarator returns a dataclass field whose metadata holds its
-# parser: parse(value, path, problems) returns the typed value, or
-# appends "path: problem" lines to problems.
+# Each declarator returns a Field that holds its parser:
+# parse(value, path, problems) returns the typed value, or appends
+# "path: problem" lines to problems.
+
+MISSING = object()  # a Field's default when the key is required
 
 
-def _field(parse, default=MISSING):
-    return dataclasses.field(default=default, metadata={"parse": parse})
+class Field:
+    __slots__ = ("parse", "default")
+
+    def __init__(self, parse, default=MISSING):
+        self.parse = parse
+        self.default = default
 
 
 def _scalar(types, what, default, gt=None, ge=None, le=None):
@@ -68,7 +78,7 @@ def _scalar(types, what, default, gt=None, ge=None, le=None):
         elif le is not None and not value <= le:
             problems.append(f"{path}: {value!r} must be <= {le}")
         return value
-    return _field(parse, default)
+    return Field(parse, default)
 
 
 def number(default=MISSING, **bounds):
@@ -84,7 +94,7 @@ def text(default=MISSING, pattern=".*"):
         if not isinstance(value, str) or not re.search(pattern, value):
             problems.append(f"{path}: {value!r} is not a string matching {pattern!r}")
         return value
-    return _field(parse, default)
+    return Field(parse, default)
 
 
 def choice(*options):
@@ -93,12 +103,12 @@ def choice(*options):
         if not isinstance(value, str) or value not in options:
             problems.append(f"{path}: {value!r} is not one of {', '.join(options)}")
         return value
-    return _field(parse, options[0])
+    return Field(parse, options[0])
 
 
 def section(cls, default=MISSING):
-    return _field(lambda value, path, problems: _build(cls, value, path, problems),
-                  default)
+    return Field(lambda value, path, problems: _build(cls, value, path, problems),
+                 default)
 
 
 def tagged(kinds, default=MISSING):
@@ -113,7 +123,7 @@ def tagged(kinds, default=MISSING):
             problems.append(f"{path}.kind: {kind!r} is not one of {', '.join(kinds)}")
             return None
         return _build(kinds[kind], body, path, problems)
-    return _field(parse, default)
+    return Field(parse, default)
 
 
 def listof(item, default=MISSING, min_items=0, unique=False):
@@ -124,14 +134,14 @@ def listof(item, default=MISSING, min_items=0, unique=False):
         if len(value) < min_items:
             problems.append(f"{path}: needs at least {min_items} item(s)")
         before = len(problems)
-        items = tuple(item.metadata["parse"](v, f"{path}.{i}", problems)
+        items = tuple(item.parse(v, f"{path}.{i}", problems)
                       for i, v in enumerate(value))
         if unique and len(problems) == before:
             repeated = sorted({v for v in items if items.count(v) > 1})
             if repeated:
                 problems.append(f"{path}: {', '.join(map(str, repeated))} repeated")
         return items
-    return _field(parse, default)
+    return Field(parse, default)
 
 
 def _build(cls, raw, path, problems):
@@ -140,15 +150,14 @@ def _build(cls, raw, path, problems):
         problems.append(f"{path or '<root>'}: expected a mapping, got {raw!r}")
         return None
     before = len(problems)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     prefix = f"{path}." if path else ""
     for key in raw:
-        if key not in fields:
+        if key not in cls.FIELDS:
             problems.append(f"{prefix}{key}: unknown key")
     values = {}
-    for name, f in fields.items():
+    for name, f in cls.FIELDS.items():
         if name in raw:
-            values[name] = f.metadata["parse"](raw[name], prefix + name, problems)
+            values[name] = f.parse(raw[name], prefix + name, problems)
         elif f.default is MISSING:
             problems.append(f"{prefix}{name}: required key missing")
     return cls(**values) if len(problems) == before else None
@@ -164,7 +173,55 @@ class _Micros(functools.cached_property):
         super().__init__(lambda obj: int(round(getattr(obj, source) * scale)))
 
 
-_frozen = dataclass(frozen=True, kw_only=True)
+class Record:
+    """A frozen section of the tree.  A subclass declares its fields in
+    its body with the declarators above, in YAML order, and FIELDS maps
+    each field's name to its declaration.  An instance takes every field
+    by keyword, a missing one from its default, and compares, hashes and
+    prints by value.  Assigning or deleting an attribute raises
+    AttributeError; only a ``_Micros`` stores into an instance, on its
+    first read."""
+
+    FIELDS: dict[str, Field] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls.FIELDS = {name: f for name, f in vars(cls).items() if isinstance(f, Field)}
+        for name in cls.FIELDS:
+            delattr(cls, name)  # each instance holds its own value
+
+    def __init__(self, **values) -> None:
+        unknown = values.keys() - self.FIELDS.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__}() got unknown field(s) "
+                            f"{', '.join(sorted(unknown))}")
+        state = vars(self)
+        for name, f in self.FIELDS.items():
+            value = values.get(name, f.default)
+            if value is MISSING:
+                raise TypeError(f"{type(self).__name__}() missing required field {name!r}")
+            state[name] = value
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
 
 # the cloud path's timings, in direct-path RTTs: a repair is due within
 # one RTT, and after the recovery horizon a loss is let go
@@ -178,16 +235,14 @@ IN_FLUSH_US = 50_000
 # -- the tree -----------------------------------------------------------------
 
 
-@_frozen
-class BernoulliLoss:
+class BernoulliLoss(Record):
     p: float = number(ge=0, le=1)
 
     def model(self, rng) -> netsim.LossModel:
         return netsim.Bernoulli(self.p, rng)
 
 
-@_frozen
-class GilbertElliottLoss:
+class GilbertElliottLoss(Record):
     p_good_bad: float = number(ge=0, le=1)
     p_bad_good: float = number(ge=0, le=1)
     loss_good: float = number(ge=0, le=1)
@@ -198,8 +253,7 @@ class GilbertElliottLoss:
                                      self.loss_good, self.loss_bad, rng)
 
 
-@_frozen
-class GoogleBurstLoss:
+class GoogleBurstLoss(Record):
     p_first: float = number(0.01, ge=0, le=1)
     p_cont: float = number(0.5, ge=0, le=1)
 
@@ -211,8 +265,7 @@ LOSS_KINDS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss,
               "google_burst": GoogleBurstLoss}
 
 
-@_frozen
-class Link:
+class Link(Record):
     delay_ms: float = number(gt=0)
     jitter_ms: float = number(0.0, ge=0)
     loss: BernoulliLoss | GilbertElliottLoss | GoogleBurstLoss | None = tagged(LOSS_KINDS, None)
@@ -229,8 +282,7 @@ class Link:
         return self.loss.model(rng) if self.loss else None
 
 
-@_frozen
-class Topology:
+class Topology(Record):
     direct: Link = section(Link)
     access: Link = section(Link)
     inter_dc: Link = section(Link)
@@ -258,8 +310,7 @@ def flow_links(i: int) -> FlowLinks:
 INTER_DC_LINK = "dc1>dc2"
 
 
-@_frozen
-class Outage:
+class Outage(Record):
     flow: int = integer(ge=0)
     start_s: float = number(ge=0)
     end_s: float = number(gt=0)
@@ -268,8 +319,7 @@ class Outage:
     end_us = _Micros("end_s")
 
 
-@_frozen
-class Flows:
+class Flows(Record):
     count: int = integer(ge=1)
     packet_size: int = integer(ge=0, le=65503)
     interval_ms: float = number(gt=0)
@@ -285,29 +335,25 @@ class Flows:
     stagger_us = _Micros("stagger_ms")
 
 
-@_frozen
-class Coding:
+class Coding(Record):
     k_max: int = integer(ge=2, le=251)
     parity_cross: int = integer(ge=1, le=4)
     parity_in: int = integer(1, ge=0, le=4)
     in_block: int = integer(5, ge=0, le=64)  # 0 turns in-stream coding off
 
 
-@_frozen
-class Detector:
+class Detector(Record):
     kind: str = choice("two_state", "fixed_small")
 
 
-@_frozen
-class Straggler:
+class Straggler(Record):
     receiver: int = integer(ge=0)
     delay_ms: float = number(gt=0)
 
     delay_us = _Micros("delay_ms")
 
 
-@_frozen
-class Scenario:
+class Scenario(Record):
     name: str = text(pattern="^[a-z0-9_]+$")
     description: str = text("")
     duration_s: float = number(gt=0)
@@ -383,10 +429,10 @@ def _cross_checks(cfg: Scenario) -> list[str]:
         problems.append(f"straggler.receiver {cfg.straggler.receiver} out of range")
     if cfg.cooldown_s >= cfg.duration_s:
         problems.append("cooldown_s must be shorter than duration_s")
-    for f in dataclasses.fields(cfg.topology):
-        link = getattr(cfg.topology, f.name)
+    for name in cfg.topology.FIELDS:
+        link = getattr(cfg.topology, name)
         if link.jitter_ms > link.delay_ms:
-            problems.append(f"topology.{f.name}: jitter exceeds delay")
+            problems.append(f"topology.{name}: jitter exceeds delay")
     return problems
 
 
@@ -423,7 +469,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ScenarioError(f"override {item!r} has an empty path segment")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, _YAML_LOADER)
         except yaml.YAMLError as e:
             raise ScenarioError(f"override {item!r}: unparseable value ({e})")
         node = out
@@ -446,7 +492,7 @@ def load(path: str, overrides: list[str] | None = None) -> Scenario:
     """Load, override, and validate a scenario file."""
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, _YAML_LOADER)
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}")
     except yaml.YAMLError as e:

@@ -546,24 +546,32 @@ def test_cli_compare_missing_dir(tmp_path, capsys):
 
 
 NUMPY_BLOCKED_RUN = """
-import json, os, sys
+import os, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.modules["dataclasses"] = None  # and so does any import of dataclasses
 import caspr.cli, caspr.runner
 from caspr import codec
-rc = caspr.cli.main(["run", "short_flow_nack_economy", "--seed", "21",
-                     "--out", "out", "--set", "duration_s=5"])
-print(json.dumps({"rc": rc, "decode_matrices": codec._decode_matrix.cache_info().misses,
+run = ["run", "short_flow_nack_economy", "--seed", "21", "--set", "duration_s=5"]
+rc = caspr.cli.main([*run, "--out", "out"])
+decode_matrices = codec._decode_matrix.cache_info().misses
+# taken before this script imports json for its own output
+loaded = [m for m in sys.modules if sys.modules[m] is not None]
+traced_rc = caspr.cli.main([*run, "--out", "traced", "--trace"])
+import json
+print(json.dumps({"rc": rc, "traced_rc": traced_rc, "decode_matrices": decode_matrices,
                   "files": sorted(os.listdir("out")),
-                  "numpy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "numpy"
-                                  and sys.modules[m] is not None)}))
+                  "traced_files": sorted(os.listdir("traced")),
+                  "unwanted": sorted(m for m in loaded
+                                     if m.split(".")[0] in ("numpy", "json", "inspect"))}))
 """
 
 
 def test_a_run_never_imports_numpy(tmp_path):
     # numpy serves only the benchmark's gf256.gf_matmul wrapper; the CLI,
     # the runner and a run that decodes (so builds decode matrices) and
-    # writes its CSVs must work with numpy unimportable
+    # writes its CSVs must work with numpy unimportable.  A cold start
+    # also skips dataclasses (which pulls in inspect) and, without
+    # --trace, json; a traced run imports json and writes its trace
     src = os.path.dirname(os.path.dirname(runner.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_BLOCKED_RUN], cwd=tmp_path,
@@ -571,7 +579,8 @@ def test_a_run_never_imports_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["rc"] == 0
+    assert got["rc"] == got["traced_rc"] == 0
     assert got["decode_matrices"] > 0
     assert {"summary.csv", "episodes.csv", "fec_whatif.csv", "cost.csv"} <= set(got["files"])
-    assert got["numpy"] == []
+    assert got["unwanted"] == []
+    assert set(got["traced_files"]) == set(got["files"]) | {"trace-seed21.jsonl"}

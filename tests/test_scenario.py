@@ -1,6 +1,5 @@
 """Scenario schema strictness, defaults, overrides, bundled files."""
 
-import dataclasses
 import pathlib
 import pickle
 import re
@@ -13,7 +12,10 @@ from caspr.endpoint import Receiver
 from caspr.metrics import RunLog
 from caspr.scenario import (
     CROSS_FLUSH_US,
+    Flows,
+    Link,
     ScenarioError,
+    Straggler,
     apply_overrides,
     bundled_names,
     bundled_path,
@@ -77,13 +79,43 @@ def test_micros_are_stored_on_first_read():
     assert flows.interval_us == int(round(flows.interval_ms * 1000)) == 10_000
     assert flows.on_us == int(round(flows.on_s * 1_000_000)) == 2_000_000
     assert vars(flows)["interval_us"] == 10_000 and vars(flows)["on_us"] == 2_000_000
-    # a replaced field makes a new instance, which does not keep the old value
-    assert dataclasses.replace(flows, interval_ms=7.5).interval_us == 7_500
+    # a new instance with one field changed does not keep the old value
+    fields = {name: getattr(flows, name) for name in Flows.FIELDS}
+    assert Flows(**{**fields, "interval_ms": 7.5}).interval_us == 7_500
     # seeds reach the forked workers pickled
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
     assert (back.flows.interval_us, back.flows.on_us, back.duration_us) == (
         10_000, 2_000_000, 4_000_000)
+
+
+def test_sections_are_frozen_values():
+    cfg = validate(minimal())
+    with pytest.raises(AttributeError):
+        cfg.flows.count = 3
+    with pytest.raises(AttributeError):
+        del cfg.flows.count
+    with pytest.raises(AttributeError):
+        cfg.topology.direct = cfg.topology.access
+    assert cfg.flows.count == 2
+    # a second tree from the same document is equal, cached micros or not
+    again = validate(minimal())
+    assert cfg.flows.interval_us == 10_000 and "interval_us" not in vars(again.flows)
+    assert again == cfg and hash(again) == hash(cfg)
+    changed = validate(apply_overrides(minimal(), ["topology.access.jitter_ms=1"]))
+    assert changed != cfg and changed.topology.access != cfg.topology.access
+    assert changed.topology.direct == cfg.topology.direct
+    assert len({cfg, again, changed}) == 2
+
+
+def test_sections_take_their_fields_by_keyword_only():
+    assert Link(delay_ms=5.0) == Link(delay_ms=5.0, jitter_ms=0.0, loss=None)
+    with pytest.raises(TypeError, match="delay_ms"):
+        Link(jitter_ms=1.0)  # required and missing
+    with pytest.raises(TypeError, match="jiter_ms"):
+        Link(delay_ms=5.0, jiter_ms=1.0)
+    with pytest.raises(TypeError):
+        Link(5.0)
 
 
 def test_unknown_key_is_named_in_the_error():
@@ -383,6 +415,8 @@ def test_override_error_forms():
         apply_overrides(minimal(), ["coding..k=1"])
     with pytest.raises(ScenarioError, match="scalar"):
         apply_overrides(minimal(), ["duration_s.deep=1"])
+    with pytest.raises(ScenarioError, match="unparseable value"):
+        apply_overrides(minimal(), ["topology.direct.loss={kind: bernoulli"])
 
 
 def test_override_that_breaks_schema_fails_validation():
@@ -403,8 +437,16 @@ def test_load_rejects_non_mapping(tmp_path):
 def test_load_reports_yaml_syntax(tmp_path):
     p = tmp_path / "x.yaml"
     p.write_text("name: [unclosed\n")
-    with pytest.raises(ScenarioError, match="YAML"):
+    with pytest.raises(ScenarioError, match="YAML parse error"):
         load(str(p))
+
+
+def test_both_yaml_parsers_read_the_bundled_files_alike():
+    # load parses with libyaml when PyYAML was built with it and in pure
+    # Python otherwise; a scenario must mean the same on either install
+    for name in bundled_names():
+        text = pathlib.Path(bundled_path(name)).read_text()
+        assert load(bundled_path(name)) == validate(yaml.load(text, yaml.SafeLoader)), name
 
 
 def test_every_bundled_scenario_validates():
@@ -427,7 +469,7 @@ def test_bundled_files_round_trip_defaults():
     with open(bundled_path("straggler_ab")) as f:
         raw = yaml.safe_load(f)
     # defaults fill only what the file leaves unsaid
-    assert dataclasses.asdict(cfg.straggler) == raw["straggler"]
+    assert {name: getattr(cfg.straggler, name) for name in Straggler.FIELDS} == raw["straggler"]
     assert cfg.detector.kind == "two_state" and "detector" not in raw
 
 
