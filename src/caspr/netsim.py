@@ -12,37 +12,51 @@ entries ever compare past it.
 
 ``SimEnv.send`` is the one send implementation: it sizes the message
 through ``wire.wire_size``, draws the link's loss and jitter, keeps the
-link's counters and writes the trace line.  A node sets a timer only
-through ``SimEnv.schedule``; ``Simulator.at`` sets one before the run.
+link's sent and dropped counters and writes the trace line; the run
+loop keeps the delivered ones.  Nothing counts a message in flight as
+it goes: ``check_conservation`` counts the deliveries still pending in
+the heap, per link, and stores them as the link's in-flight totals,
+which are valid after that check.  A node sets a timer only through
+``SimEnv.schedule``; ``Simulator.at`` sets one before the run.
 
 Handlers are bound once, at freeze: each link keeps its destination's
-``on_message`` and the simulator keeps each node's ``on_timer`` in a
-list indexed by origin, so the loop looks nothing up by name.  Each
-node's env is bound to the links leaving it, so a node sends only on
-its own links.  Those bound methods close a cycle (node -> env ->
-simulator), and ``close()`` breaks it by dropping the nodes, the
-handlers and the pending events.
+``on_message`` and its own loss and jitter draws, and the simulator
+keeps each node's ``on_timer`` in a list indexed by origin, so the
+loop looks nothing up by name.  Each node's env is bound to the links
+leaving it, so a node sends only on its own links.  Those bound
+methods close a cycle (node -> env -> simulator), and ``close()``
+breaks it by dropping the nodes, the handlers and the pending events.
 
 Every link owns two private random streams (loss and jitter), seeded by
-hashing the master seed with the link's name, so adding or reseeding
-one link never perturbs the draws of another.
+hashing the master seed with the link's name (SHA-256), so adding or
+reseeding one link never perturbs the draws of another.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from heapq import heappop, heappush
 from itertools import count
+from operator import attrgetter
 from typing import IO, Protocol
 
 from . import wire
+
+# the interpreter's builtin SHA-256, so a cold start skips hashlib's
+# OpenSSL import; hashlib only where a build lacks the builtin
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_rng(master_seed: int, *scope: str) -> random.Random:
     """Independent stream for one purpose, stable across runs and platforms."""
     material = f"{master_seed}/" + "/".join(scope)
-    digest = hashlib.sha256(material.encode()).digest()
+    digest = sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -152,12 +166,16 @@ class Link:
         self.dst = dst
         self.delay_us = delay_us
         self.jitter_us = jitter_us
+        # the two draw sources; send calls the methods bound from them at
+        # freeze (drop, getrandbits), so swapping either later has no effect
         self.loss = loss
         self.jitter_rng = jitter_rng
         # randint(-j, j) draws getrandbits(bits) until the value is below span
         self.jitter_span = 2 * jitter_us + 1
         self.jitter_bits = self.jitter_span.bit_length()
-        self.deliver = None  # the destination's on_message, bound at freeze
+        self.deliver = None      # the destination's on_message, bound at freeze
+        self.drop = None         # loss.drop, bound at freeze; None: lossless
+        self.getrandbits = None  # jitter_rng.getrandbits, bound at freeze
         self.idx = -1        # origin index, assigned at freeze
         self.seq = count()   # per-origin tiebreak for its deliveries
         self.sent_count = 0
@@ -166,6 +184,8 @@ class Link:
         self.delivered_bytes = 0
         self.dropped_count = 0
         self.dropped_bytes = 0
+        # the deliveries pending in the event heap, counted by
+        # check_conservation and valid only after it
         self.inflight_count = 0
         self.inflight_bytes = 0
         self.on_drop = None  # if set, called as on_drop(msg, now) on each drop
@@ -188,20 +208,21 @@ class SimEnv:
         self.name = name
         self.rng = derive_rng(sim.master_seed, "node", name)
 
-    @property
-    def now(self) -> int:
-        return self._sim.now
+    # the simulator's clock, read without a Python frame
+    now = property(attrgetter("_sim.now"))
 
     def send(self, link_name: str, msg: wire.Message) -> None:
-        link = self._links.get(link_name)
-        if link is None:
-            raise ValueError(f"node {self.name!r} has no link {link_name!r}")
+        try:
+            link = self._links[link_name]
+        except KeyError:
+            raise ValueError(f"node {self.name!r} has no link {link_name!r}") from None
         size = wire.wire_size(msg)
         link.sent_count += 1
         link.sent_bytes += size
         sim = self._sim
         now = sim.now
-        if link.loss is not None and link.loss.drop(now):
+        drop = link.drop
+        if drop is not None and drop(now):
             link.dropped_count += 1
             link.dropped_bytes += size
             if link.on_drop is not None:
@@ -213,13 +234,11 @@ class SimEnv:
         arrive = now + link.delay_us
         if link.jitter_us:
             # randint(-j, j) as CPython 3.11 draws it, without its two frames
-            getrandbits = link.jitter_rng.getrandbits
+            getrandbits = link.getrandbits
             r = getrandbits(link.jitter_bits)
             while r >= link.jitter_span:
                 r = getrandbits(link.jitter_bits)
             arrive += r - link.jitter_us
-        link.inflight_count += 1
-        link.inflight_bytes += size
         heappush(self._heap, (arrive, link.idx, next(link.seq), link, msg, size))
         if sim.trace_file is not None:
             sim._trace(link, msg, size, arrive)
@@ -289,6 +308,8 @@ class Simulator:
                     raise ValueError(f"link {name}: unknown node {end!r}")
             link.idx = idx
             link.deliver = self.nodes[link.dst].on_message
+            link.drop = link.loss.drop if link.loss is not None else None
+            link.getrandbits = link.jitter_rng.getrandbits
             self.nodes[link.src].env._links[name] = link
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):
@@ -337,16 +358,29 @@ class Simulator:
                 on_timer[idx](event[3])
             else:
                 _, _, _, link, msg, size = event
-                link.inflight_count -= 1
-                link.inflight_bytes -= size
                 link.delivered_count += 1
                 link.delivered_bytes += size
                 link.deliver(msg, link.name)
         self.now = until_us
 
     def check_conservation(self) -> None:
-        """Every byte sent is delivered, dropped, or still in flight."""
-        for link in self.links.values():
+        """Every byte sent is delivered, dropped, or still in flight.
+
+        In flight means a delivery still pending in the event heap: this
+        counts those entries per link and stores the totals as the link's
+        ``inflight_count`` and ``inflight_bytes`` before checking, so a
+        delivery that left the heap without being delivered is caught.
+        """
+        links = self.links.values()
+        for link in links:
+            link.inflight_count = 0
+            link.inflight_bytes = 0
+        for event in self._heap:
+            if len(event) == 6:  # a delivery; a timer is a 4-tuple
+                link = event[3]
+                link.inflight_count += 1
+                link.inflight_bytes += event[5]
+        for link in links:
             if link.sent_count != (link.delivered_count + link.dropped_count
                                    + link.inflight_count):
                 raise InvariantViolation(f"link {link.name}: packet count not conserved")

@@ -546,7 +546,7 @@ def test_cli_compare_missing_dir(tmp_path, capsys):
 
 
 NUMPY_BLOCKED_RUN = """
-import os, sys
+import importlib.util, os, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 sys.modules["dataclasses"] = None  # and so does any import of dataclasses
 import caspr.cli, caspr.runner
@@ -557,12 +557,15 @@ decode_matrices = codec._decode_matrix.cache_info().misses
 # taken before this script imports json for its own output
 loaded = [m for m in sys.modules if sys.modules[m] is not None]
 traced_rc = caspr.cli.main([*run, "--out", "traced", "--trace"])
+# derive_rng needs hashlib (and OpenSSL) only where the builtin SHA-256 is missing
+unwanted = {"numpy", "json", "inspect"}
+if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+    unwanted.add("hashlib")
 import json
 print(json.dumps({"rc": rc, "traced_rc": traced_rc, "decode_matrices": decode_matrices,
                   "files": sorted(os.listdir("out")),
                   "traced_files": sorted(os.listdir("traced")),
-                  "unwanted": sorted(m for m in loaded
-                                     if m.split(".")[0] in ("numpy", "json", "inspect"))}))
+                  "unwanted": sorted(m for m in loaded if m.split(".")[0] in unwanted)}))
 """
 
 
@@ -570,8 +573,9 @@ def test_a_run_never_imports_numpy(tmp_path):
     # numpy serves only the benchmark's gf256.gf_matmul wrapper; the CLI,
     # the runner and a run that decodes (so builds decode matrices) and
     # writes its CSVs must work with numpy unimportable.  A cold start
-    # also skips dataclasses (which pulls in inspect) and, without
-    # --trace, json; a traced run imports json and writes its trace
+    # also skips dataclasses (which pulls in inspect), hashlib where the
+    # builtin SHA-256 exists and, without --trace, json; a traced run
+    # imports json and writes its trace
     src = os.path.dirname(os.path.dirname(runner.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_BLOCKED_RUN], cwd=tmp_path,
