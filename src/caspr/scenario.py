@@ -24,6 +24,14 @@ the analysis.
 
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
+
+Files and ``--set`` values are read as a strict subset of YAML, parsed
+here: block mappings and sequences, one-line flow collections, plain
+and quoted scalars typed as PyYAML's SafeLoader types them, and
+comments.  Anything else (anchors, aliases, tags, block or multi-line
+scalars, tabs, duplicate keys, scalars such as ``010``, ``1_000`` or
+``.inf`` that YAML 1.1 reads as other types) raises ScenarioError with
+its line number.
 """
 
 from __future__ import annotations
@@ -34,16 +42,8 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-import yaml
-
 from . import netsim
 from .codec import InvalidParams, check_envelope
-
-
-# files and ``--set`` values parse with libyaml's parser when this PyYAML
-# was built with it, several times faster than the pure-Python one it
-# falls back to otherwise; both build the same safe types
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(Exception):
@@ -447,6 +447,189 @@ def validate(cfg: dict) -> Scenario:
     return tree
 
 
+# -- the YAML subset ----------------------------------------------------------
+# Parsed here rather than by PyYAML, whose import was the largest part of a
+# cold start.  What the subset accepts reads as PyYAML reads it; the rest
+# raises, so no document reads differently.
+
+# the null and bool words
+_WORDS = {form: value for value, words in ((None, "~ null"), (True, "yes true on"),
+                                           (False, "no false off"))
+          for word in words.split() for form in (word, word.capitalize(), word.upper())}
+# a plain scalar that YAML 1.1 would not read as a string: a decimal int (of
+# at most 100 digits, far inside int()'s limit) or dotted float, else a
+# form the subset rejects (another base, digit separators, sexagesimal,
+# .inf and .nan, timestamps, the merge and value keys, and whatever else
+# starts like a number)
+_TYPED = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]{0,99})\Z)"
+                    r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z)"
+                    r"|[-+]?\.|[-+]?[0-9]\S*\Z|[0-9]{4}-|<<\Z|=\Z")
+# a plain scalar runs to ": ", " #" or the end of the line, and inside a
+# flow collection also to a flow indicator: _PLAIN[in_flow]
+_PLAIN = (re.compile(r".(?:[^: ]|:(?=[^ ])| (?!#))*"),
+          re.compile(r".(?:[^: ,?[\]{}]|:(?=[^ ,[\]{}])| (?!#))*"))
+# a quoted scalar on one line: '' stands for ' inside single quotes, and a
+# double-quoted one may hold no escape sequence
+_QUOTED = re.compile(r"'((?:[^']|'')*)'|\"([^\"\\]*)\"")
+# what may not start a plain scalar: anchors, aliases, tags, block scalars,
+# directives, complex keys and the reserved indicators among them
+_INDICATORS = "?:,[]{}#&*!|>'\"%@`"
+
+
+def _is_entry(body: str) -> bool:
+    return body == "-" or body.startswith("- ")
+
+
+def _skip(s: str, i: int) -> int:
+    return len(s) - len(s[i:].lstrip(" "))
+
+
+class _YAMLParser:
+    """One document of the subset: block mappings and sequences (with
+    compact ``- key: value`` items), flow collections on one line, plain
+    and quoted scalars, and ``#`` comments."""
+
+    def __init__(self, text: str):
+        self.lines, self.at = [], 0  # [line number, indent, text after it]
+        for n, line in enumerate(text.split("\n"), 1):
+            body = line.lstrip(" ")
+            if not line.isprintable() or line.startswith(("---", "...")):
+                self.fail("a tab, a control character or a document marker", n)
+            if body[:1] not in ("", "#"):
+                self.lines.append([n, len(line) - len(body), body])
+
+    def fail(self, why: str, n: int | None = None):
+        raise ScenarioError(f"YAML parse error: line {n or self.lines[self.at][0]}: {why}")
+
+    def parse(self):
+        value = self.node(self.lines[0][1]) if self.lines else None
+        if self.at < len(self.lines):
+            self.fail("unexpected text or indentation")
+        return value
+
+    def node(self, indent: int):
+        body = self.lines[self.at][2]
+        if _is_entry(body):
+            return self.sequence(indent)
+        return self.mapping(indent) if self.key(body) else self.value(body, 0)
+
+    def nested(self, indent: int, entries_at_indent: bool):
+        """The block node below a bare ``key:`` or ``-``, or None."""
+        if self.at < len(self.lines):
+            _, col, body = self.lines[self.at]
+            if col > indent or entries_at_indent and col == indent and _is_entry(body):
+                return self.node(col)
+        return None
+
+    def mapping(self, indent: int) -> dict:
+        out = {}
+        while self.at < len(self.lines) and self.lines[self.at][1] >= indent:
+            _, col, body = self.lines[self.at]
+            found = col == indent and self.key(body)
+            if not found:
+                self.fail("expected 'key: value' at the mapping's indentation")
+            key, i = found
+            if key in out:
+                self.fail(f"duplicate key {key!r}")
+            i = _skip(body, i)
+            if body[i:i + 1] in ("", "#"):
+                self.at += 1
+                out[key] = self.nested(indent, True)
+            else:
+                out[key] = self.value(body, i)
+        return out
+
+    def sequence(self, indent: int) -> list:
+        out = []
+        while self.at < len(self.lines):
+            n, col, body = self.lines[self.at]
+            if col < indent or not _is_entry(body):
+                break
+            if col > indent:
+                self.fail("unexpected indentation")
+            rest = body[1:].lstrip(" ")
+            if rest[:1] in ("", "#"):
+                self.at += 1
+                out.append(self.nested(indent, False))
+            else:  # the item starts on the entry's line, at rest's column
+                col += len(body) - len(rest)
+                self.lines[self.at] = [n, col, rest]
+                out.append(self.node(col))
+        return out
+
+    def key(self, body: str):
+        """(key, index past its ':') when body opens with ``key:``."""
+        if _is_entry(body):
+            return None
+        key, i = self.inline(body, 0, False)
+        i = _skip(body, i)
+        if body[i:i + 1] != ":" or body[i + 1:i + 2] not in ("", " "):
+            return None
+        if isinstance(key, (list, dict)):
+            self.fail("a flow collection as a key")
+        return key, i + 1
+
+    def value(self, body: str, i: int):
+        """The scalar or flow collection that ends the line at body[i]."""
+        value, i = self.inline(body, i, False)
+        i = _skip(body, i)
+        if i < len(body) and body[i - 1:i + 1] != " #":
+            self.fail(f"unexpected text {body[i:]!r}")
+        self.at += 1
+        return value
+
+    def inline(self, s: str, i: int, in_flow: bool):
+        """The flow collection or scalar at s[i], and the index past it."""
+        c = s[i:i + 1]
+        if c in ("[", "{"):
+            return self.collection(s, i)
+        if c in ("'", '"'):
+            return self.quoted(s, i)
+        if c in _INDICATORS or _is_entry(s[i:i + 2]):  # "" too: nothing left
+            self.fail(f"unsupported YAML at {s[i:]!r}" if c else "the line ends early")
+        end = _PLAIN[in_flow].match(s, i).end()
+        return self.scalar(s[i:end].rstrip(" ")), end
+
+    def collection(self, s: str, i: int):
+        close = "]" if s[i] == "[" else "}"
+        out = [] if close == "]" else {}
+        i = _skip(s, i + 1)
+        while s[i:i + 1] != close:
+            value, i = self.inline(s, i, True)
+            if close == "]":
+                out.append(value)
+            else:
+                i = _skip(s, i)
+                if s[i:i + 1] != ":" or isinstance(value, (list, dict)):
+                    self.fail("expected 'key: value' in a flow mapping")
+                if value in out:
+                    self.fail(f"duplicate key {value!r}")
+                i = _skip(s, i + 1)
+                out[value], i = (None, i) if s[i:i + 1] in (",", "}") else self.inline(s, i, True)
+            i = _skip(s, i)
+            if s[i:i + 1] == ",":
+                i = _skip(s, i + 1)
+            elif s[i:i + 1] != close:
+                self.fail(f"expected ',' or {close!r} on the same line")
+        return out, i + 1
+
+    def quoted(self, s: str, i: int):
+        quoted = _QUOTED.match(s, i)
+        if quoted is None:
+            self.fail("an unclosed quote (a multi-line scalar?) or an escape sequence")
+        single, double = quoted.groups()
+        return (double if single is None else single.replace("''", "'")), quoted.end()
+
+    def scalar(self, text: str):
+        typed = None if text in _WORDS else _TYPED.match(text)
+        if typed is None:
+            return _WORDS.get(text, text)
+        if typed.lastgroup is None:
+            self.fail(f"{text!r} is neither a decimal int nor a dotted float, and "
+                      "YAML 1.1 may not read it as a string; quote it if it is one")
+        return (int if typed.lastgroup == "int" else float)(text)
+
+
 def _list_index(items: list, key: str, path: str) -> int:
     try:
         index = int(key)
@@ -459,7 +642,10 @@ def _list_index(items: list, key: str, path: str) -> int:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply ``dotted.path=value`` overrides; values parse as YAML."""
+    """Apply ``dotted.path=value`` overrides.  Each value is one line of
+    the scenario files' YAML subset: a scalar, typed as in a file, or a
+    flow collection such as ``[1, 2]`` or ``{kind: bernoulli, p: 0.05}``;
+    what the subset rejects raises ScenarioError."""
     out = copy.deepcopy(cfg)
     for item in overrides:
         if "=" not in item:
@@ -469,9 +655,9 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ScenarioError(f"override {item!r} has an empty path segment")
         try:
-            value = yaml.load(raw, _YAML_LOADER)
-        except yaml.YAMLError as e:
-            raise ScenarioError(f"override {item!r}: unparseable value ({e})")
+            value = _YAMLParser(raw).parse()
+        except ScenarioError as e:
+            raise ScenarioError(f"override {item!r}: unparseable value ({e})") from None
         node = out
         for key in keys[:-1]:
             if isinstance(node, list):
@@ -492,11 +678,13 @@ def load(path: str, overrides: list[str] | None = None) -> Scenario:
     """Load, override, and validate a scenario file."""
     try:
         with open(path) as f:
-            raw = yaml.load(f, _YAML_LOADER)
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}")
-    except yaml.YAMLError as e:
-        raise ScenarioError(f"{path}: YAML parse error: {e}")
+    try:
+        raw = _YAMLParser(text).parse()
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     if overrides:

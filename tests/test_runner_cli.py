@@ -549,6 +549,7 @@ NUMPY_BLOCKED_RUN = """
 import importlib.util, os, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 sys.modules["dataclasses"] = None  # and so does any import of dataclasses
+sys.modules["yaml"] = None  # and of PyYAML
 import caspr.cli, caspr.runner
 from caspr import codec
 run = ["run", "short_flow_nack_economy", "--seed", "21", "--set", "duration_s=5"]
@@ -558,7 +559,7 @@ decode_matrices = codec._decode_matrix.cache_info().misses
 loaded = [m for m in sys.modules if sys.modules[m] is not None]
 traced_rc = caspr.cli.main([*run, "--out", "traced", "--trace"])
 # derive_rng needs hashlib (and OpenSSL) only where the builtin SHA-256 is missing
-unwanted = {"numpy", "json", "inspect"}
+unwanted = {"numpy", "json", "inspect", "yaml"}
 if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
     unwanted.add("hashlib")
 import json
@@ -573,9 +574,10 @@ def test_a_run_never_imports_numpy(tmp_path):
     # numpy serves only the benchmark's gf256.gf_matmul wrapper; the CLI,
     # the runner and a run that decodes (so builds decode matrices) and
     # writes its CSVs must work with numpy unimportable.  A cold start
-    # also skips dataclasses (which pulls in inspect), hashlib where the
-    # builtin SHA-256 exists and, without --trace, json; a traced run
-    # imports json and writes its trace
+    # also skips dataclasses (which pulls in inspect), PyYAML (scenario
+    # files parse in caspr.scenario), hashlib where the builtin SHA-256
+    # exists and, without --trace, json; a traced run imports json and
+    # writes its trace
     src = os.path.dirname(os.path.dirname(runner.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_BLOCKED_RUN], cwd=tmp_path,

@@ -6,12 +6,15 @@ import re
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caspr.egress import EgressRecovery
 from caspr.endpoint import Receiver
 from caspr.metrics import RunLog
 from caspr.scenario import (
     CROSS_FLUSH_US,
+    _YAMLParser,
     Flows,
     Link,
     ScenarioError,
@@ -449,6 +452,126 @@ def test_both_yaml_parsers_read_the_bundled_files_alike():
         assert load(bundled_path(name)) == validate(yaml.load(text, yaml.SafeLoader)), name
 
 
+# -- the YAML subset, with PyYAML as the oracle -------------------------------
+
+# identifier-like strings, from letters that also spell yes, no, on, off,
+# true, false and null
+IDENTIFIERS = st.builds("{}{}".format, st.sampled_from("aefilnorstuy"),
+                        st.text("aefilnorstuy_09", max_size=5))
+# strings that PyYAML must quote, or that the subset may refuse
+TRICKY = ["yes", "No", "on", "OFF", "null", "~", "010", "0x1f", "1e5", "1_000",
+          "1:30", ".inf", "2001-12-14", "<<", "=", "'q'", '"q"', "it's", "a: b",
+          "a #b", "2 parity over 20", "- x", "-", "#", "[x]", "{x: y}", "x, y",
+          "?", "&a", "*a", "!t", "|", ">", "%", "@", "`", "", " padded "]
+KEYS = IDENTIFIERS | st.sampled_from(TRICKY)
+SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**12)
+           | st.floats(allow_nan=False, allow_infinity=False) | KEYS)
+DOCUMENTS = st.recursive(
+    st.lists(SCALARS, max_size=3) | st.dictionaries(KEYS, SCALARS, max_size=3),
+    lambda inner: (st.lists(inner | SCALARS, max_size=3)
+                   | st.dictionaries(KEYS, inner | SCALARS, max_size=3)),
+    max_leaves=12)
+
+
+def typed(value):
+    """value with the type of every node and scalar spelled out"""
+    if isinstance(value, dict):
+        return "dict", [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return "list", [typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def strings(value):
+    if isinstance(value, dict):
+        return [s for k, v in value.items() for s in strings(k) + strings(v)]
+    if isinstance(value, list):
+        return [s for v in value for s in strings(v)]
+    return [value] if isinstance(value, str) else []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=DOCUMENTS)
+def test_the_yaml_subset_reads_what_pyyaml_reads_or_refuses(doc):
+    # only a tricky string may be refused; identifiers, numbers, bools
+    # and nulls always parse
+    plain = all(s.isidentifier() for s in strings(doc))
+    # block, flow and mixed style, every line unfolded: the subset reads
+    # no multi-line scalar or flow collection
+    for flow_style in (False, True, None):
+        text = yaml.safe_dump(doc, default_flow_style=flow_style, width=2**30)
+        try:
+            got = _YAMLParser(text).parse()
+        except ScenarioError:
+            assert not plain, text
+            continue
+        assert typed(got) == typed(yaml.load(text, yaml.SafeLoader)), text
+
+
+def test_the_subset_types_scalars_as_pyyaml_does():
+    forms = ["~", "null", "Null", "NULL", "0", "-0", "+7", "12", "1.0", "1.", "-01.5",
+             "1.0e-05", "2.5E+3", "'it''s'", "''", '"q"', "y", "bernoulli",
+             "2 parity over 20", "[1, 2.5, x]", "{kind: bernoulli, p: 0.05}"]
+    forms += [form for word in ("yes", "no", "true", "false", "on", "off")
+              for form in (word, word.capitalize(), word.upper())]
+    for form in forms:
+        text = f"k: {form}"
+        assert typed(_YAMLParser(text).parse()) == typed(yaml.safe_load(text)), form
+
+
+# scalars as a person types them, not as a dumper writes them
+TOKENS = st.lists(st.sampled_from([
+    "0", "1", "07", "1.0", "-", "+", ".", "e", "E", "e5", "e-05", "_", ":", "x",
+    "~", " ", "#", " #c", "'", '"', ",", "yes", "Yes", "NO", "on", "Off", "null",
+    "NULL", "true", "FALSE", "y", "inf", "nan"]), min_size=1, max_size=5).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(token=TOKENS, in_flow=st.booleans())
+def test_typed_scalars_read_as_pyyaml_reads_them_or_fail(token, in_flow):
+    text = f"[{token}]" if in_flow else f"k: {token}"
+    try:
+        got = _YAMLParser(text).parse()
+    except ScenarioError:
+        return
+    try:
+        expected = yaml.load(text, yaml.SafeLoader)
+    except yaml.YAMLError:
+        pytest.fail(f"{text!r} read as {got!r}, but PyYAML refuses it")
+    assert typed(got) == typed(expected), text
+
+
+@pytest.mark.parametrize("text,line", [
+    pytest.param("a: 1\nb: &x 2\n", 2, id="anchor"),
+    pytest.param("a: 1\nb: *x\n", 2, id="alias"),
+    pytest.param("a: !!str 1\n", 1, id="tag"),
+    pytest.param("a: |\n  text\n", 1, id="literal-block-scalar"),
+    pytest.param("a: >\n  text\n", 1, id="folded-block-scalar"),
+    pytest.param("a: 1\nb: one\n  two\n", 3, id="multi-line-plain"),
+    pytest.param("a: 'one\n  two'\n", 1, id="multi-line-quoted"),
+    pytest.param("a: [1,\n  2]\n", 1, id="multi-line-flow"),
+    pytest.param("a:\n\tb: 1\n", 2, id="tab-indentation"),
+    pytest.param("a: 1\nb: 2\na: 3\n", 3, id="duplicate-key"),
+    pytest.param("a: {b: 1, b: 2}\n", 1, id="duplicate-flow-key"),
+    pytest.param("a: \"x\\ty\"\n", 1, id="escape-sequence"),
+    pytest.param("a: 010\n", 1, id="octal"),
+    pytest.param("a: 0x1f\n", 1, id="hex"),
+    pytest.param("a: 1_000\n", 1, id="digit-separator"),
+    pytest.param("a: 1:30\n", 1, id="sexagesimal"),
+    pytest.param("a: .inf\n", 1, id="infinity"),
+    pytest.param("a: 1.0e5\n", 1, id="unsigned-exponent"),
+    pytest.param("a: 1\nb: " + "1" * 5000 + "\n", 2, id="int-past-int-conversion-limit"),
+    pytest.param("a: 2001-12-14\n", 1, id="timestamp"),
+    pytest.param("a: 1\n<<: {b: 2}\n", 2, id="merge-key"),
+    pytest.param("--- \na: 1\n", 1, id="document-marker"),
+])
+def test_yaml_outside_the_subset_fails_with_its_line(tmp_path, text, line):
+    p = tmp_path / "x.yaml"
+    p.write_text(text)
+    with pytest.raises(ScenarioError, match=f"YAML parse error: line {line}: "):
+        load(str(p))
+
+
 def test_every_bundled_scenario_validates():
     names = bundled_names()
     assert set(names) >= {
@@ -501,3 +624,5 @@ def test_documented_recipes_apply():
         path = bundled_path(name)
         assert path, f"no bundled scenario named in {name!r}"
         load(path, [override])
+        value = override.partition("=")[2]
+        assert typed(_YAMLParser(value).parse()) == typed(yaml.safe_load(value)), override
