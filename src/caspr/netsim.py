@@ -10,26 +10,31 @@ node orders process identical event sequences: the tiebreak is a
 schedule counter, just scoped per origin instead of global, and no two
 entries ever compare past it.
 
-``SimEnv.send`` is the one send implementation: it sizes the message
-through ``wire.wire_size``, draws the link's loss and jitter, keeps the
-link's sent and dropped counters and writes the trace line; the run
-loop keeps the delivered ones.  Nothing counts a message in flight as
-it goes: ``check_conservation`` counts the deliveries still pending in
-the heap, per link, and stores them as the link's in-flight totals,
-which are valid after that check.  A node sets a timer only through
-``SimEnv.schedule``; ``Simulator.at`` sets one before the run.
+A link defines no loss process: it takes a ``drop(now_us) -> bool``
+when it is added (``scenario``'s loss records build them), or None if
+it cannot drop.  ``SimEnv.send`` is the one send implementation: it
+sizes the message through ``wire.wire_size``, calls the link's drop,
+draws its jitter, keeps the link's sent and dropped counters and
+writes the trace line; the run loop keeps the delivered ones.  Nothing
+counts a message in flight as it goes: ``check_conservation`` counts
+the deliveries still pending in the heap, per link, and stores them as
+the link's in-flight totals, which are valid after that check.  A node
+sets a timer only through ``SimEnv.schedule``; ``Simulator.at`` sets
+one before the run.
 
 Handlers are bound once, at freeze: each link keeps its destination's
-``on_message`` and its own loss and jitter draws, and the simulator
-keeps each node's ``on_timer`` in a list indexed by origin, so the
-loop looks nothing up by name.  Each node's env is bound to the links
-leaving it, so a node sends only on its own links.  Those bound
-methods close a cycle (node -> env -> simulator), and ``close()``
-breaks it by dropping the nodes, the handlers and the pending events.
+``on_message``, and the simulator keeps each node's ``on_timer`` in a
+list indexed by origin, so the loop looks nothing up by name.  Each
+node's env is bound to the links leaving it, so a node sends only on
+its own links.  Those bound methods close a cycle (node -> env ->
+simulator), and ``close()`` breaks it by dropping the nodes, the
+handlers and the pending events.
 
-Every link owns two private random streams (loss and jitter), seeded by
-hashing the master seed with the link's name (SHA-256), so adding or
-reseeding one link never perturbs the draws of another.
+Every link has two private random streams, seeded by hashing the
+master seed with the link's name (SHA-256), so adding or reseeding one
+link never perturbs the draws of another: the jitter stream, whose
+``getrandbits`` the link keeps from the start, and the loss stream,
+``Simulator.loss_rng``, that the caller builds the link's drop from.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import random
 from heapq import heappop, heappush
 from itertools import count
 from operator import attrgetter
-from typing import IO, Protocol
+from typing import IO, Callable, Protocol
 
 from . import wire
 
@@ -64,99 +69,10 @@ class InvariantViolation(RuntimeError):
     """A run broke a property every run must hold."""
 
 
-class LossModel(Protocol):
-    def drop(self, now_us: int) -> bool: ...
-
-
-class Bernoulli:
-    """Independent loss with fixed probability."""
-
-    def __init__(self, p: float, rng: random.Random):
-        self.p = p
-        self.rng = rng
-
-    def drop(self, now_us: int) -> bool:
-        if self.p <= 0.0:
-            return False
-        return self.rng.random() < self.p
-
-
-class GilbertElliott:
-    """Two-state burst model: GOOD/BAD with per-state loss rates.
-
-    The loss draw uses the current state, then the state transitions,
-    so a packet can be lost on the step that leaves GOOD.
-    """
-
-    GOOD, BAD = 0, 1
-
-    def __init__(self, p_good_bad: float, p_bad_good: float,
-                 loss_good: float, loss_bad: float, rng: random.Random):
-        self.p_good_bad = p_good_bad
-        self.p_bad_good = p_bad_good
-        self.loss = (loss_good, loss_bad)
-        self.state = self.GOOD
-        self.rng = rng
-
-    def drop(self, now_us: int) -> bool:
-        lost = self.rng.random() < self.loss[self.state]
-        flip = self.p_good_bad if self.state == self.GOOD else self.p_bad_good
-        if self.rng.random() < flip:
-            self.state ^= 1
-        return lost
-
-
-class GoogleBurst:
-    """Burst loss shaped like wide-area measurements: a burst starts with
-    probability p_first and each further packet stays lost with
-    probability p_cont (mean burst 1/(1-p_cont), so 2.0 packets at
-    p_cont = 0.5)."""
-
-    def __init__(self, p_first: float, p_cont: float, rng: random.Random):
-        self.p_first = p_first
-        self.p_cont = p_cont
-        self.prev_lost = False
-        self.rng = rng
-
-    def drop(self, now_us: int) -> bool:
-        p = self.p_cont if self.prev_lost else self.p_first
-        self.prev_lost = self.rng.random() < p
-        return self.prev_lost
-
-
-class ScheduledOutage:
-    """Drops everything inside [start, end) windows of virtual time."""
-
-    def __init__(self, intervals_us: list[tuple[int, int]]):
-        self.intervals = sorted(intervals_us)
-
-    def drop(self, now_us: int) -> bool:
-        for start, end in self.intervals:
-            if start <= now_us < end:
-                return True
-            if now_us < start:
-                break
-        return False
-
-
-class Composite:
-    """Drop if any child model drops.  Children still consume their
-    draws in order, keeping streams aligned across configurations."""
-
-    def __init__(self, models: list[LossModel]):
-        self.models = models
-
-    def drop(self, now_us: int) -> bool:
-        dropped = False
-        for m in self.models:
-            if m.drop(now_us):
-                dropped = True
-        return dropped
-
-
 class Link:
     def __init__(self, name: str, src: str, dst: str, delay_us: int,
-                 jitter_us: int, loss: LossModel | None, jitter_rng: random.Random):
+                 jitter_us: int, drop: Callable[[int], bool] | None,
+                 getrandbits: Callable[[int], int]):
         if delay_us < 0 or jitter_us < 0:
             raise ValueError(f"link {name}: negative delay or jitter")
         if jitter_us > delay_us:
@@ -166,16 +82,12 @@ class Link:
         self.dst = dst
         self.delay_us = delay_us
         self.jitter_us = jitter_us
-        # the two draw sources; send calls the methods bound from them at
-        # freeze (drop, getrandbits), so swapping either later has no effect
-        self.loss = loss
-        self.jitter_rng = jitter_rng
+        self.drop = drop  # drop(now_us) -> bool, drawn on every send; None: lossless
+        self.getrandbits = getrandbits  # the jitter stream's draw
         # randint(-j, j) draws getrandbits(bits) until the value is below span
         self.jitter_span = 2 * jitter_us + 1
         self.jitter_bits = self.jitter_span.bit_length()
         self.deliver = None      # the destination's on_message, bound at freeze
-        self.drop = None         # loss.drop, bound at freeze; None: lossless
-        self.getrandbits = None  # jitter_rng.getrandbits, bound at freeze
         self.idx = -1        # origin index, assigned at freeze
         self.seq = count()   # per-origin tiebreak for its deliveries
         self.sent_count = 0
@@ -277,13 +189,13 @@ class Simulator:
         return env
 
     def add_link(self, name: str, src: str, dst: str, *, delay_us: int,
-                 jitter_us: int = 0, loss: LossModel | None = None) -> Link:
+                 jitter_us: int = 0, drop: Callable[[int], bool] | None = None) -> Link:
         if self._frozen:
             raise RuntimeError("topology is frozen")
         if name in self.links or name in self.nodes:
             raise ValueError(f"duplicate name {name!r}")
-        link = Link(name, src, dst, delay_us, jitter_us, loss,
-                    derive_rng(self.master_seed, "link", name, "jitter"))
+        link = Link(name, src, dst, delay_us, jitter_us, drop,
+                    derive_rng(self.master_seed, "link", name, "jitter").getrandbits)
         self.links[name] = link
         return link
 
@@ -308,8 +220,6 @@ class Simulator:
                     raise ValueError(f"link {name}: unknown node {end!r}")
             link.idx = idx
             link.deliver = self.nodes[link.dst].on_message
-            link.drop = link.loss.drop if link.loss is not None else None
-            link.getrandbits = link.jitter_rng.getrandbits
             self.nodes[link.src].env._links[name] = link
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):

@@ -57,24 +57,17 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
     try:
         run_log = metrics.RunLog(cfg.flows.count)
 
-        def add_link(name, src, dst, link, loss):
+        def add_link(name, src, dst, link, drop):
             return sim.add_link(name, src, dst, delay_us=link.delay_us,
-                                jitter_us=link.jitter_us, loss=loss)
+                                jitter_us=link.jitter_us, drop=drop)
 
         def add_lossy_link(name, src, dst, link):
-            add_link(name, src, dst, link, link.loss_model(sim.loss_rng(name)))
+            add_link(name, src, dst, link, link.dropper(sim.loss_rng(name)))
 
-        # links first so loss models can draw from per-link streams
         for i, fl in enumerate(links):
-            model = topo.direct.loss_model(sim.loss_rng(fl.direct))
-            windows = cfg.outages_us(i)
-            if windows:
-                parts = [netsim.ScheduledOutage(windows)]
-                if model is not None:
-                    parts.append(model)
-                model = netsim.Composite(parts)
             # the ledger learns each direct-path loss and its send time here
-            direct = add_link(fl.direct, f"s{i}", f"r{i}", topo.direct, model)
+            direct = add_link(fl.direct, f"s{i}", f"r{i}", topo.direct,
+                              cfg.direct_dropper(i, sim.loss_rng(fl.direct)))
             direct.on_drop = run_log.record_loss
             add_lossy_link(fl.dup, f"s{i}", "dc1", topo.access)
         add_lossy_link(INTER_DC_LINK, "dc1", "dc2", topo.inter_dc)

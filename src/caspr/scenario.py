@@ -22,6 +22,11 @@ between the DCs, for the runner, the nodes and the analysis;
 ``Scenario.outages_us`` gives a flow's outage windows to the runner and
 the analysis.
 
+Each loss kind is declared once, as a record whose ``dropper(rng)``
+builds the ``drop(now_us) -> bool`` a simulator link calls on every
+send, drawing from the link's loss stream; ``Scenario.direct_dropper``
+adds a flow's outage windows to its direct path's.
+
 Validation is strict; unknown keys are rejected so a typo fails loudly
 instead of silently running with a default.
 
@@ -42,7 +47,6 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-from . import netsim
 from .codec import InvalidParams, check_envelope
 
 
@@ -238,27 +242,55 @@ IN_FLUSH_US = 50_000
 class BernoulliLoss(Record):
     p: float = number(ge=0, le=1)
 
-    def model(self, rng) -> netsim.LossModel:
-        return netsim.Bernoulli(self.p, rng)
+    def dropper(self, rng):
+        if self.p <= 0.0:
+            return None  # lossless: draws nothing
+        p, random = self.p, rng.random
+        return lambda now_us: random() < p
 
 
 class GilbertElliottLoss(Record):
+    """Two-state burst process, GOOD then BAD, with a loss rate per state.
+    A send's loss is drawn in the current state before the state may
+    flip, so a packet can be lost on the step that leaves GOOD."""
+
     p_good_bad: float = number(ge=0, le=1)
     p_bad_good: float = number(ge=0, le=1)
     loss_good: float = number(ge=0, le=1)
     loss_bad: float = number(ge=0, le=1)
 
-    def model(self, rng) -> netsim.LossModel:
-        return netsim.GilbertElliott(self.p_good_bad, self.p_bad_good,
-                                     self.loss_good, self.loss_bad, rng)
+    def dropper(self, rng):
+        random = rng.random
+        loss = (self.loss_good, self.loss_bad)
+        flip = (self.p_good_bad, self.p_bad_good)
+        state = 0  # GOOD
+
+        def drop(now_us):
+            nonlocal state
+            lost = random() < loss[state]
+            if random() < flip[state]:
+                state ^= 1
+            return lost
+        return drop
 
 
 class GoogleBurstLoss(Record):
+    """Burst loss shaped like wide-area measurements: a burst starts with
+    probability p_first and each further send stays lost with
+    probability p_cont (mean burst 1/(1-p_cont), 2.0 sends at 0.5)."""
+
     p_first: float = number(0.01, ge=0, le=1)
     p_cont: float = number(0.5, ge=0, le=1)
 
-    def model(self, rng) -> netsim.LossModel:
-        return netsim.GoogleBurst(self.p_first, self.p_cont, rng)
+    def dropper(self, rng):
+        random, p_first, p_cont = rng.random, self.p_first, self.p_cont
+        lost = False
+
+        def drop(now_us):
+            nonlocal lost
+            lost = random() < (p_cont if lost else p_first)
+            return lost
+        return drop
 
 
 LOSS_KINDS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss,
@@ -278,8 +310,10 @@ class Link(Record):
         """Largest one-way delay, jitter included."""
         return int(round((self.delay_ms + self.jitter_ms) * 1000))
 
-    def loss_model(self, rng) -> netsim.LossModel | None:
-        return self.loss.model(rng) if self.loss else None
+    def dropper(self, rng):
+        """The link's drop(now_us) -> bool, drawing from rng, or None for
+        a link that cannot drop."""
+        return self.loss.dropper(rng) if self.loss else None
 
 
 class Topology(Record):
@@ -378,6 +412,21 @@ class Scenario(Record):
     def outages_us(self, flow: int) -> list[tuple[int, int]]:
         """The flow's scheduled outages, as sorted [start_us, end_us) windows."""
         return sorted((o.start_us, o.end_us) for o in self.outages if o.flow == flow)
+
+    def direct_dropper(self, flow: int, rng):
+        """The flow's direct-path drop(now_us): a send inside one of its
+        outage windows drops, and so does one the direct loss process
+        drops.  That process draws on every send, in a window or not, so
+        its stream is the same with or without outages."""
+        drop = self.topology.direct.dropper(rng)
+        windows = self.outages_us(flow)
+        if not windows:
+            return drop
+
+        def drop_or_outage(now_us):
+            lost = drop is not None and drop(now_us)
+            return lost or any(start <= now_us < end for start, end in windows)
+        return drop_or_outage
 
     @property
     def rtt_us(self) -> int:

@@ -238,8 +238,6 @@ def serialize(msg: Message) -> bytes:
     _check_u(flags, 16, "flags")
     if len(payload) > 0xFFFF:
         raise FieldOverflow(f"payload of {len(payload)} bytes exceeds 65535")
-    if len(ext) > 0xFFFF:
-        raise FieldOverflow(f"extension of {len(ext)} bytes exceeds 65535")
     header = _BASE.pack(VERSION, pkt_type, flags,
                         _check_u(flow_id, 64, "flow_id"),
                         _check_u(seq, 64, "seq"),

@@ -1,4 +1,5 @@
-"""Simulator determinism, loss models, byte conservation."""
+"""Simulator determinism, the scenario's loss processes on links, byte
+conservation."""
 
 from __future__ import annotations
 
@@ -17,15 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caspr import netsim, wire
-from caspr.netsim import (
-    Bernoulli,
-    Composite,
-    GilbertElliott,
-    GoogleBurst,
-    ScheduledOutage,
-    Simulator,
-    derive_rng,
-)
+from caspr.netsim import Simulator, derive_rng
+from caspr.scenario import BernoulliLoss, GilbertElliottLoss, GoogleBurstLoss, validate
 
 
 class Recorder:
@@ -61,12 +55,12 @@ class Chatter:
             self.env.schedule(self.gap_us, token)
 
 
-def build(seed=1, loss=None, delay_us=1000, jitter_us=0, trace=None):
+def build(seed=1, drop=None, delay_us=1000, jitter_us=0, trace=None):
     sim = Simulator(seed, trace_file=trace)
     a, b = Chatter("a>b", 50, 100), Recorder()
     sim.add_node("a", a)
     sim.add_node("b", b)
-    sim.add_link("a>b", "a", "b", delay_us=delay_us, jitter_us=jitter_us, loss=loss)
+    sim.add_link("a>b", "a", "b", delay_us=delay_us, jitter_us=jitter_us, drop=drop)
     sim.at(0, "a", ("tick",))
     return sim, a, b
 
@@ -80,11 +74,13 @@ def test_lossless_link_delivers_everything_in_order():
 
 
 def test_bernoulli_zero_and_one():
-    sim, _, b = build(loss=Bernoulli(0.0, random.Random(1)))
+    # p = 0 gives no drop function at all: the link draws nothing
+    assert BernoulliLoss(p=0.0).dropper(random.Random(1)) is None
+    sim, _, b = build(drop=BernoulliLoss(p=0.0).dropper(random.Random(1)))
     sim.run(1_000_000)
     assert len(b.messages) == 50
 
-    sim2, _, b2 = build(loss=Bernoulli(1.0, random.Random(1)))
+    sim2, _, b2 = build(drop=BernoulliLoss(p=1.0).dropper(random.Random(1)))
     sim2.run(1_000_000)
     assert not b2.messages
     assert sim2.links["a>b"].dropped_count == 50
@@ -98,9 +94,27 @@ def dropped_seqs(link):
     return seqs
 
 
+def one_flow(loss=None, outages=()):
+    """A validated one-flow scenario with this direct loss and outages."""
+    links = {name: {"delay_ms": 1.0} for name in ("direct", "access", "inter_dc", "recovery")}
+    if loss:
+        links["direct"]["loss"] = loss
+    return validate({"name": "one", "duration_s": 1.0, "cooldown_s": 0.0, "seeds": [1],
+                     "topology": links, "outages": list(outages),
+                     "flows": {"count": 1, "packet_size": 8, "interval_ms": 0.1,
+                               "on_s": 1.0},
+                     "coding": {"k_max": 2, "parity_cross": 1}})
+
+
+# flow 0's outage in [1000, 2000) us
+OUTAGE = [{"flow": 0, "start_s": 0.001, "end_s": 0.002}]
+
+
 def test_scheduled_outage_window():
     # packets go out at t = 0, 100, 200, ...; outage in [1000, 2000)
-    sim, _, b = build(loss=ScheduledOutage([(1000, 2000)]))
+    cfg = one_flow(outages=OUTAGE)
+    assert cfg.outages_us(0) == [(1000, 2000)]
+    sim, _, b = build(drop=cfg.direct_dropper(0, random.Random(1)))
     dropped = dropped_seqs(sim.links["a>b"])
     sim.run(1_000_000)
     sent_times = [100 * i for i in range(50)]
@@ -110,14 +124,31 @@ def test_scheduled_outage_window():
     assert dropped == list(range(10, 20))
 
 
+def test_the_direct_loss_draws_inside_an_outage():
+    # the loss process draws on every send, in the window too, so the
+    # drops after the window are those of the same seed without it
+    def dropped(outages):
+        cfg = one_flow({"kind": "bernoulli", "p": 0.3}, outages)
+        sim, _, _ = build(drop=cfg.direct_dropper(0, random.Random(8)))
+        seqs = dropped_seqs(sim.links["a>b"])
+        sim.run(1_000_000)
+        return seqs
+
+    plain, with_outage = dropped(()), dropped(OUTAGE)
+    assert set(range(10, 20)) <= set(with_outage)
+    after = [s for s in plain if s >= 20]
+    assert after and [s for s in with_outage if s >= 20] == after
+    assert [s for s in with_outage if s < 10] == [s for s in plain if s < 10]
+
+
 def test_google_burst_mean_burst_length():
     # frozen Monte Carlo oracle: at p_cont = 0.5 the mean burst length
     # must come out 2.0 +/- 0.05 over one million sends
-    model = GoogleBurst(0.01, 0.5, random.Random(123))
+    drop = GoogleBurstLoss(p_first=0.01, p_cont=0.5).dropper(random.Random(123))
     bursts = []
     run = 0
     for _ in range(1_000_000):
-        if model.drop(0):
+        if drop(0):
             run += 1
         elif run:
             bursts.append(run)
@@ -130,18 +161,25 @@ def test_google_burst_mean_burst_length():
 
 
 def test_gilbert_elliott_states():
-    ge = GilbertElliott(0.0, 0.0, 0.0, 1.0, random.Random(5))
-    assert not any(ge.drop(0) for _ in range(100))  # stuck in GOOD, lossless
-    ge_bad = GilbertElliott(1.0, 0.0, 0.0, 1.0, random.Random(5))
-    ge_bad.drop(0)  # first packet drawn in GOOD, then flips to BAD forever
-    assert all(ge_bad.drop(0) for _ in range(100))
+    good = GilbertElliottLoss(p_good_bad=0.0, p_bad_good=0.0, loss_good=0.0,
+                              loss_bad=1.0).dropper(random.Random(5))
+    assert not any(good(0) for _ in range(100))  # stuck in GOOD, lossless
+    bad = GilbertElliottLoss(p_good_bad=1.0, p_bad_good=0.0, loss_good=0.0,
+                             loss_bad=1.0).dropper(random.Random(5))
+    bad(0)  # first packet drawn in GOOD, then flips to BAD forever
+    assert all(bad(0) for _ in range(100))
 
 
 def test_composite_any_drop():
-    always = Bernoulli(1.0, random.Random(1))
-    never = Bernoulli(0.0, random.Random(2))
-    assert Composite([never, always]).drop(0)
-    assert not Composite([never, never]).drop(0)
+    # a send drops if the outage or the loss process drops it
+    sends = range(0, 5000, 100)
+    always = one_flow({"kind": "bernoulli", "p": 1.0}, OUTAGE).direct_dropper(0, random.Random(1))
+    assert all(always(t) for t in sends)
+    # Gilbert-Elliott stuck in GOOD draws on every send and never drops
+    stuck = {"kind": "gilbert_elliott", "p_good_bad": 0, "p_bad_good": 0,
+             "loss_good": 0, "loss_bad": 1}
+    never = one_flow(stuck, OUTAGE).direct_dropper(0, random.Random(2))
+    assert [t for t in sends if never(t)] == list(range(1000, 2000, 100))
 
 
 def test_jitter_bounds_and_determinism():
@@ -172,7 +210,7 @@ def test_jitter_draws_are_randint_draws(seed, jitter):
     env = sim.add_node("a", Recorder())
     sim.add_node("b", Recorder())
     link = sim.add_link("a>b", "a", "b", delay_us=jitter, jitter_us=jitter)
-    link.jitter_rng = random.Random(seed)
+    link.getrandbits = random.Random(seed).getrandbits
     sim._freeze()
     for _ in range(40):
         env.send("a>b", wire.Ack(1, 0, 0))
@@ -196,12 +234,12 @@ def test_per_link_streams_independent():
         a, b = Recorder(), Recorder()
         sim.add_node("a", a)
         sim.add_node("b", b)
-        dropped = dropped_seqs(sim.add_link("direct", "a", "b", delay_us=10,
-                                            loss=Bernoulli(0.3, sim.loss_rng("direct"))))
+        drop = BernoulliLoss(p=0.3).dropper(sim.loss_rng("direct"))
+        dropped = dropped_seqs(sim.add_link("direct", "a", "b", delay_us=10, drop=drop))
         if with_cloud:
             sim.add_node("c", Recorder())
             sim.add_link("cloud", "a", "c", delay_us=10,
-                         loss=Bernoulli(0.9, sim.loss_rng("cloud")))
+                         drop=BernoulliLoss(p=0.9).dropper(sim.loss_rng("cloud")))
         env = a.env
         sim._freeze()
         for i in range(200):
@@ -234,8 +272,8 @@ def test_node_insertion_order_invariance():
 def test_same_seed_same_trace_bytes():
     def trace_once():
         buf = io.StringIO()
-        sim, _, _ = build(seed=42, loss=Bernoulli(0.2, random.Random(0)), trace=buf)
-        sim.links["a>b"].loss = Bernoulli(0.2, sim.loss_rng("a>b"))
+        drop = BernoulliLoss(p=0.2).dropper(derive_rng(42, "link", "a>b", "loss"))
+        sim, _, _ = build(seed=42, drop=drop, trace=buf)
         sim.run(1_000_000)
         return buf.getvalue()
 

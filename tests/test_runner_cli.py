@@ -539,6 +539,15 @@ def test_cli_compare_requires_pooled_row(tmp_path, capsys):
     assert "no pooled" in capsys.readouterr().err
 
 
+def test_cli_compare_rejects_a_header_only_summary(tmp_path, capsys):
+    d = tmp_path / "y"
+    d.mkdir()
+    (d / "summary.csv").write_text("schema,seed\n")
+    rc = main(["compare", str(d)])
+    assert rc == 2
+    assert "summary.csv is empty" in capsys.readouterr().err
+
+
 def test_cli_compare_missing_dir(tmp_path, capsys):
     rc = main(["compare", str(tmp_path / "absent")])
     assert rc == 2

@@ -445,8 +445,8 @@ def test_load_reports_yaml_syntax(tmp_path):
 
 
 def test_both_yaml_parsers_read_the_bundled_files_alike():
-    # load parses with libyaml when PyYAML was built with it and in pure
-    # Python otherwise; a scenario must mean the same on either install
+    # load reads files with caspr's own YAML-subset parser; each bundled
+    # scenario must mean what PyYAML's pure-Python SafeLoader reads
     for name in bundled_names():
         text = pathlib.Path(bundled_path(name)).read_text()
         assert load(bundled_path(name)) == validate(yaml.load(text, yaml.SafeLoader)), name
@@ -541,6 +541,16 @@ def test_typed_scalars_read_as_pyyaml_reads_them_or_fail(token, in_flow):
     assert typed(got) == typed(expected), text
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("a:\n-\n  b: 1\n- 2\n", {"a": [{"b": 1}, 2]}),
+    ("-\n  - 1\n", [[1]]),
+])
+def test_nodes_below_a_bare_entry_read_as_pyyaml_reads_them(text, expected):
+    # a sequence may sit at its key's indentation, and a bare "-" holds
+    # the block node indented below it
+    assert _YAMLParser(text).parse() == yaml.load(text, yaml.SafeLoader) == expected
+
+
 @pytest.mark.parametrize("text,line", [
     pytest.param("a: 1\nb: &x 2\n", 2, id="anchor"),
     pytest.param("a: 1\nb: *x\n", 2, id="alias"),
@@ -564,6 +574,13 @@ def test_typed_scalars_read_as_pyyaml_reads_them_or_fail(token, in_flow):
     pytest.param("a: 2001-12-14\n", 1, id="timestamp"),
     pytest.param("a: 1\n<<: {b: 2}\n", 2, id="merge-key"),
     pytest.param("--- \na: 1\n", 1, id="document-marker"),
+    # PyYAML folds the deeper entry into the scalar: {'a': ['1 - 2']}
+    pytest.param("a:\n  - 1\n   - 2\n", 3, id="entry-past-its-sequence"),
+    pytest.param("[1]: x\n", 1, id="flow-collection-key"),
+    # PyYAML reads a flow mapping's bare key as {'b': None}
+    pytest.param("a: {b}\n", 1, id="flow-key-without-value"),
+    pytest.param("x\ny: 1\n", 2, id="text-after-the-document"),
+    pytest.param("a: 1\n- 2\n", 2, id="entry-after-a-mapping"),
 ])
 def test_yaml_outside_the_subset_fails_with_its_line(tmp_path, text, line):
     p = tmp_path / "x.yaml"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import importlib
 import pickle
 import typing
 from pathlib import Path
@@ -164,20 +165,46 @@ def test_field_overflow_on_serialize():
         serialize(CodedPacket(True, 0, 256, 2, ((1, 1, 1),), b"", 0, (0,)))
     with pytest.raises(FieldOverflow):
         serialize(DataPacket(0, 0, -1))
+    # a coded packet has 1..255 members, so its extension stays far below
+    # 65535 bytes (13 + 255 * 22 = 5623)
+    for n in (0, 256):
+        with pytest.raises(FieldOverflow, match=f"member count {n} out of range"):
+            serialize(CodedPacket(True, 0, 0, 1, ((1, 1, 1),) * n, b"x", 0, (0,) * n))
+
+
+@pytest.mark.parametrize("measure", [serialize, wire_size])
+def test_a_non_message_is_a_type_error(measure):
+    with pytest.raises(TypeError, match="not a wire message: tuple"):
+        measure((1, 2))
+
+
+def caspr_imports(module) -> set[str]:
+    """The caspr modules a module's source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            name = ".".join(filter(None, ["caspr" if node.level else "", node.module]))
+            if name == "caspr":  # from . import a, b
+                found.update(f"caspr.{alias.name}" for alias in node.names)
+            else:
+                found.add(name)
+    return {name.partition(".")[2] or name for name in found
+            if name.split(".")[0] == "caspr"}
 
 
 def test_wire_imports_no_other_caspr_module():
     # the wire format is the bottom layer: the codec builds wire
     # packets, so wire must not reach back into the codec or any node
-    tree = ast.parse(Path(wire.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-    assert {m for m in imported
-            if m.startswith(".") or m.split(".")[0] == "caspr"} == set()
+    assert caspr_imports(wire) == set()
+
+
+@pytest.mark.parametrize("module,allowed", [("netsim", {"wire"}), ("scenario", {"codec"})])
+def test_netsim_and_scenario_import_one_caspr_module_each(module, allowed):
+    # the simulator knows links, not loss processes: the scenario's loss
+    # records build each link's drop, so neither module reaches the other
+    assert caspr_imports(importlib.import_module(f"caspr.{module}")) == allowed
 
 
 def test_coded_packet_compares_and_hashes_by_value_in_every_form():
