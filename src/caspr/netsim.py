@@ -35,6 +35,14 @@ master seed with the link's name (SHA-256), so adding or reseeding one
 link never perturbs the draws of another: the jitter stream, whose
 ``getrandbits`` the link keeps from the start, and the loss stream,
 ``Simulator.loss_rng``, that the caller builds the link's drop from.
+
+A run stops on a marker: a pseudo-link delivery due at the run's end
+whose origin index follows every real one, so it pops after every
+event due then, and the loop tests no time per event.
+
+``ahead.run`` splits a run across two processes: the nodes nothing
+flows back into run ahead in a forked one and stream their deliveries
+to the rest.
 """
 
 from __future__ import annotations
@@ -69,6 +77,27 @@ class InvariantViolation(RuntimeError):
     """A run broke a property every run must hold."""
 
 
+class _StopRun(Exception):
+    """Raised by the marker at a run's end."""
+
+
+class _Marker:
+    """The run loop's marker: a pseudo-link whose delivery stops the run.
+
+    Its origin index follows every node's and link's, so it pops after
+    every event due at its time.  ``deliver`` is a method of the class,
+    so a marker in the heap holds no cycle back to what it calls."""
+
+    __slots__ = ("delivered_count", "delivered_bytes")
+    name = "marker"
+
+    def __init__(self):
+        self.delivered_count = self.delivered_bytes = 0
+
+    def deliver(self, msg, link_name) -> None:
+        raise _StopRun
+
+
 class Link:
     def __init__(self, name: str, src: str, dst: str, delay_us: int,
                  jitter_us: int, drop: Callable[[int], bool] | None,
@@ -88,6 +117,9 @@ class Link:
         self.jitter_span = 2 * jitter_us + 1
         self.jitter_bits = self.jitter_span.bit_length()
         self.deliver = None      # the destination's on_message, bound at freeze
+        # where its deliveries go: the simulator's heap, bound at freeze
+        # (ahead.run points a link leaving its group at an outbox)
+        self.heap = None
         self.idx = -1        # origin index, assigned at freeze
         self.seq = count()   # per-origin tiebreak for its deliveries
         self.sent_count = 0
@@ -151,7 +183,7 @@ class SimEnv:
             while r >= link.jitter_span:
                 r = getrandbits(link.jitter_bits)
             arrive += r - link.jitter_us
-        heappush(self._heap, (arrive, link.idx, next(link.seq), link, msg, size))
+        heappush(link.heap, (arrive, link.idx, next(link.seq), link, msg, size))
         if sim.trace_file is not None:
             sim._trace(link, msg, size, arrive)
 
@@ -176,7 +208,9 @@ class Simulator:
         self._heap: list = []
         self._on_timer: list = []  # each node's on_timer, by origin index
         self._prestart: list[tuple[int, str, tuple]] = []
+        self._markers = count()  # tiebreak of the run loop's markers
         self._frozen = False
+        self._split = False  # set by ahead.run
 
     def add_node(self, name: str, node: Node) -> SimEnv:
         if self._frozen:
@@ -220,6 +254,7 @@ class Simulator:
                     raise ValueError(f"link {name}: unknown node {end!r}")
             link.idx = idx
             link.deliver = self.nodes[link.dst].on_message
+            link.heap = self._heap
             self.nodes[link.src].env._links[name] = link
         self._frozen = True
         for t_us, node_name, token in sorted(self._prestart):
@@ -255,23 +290,39 @@ class Simulator:
         self.trace_file.write(self._encode(rec) + "\n")
 
     def run(self, until_us: int) -> None:
+        """Run every event due at or before until_us."""
+        self._ready()
+        self._loop(until_us)
+
+    def _ready(self) -> None:
         if not self._frozen:
             self._freeze()
+        if self._split:
+            raise RuntimeError("a split run cannot be continued")
+
+    def _mark(self, t_us: int, marker: _Marker) -> None:
+        heappush(self._heap, (t_us, len(self._on_timer) + len(self.links),
+                              next(self._markers), marker, None, 0))
+
+    def _loop(self, until_us: int) -> None:
+        self._mark(until_us, _Marker())
         heap = self._heap
         on_timer = self._on_timer
         n_nodes = len(on_timer)  # node origins come before link origins
-        while heap and heap[0][0] <= until_us:
-            event = heappop(heap)
-            self.now = event[0]
-            idx = event[1]
-            if idx < n_nodes:
-                on_timer[idx](event[3])
-            else:
-                _, _, _, link, msg, size = event
-                link.delivered_count += 1
-                link.delivered_bytes += size
-                link.deliver(msg, link.name)
-        self.now = until_us
+        try:
+            while True:
+                event = heappop(heap)
+                self.now = event[0]
+                idx = event[1]
+                if idx < n_nodes:
+                    on_timer[idx](event[3])
+                else:
+                    _, _, _, link, msg, size = event
+                    link.delivered_count += 1
+                    link.delivered_bytes += size
+                    link.deliver(msg, link.name)
+        except _StopRun:
+            pass
 
     def check_conservation(self) -> None:
         """Every byte sent is delivered, dropped, or still in flight.

@@ -30,8 +30,16 @@ not a single recovery byte left DC2 toward the receivers.
 Seeds are independent simulations, so ``run_scenario`` runs them in
 forked worker processes, one per CPU this process may use, and collects
 their metrics in seed order.  The artifacts are byte-identical to a
-serial run; one seed or one usable CPU (``taskset -c 0``) runs in
+serial run; one usable CPU (``taskset -c 0``) runs every seed in
 process.
+
+One untraced seed with a second usable CPU is split instead
+(``ahead``): the senders and DC1 are the topology's feed-forward group.
+They run ahead in a forked process and stream their deliveries to the
+receivers and DC2, which run here, with the lookahead min(direct,
+inter-DC) delay minus jitter; DC1's ``evictions`` reach the run log as
+the split's tally.  A traced seed stays in one process, since one
+process writes its trace.
 """
 
 from __future__ import annotations
@@ -47,8 +55,10 @@ from .netsim import InvariantViolation
 from .scenario import INTER_DC_LINK, Scenario, flow_links
 
 
-def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics.RunMetrics:
-    """One simulation at one seed, returning its analyzed metrics."""
+def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None,
+             split: bool = False) -> metrics.RunMetrics:
+    """One simulation at one seed, returning its analyzed metrics.  With
+    split, the senders and DC1 run ahead in a forked process."""
     topo = cfg.topology
     links = [flow_links(i) for i in range(cfg.flows.count)]
 
@@ -87,7 +97,11 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None) -> metrics
             receiver = Receiver(i, cfg, run_log)
             sim.add_node(receiver.name, receiver)
 
-        sim.run(until_us=cfg.duration_us)
+        if split:
+            from . import ahead  # imported, and so compiled, only to split
+            ahead.run(sim, cfg.duration_us, tally=run_log.counters)
+        else:
+            sim.run(until_us=cfg.duration_us)
         sim.check_conservation()
 
         m = metrics.analyze_run(cfg, seed, run_log, sim.links)
@@ -137,7 +151,6 @@ def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
     os.makedirs(out_dir, exist_ok=True)
     trace_paths = [os.path.join(out_dir, f"trace-seed{seed}.jsonl") if trace else None
                    for seed in seeds]
-    jobs = (itertools.repeat(cfg), seeds, trace_paths)
     workers = _worker_count(len(seeds))
     if workers > 1:
         # imported here so a serial run and a cold import of this module
@@ -150,9 +163,13 @@ def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
         # before it starts its own threads, and caspr starts none.
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            runs = list(pool.map(_run_seed_job, *jobs))
+            runs = list(pool.map(_run_seed_job, itertools.repeat(cfg), seeds, trace_paths))
     else:
-        runs = list(map(_run_seed_job, *jobs))
+        # one untraced seed splits when a second CPU can take the
+        # senders and DC1
+        split = len(seeds) == 1 and not trace and _worker_count(2) > 1
+        runs = [run_seed(cfg, seed, path, split=split)
+                for seed, path in zip(seeds, trace_paths)]
     pooled = metrics.pool_runs(runs)
     metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), runs, pooled)
     metrics.write_episodes_csv(os.path.join(out_dir, "episodes.csv"), runs)

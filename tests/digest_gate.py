@@ -3,17 +3,22 @@
     PYTHONPATH=src python tests/digest_gate.py OUT_DIR > digests.txt
     PYTHONPATH=src python tests/digest_gate.py OUT_DIR --against OLD.txt
     PYTHONPATH=src python tests/digest_gate.py OUT_DIR --serial --against OLD.txt
+    PYTHONPATH=src python tests/digest_gate.py OUT_DIR --untraced --against OLD.txt
 
 Runs each bundled scenario with traces on, into OUT_DIR/<name>, and
 prints one ``sha256  path`` line per file, paths relative to OUT_DIR.
 A refactor that claims byte-identical behaviour checks this output
-against the parent commit's twice: once as is (seeds pooled on the
-usable CPUs) and once with ``--serial``, which pins this process to
-one CPU so the runner runs every seed in process.  ``--against`` reads
-a file this script printed; after printing, it names on stderr every
-artifact that differs, is missing or is extra, and exits 1 if there is
-any.  Not a pytest module: one pass runs every bundled seed, about
-6 s pooled on 2 CPUs and 9 s serial.
+against the parent commit's three times: once as is (seeds pooled on
+the usable CPUs), once with ``--serial``, which pins this process to
+one CPU so the runner runs every seed in process, and once with
+``--untraced``, which writes the CSVs only.  A traced seed never
+splits, so only the untraced pass runs the one-seed scenarios split
+across two processes (on two or more usable CPUs).  ``--against``
+reads a file this script printed, by any of the passes: an untraced
+pass leaves the trace files out of the comparison.  After printing, it
+names on stderr every artifact that differs, is missing or is extra,
+and exits 1 if there is any.  Not a pytest module: one pass runs every
+bundled seed, about 6 s pooled on 2 CPUs and 9 s serial.
 """
 
 import argparse
@@ -24,11 +29,15 @@ import sys
 from caspr import runner, scenario
 
 
-def digests(out_dir: str) -> dict[str, str]:
+def is_trace(rel: str) -> bool:
+    return os.path.basename(rel).startswith("trace-")
+
+
+def digests(out_dir: str, trace: bool = True) -> dict[str, str]:
     """Run every bundled scenario into out_dir; path -> SHA-256 of each file."""
     for name in scenario.bundled_names():
         cfg = scenario.load(scenario.bundled_path(name))
-        runner.run_scenario(cfg, os.path.join(out_dir, name), trace=True)
+        runner.run_scenario(cfg, os.path.join(out_dir, name), trace=trace)
     found = {}
     for root, _, files in sorted(os.walk(out_dir)):
         for fname in sorted(files):
@@ -51,11 +60,15 @@ def main(argv=None) -> int:
                         help="digests printed by this script at another commit")
     parser.add_argument("--serial", action="store_true",
                         help="pin this process to one CPU: every seed runs in process")
+    parser.add_argument("--untraced", action="store_true",
+                        help="write no traces, so one-seed scenarios run split")
     args = parser.parse_args(argv)
     old = read_digests(args.against) if args.against else None
     if args.serial:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    new = digests(args.out_dir)
+    new = digests(args.out_dir, trace=not args.untraced)
+    if old is not None and args.untraced:
+        old = {rel: digest for rel, digest in old.items() if not is_trace(rel)}
     for rel, digest in new.items():
         print(f"{digest}  {rel}")
     if old is None:

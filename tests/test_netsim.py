@@ -532,3 +532,39 @@ def test_close_frees_the_simulation_without_the_cyclic_gc():
         assert run_and_drop(close=True)() is None
     finally:
         gc.enable()
+
+
+def test_events_due_at_the_end_of_a_run_still_run():
+    # sends at t = 0, 100, ... arrive 1000 us later, timers every 100 us
+    sim, a, b = build()
+    sim.run(1_000)
+    assert [t for t, _, _ in b.messages] == [1_000]
+    assert a.sent == 11 and sim.now == 1_000
+
+
+def assert_no_marker(sim):
+    """Every pending event is a node's timer or a link's delivery."""
+    links = set(map(id, sim.links.values()))
+    assert all(len(ev) == 4 or id(ev[3]) in links for ev in sim._heap)
+
+
+def test_no_marker_outlives_a_run_or_counts_as_in_flight():
+    sim, _, _ = build(jitter_us=300)
+    link = sim.links["a>b"]
+    for until_us in (1_000, 2_050, 2_050, 3_333, 1_000_000):
+        sim.run(until_us)
+        assert_no_marker(sim)
+        sim.check_conservation()
+        assert link.inflight_count == sum(len(ev) == 6 for ev in sim._heap)
+
+
+def test_a_run_in_steps_traces_what_one_run_traces():
+    def trace(stops):
+        buf = io.StringIO()
+        drop = BernoulliLoss(p=0.2).dropper(derive_rng(42, "link", "a>b", "loss"))
+        sim, _, _ = build(seed=42, drop=drop, jitter_us=300, trace=buf)
+        for until_us in stops:
+            sim.run(until_us)
+        return buf.getvalue()
+
+    assert trace([1_000, 2_345, 2_345, 1_000_000]) == trace([1_000_000])
