@@ -9,9 +9,9 @@ than through one timer per batch.  Between messages only a task's
 timer reads the store, and it never fires after its batch's expiry.
 DC1 puts a packet in at most one batch of each coding kind, so an entry
 has at most one cover per kind.  Every reactive recovery (a NACK, parity
-for a claim nothing covered yet, a confirmed claim) enters through
-``_recover_entry``, which picks the cheapest path that can still make
-the one-RTT budget:
+for a claim nothing covered yet, a receiver's yes to the confirm query)
+enters through ``_recover_entry``, which picks the cheapest path that
+can still make the one-RTT budget:
 
   1. a payload already decoded earlier is resent from cache,
   2. an in-stream batch covering the entry has its parity forwarded
@@ -25,21 +25,23 @@ the one-RTT budget:
 Tasks expire one direct-path RTT after opening; whatever is still
 unrecovered is counted failed-silent and late helper responses are
 dropped.  A NACK with no covering parity first waits out the encoder
-flush horizon (parity may be in flight), then asks the receiver to
-confirm the loss is real before giving up: flows stopping right at a
+flush horizon (parity may be in flight), then asks the receiver whether
+the hole is still open; a no drops the claim: flows stopping right at a
 batch boundary otherwise leave phantom losses behind.
 
 A loss claim is credible only once the direct path has had its chance:
 parity may vouch for a packet only if that packet's send time plus the
-direct-path latency bound lies at or before the moment the NACK left
+direct-path latency bound lies at or before the moment the claim left
 the receiver.  Burst-boundary timer probes name sequence numbers the
 sender has not produced yet, or produced so recently that they are
 still in flight; batch metadata carries per-member send times exactly
 so such claims can be told apart from real losses, which are always
-reported after the packet had time to arrive.  Inadmissible claims
-stay in the orphan flow; the guard is waived once the receiver
-confirms the hole is real, and an ACK retracts the claims below the
-receiver's frontier, which the direct path has since satisfied.
+reported after the packet had time to arrive.  A receiver's yes to the
+confirm query says only that a later packet arrived, which reordering
+explains too, so it is judged like a NACK sent with the answer (RACK's
+reordering window, RFC 8985 section 6.2).  Inadmissible claims stay in
+the orphan flow; an ACK retracts the claims below the receiver's
+frontier, which the direct path has since satisfied.
 
 Each flow has one receiver, and the engine knows a receiver only by
 its flow: it reaches flow f's receiver on ``flow_links(f)``.  Three
@@ -77,15 +79,14 @@ PROACTIVE_AFTER = 3
 
 
 class StoredBatch:
-    __slots__ = ("batch_id", "cross", "entries", "sent_ts", "member_ts", "expires_at",
+    __slots__ = ("batch_id", "cross", "entries", "member_ts", "expires_at",
                  "parity", "decoded", "lost", "requested", "forwarded", "state")
 
     def __init__(self, batch_id: int, cross: bool, entries: tuple[Entry, ...],
-                 sent_ts: int, member_ts: tuple[int, ...], expires_at: int):
+                 member_ts: tuple[int, ...], expires_at: int):
         self.batch_id = batch_id
         self.cross = cross
         self.entries = entries      # (flow_id, seq) per member
-        self.sent_ts = sent_ts      # ingress transmit time, shared by every parity copy
         self.member_ts = member_ts  # each member's send time, aligned with entries
         self.expires_at = expires_at  # stored time + horizon; covers nothing from then on
         self.parity: dict[int, CodedPacket] = {}
@@ -99,11 +100,10 @@ class StoredBatch:
 class _Orphan:
     """A loss claim no admissible stored parity covers yet.  Its timers
     carry it and act only while it is still the entry's claim."""
-    __slots__ = ("nack_ts", "confirmed")
+    __slots__ = ("claim_ts",)
 
-    def __init__(self, nack_ts: int):
-        self.nack_ts = nack_ts      # latest claim with no admissible coverage
-        self.confirmed = False      # the receiver vouched for the hole
+    def __init__(self, claim_ts: int):
+        self.claim_ts = claim_ts    # send time of the latest claim, NACK or yes
 
 
 class EgressRecovery:
@@ -161,7 +161,7 @@ class EgressRecovery:
                 self._give_up(batch)
         elif kind == "boundary":
             _, (f, s), orphan = token
-            if self.orphans.get((f, s)) is orphan and not orphan.confirmed:
+            if self.orphans.get((f, s)) is orphan:
                 self.env.send(self._links[f].down_ctrl,
                               Ctrl(kind=CTRL_CONFIRM_QUERY, flow_id=f, seq=s,
                                    send_ts_us=self.env.now))
@@ -177,11 +177,11 @@ class EgressRecovery:
     def _on_coded(self, msg: CodedPacket, now: int) -> None:
         batch = self.store.get(msg.batch_id)
         if batch is None:
-            # every copy of a batch leaves the ingress in one call, so
-            # the first to arrive carries the send times of them all
+            # every copy of a batch carries the same members and their
+            # send times, so the first to arrive stores them all
             batch = StoredBatch(msg.batch_id, msg.cross,
                                 tuple([(f, s) for f, s, _ in msg.members]),
-                                msg.send_ts_us, msg.member_ts, now + self.horizon_us)
+                                msg.member_ts, now + self.horizon_us)
             self.store[msg.batch_id] = batch
             self._expiry.append(batch)
             covers = self.cross_of if msg.cross else self.in_of
@@ -191,16 +191,16 @@ class EgressRecovery:
             return
         batch.parity[msg.parity_index] = msg
         # parity may resolve entries that were NACKed before coverage
-        # existed; most batches arrive with no claim pending at all.  An
-        # unconfirmed claim is inadmissible for every older cover at its
-        # nack_ts (each NACK and each batch re-checks it), so only this
+        # existed; most batches arrive with no claim pending at all.  A
+        # pending claim is inadmissible for every older cover at its
+        # claim_ts (each claim and each batch re-checks it), so only this
         # batch can resolve it, and if it cannot the claim stays as it was
         orphans = self.orphans
         if orphans:
             for e in batch.entries:
                 orphan = orphans.get(e)
                 if orphan is not None:
-                    self._recover_entry(e, now, None if orphan.confirmed else orphan.nack_ts)
+                    self._recover_entry(e, now, orphan.claim_ts)
         self._open_proactive(batch, self._proactive, now)
         if batch.lost:
             if batch.cross:
@@ -257,24 +257,23 @@ class EgressRecovery:
             self.run_log.bump("claims_retracted")
 
     def _cover(self, covers: dict[Entry, StoredBatch], entry: Entry,
-               nack_ts: int | None) -> StoredBatch | None:
-        """The entry's batch in ``covers``, if the receiver could have missed
-        the entry by ``nack_ts``; None there means the receiver confirmed."""
+               claim_ts: int) -> StoredBatch | None:
+        """The entry's batch in ``covers``, if the direct path had delivered
+        the entry by ``claim_ts`` unless it dropped it."""
         batch = covers.get(entry)
-        if batch is None or nack_ts is None:
-            return batch
-        if batch.sent_ts > nack_ts:
+        if batch is None:
             return None
         sent = batch.member_ts[batch.entries.index(entry)]
-        return batch if sent + self.claim_owd_us <= nack_ts else None
+        return batch if sent + self.claim_owd_us <= claim_ts else None
 
-    def _recover_entry(self, entry: Entry, now: int, nack_ts: int | None) -> None:
+    def _recover_entry(self, entry: Entry, now: int, claim_ts: int) -> None:
         """Every reactive recovery starts here: a NACK, parity landing on
-        an orphan claim and a confirmed claim alike."""
-        cross = self._cover(self.cross_of, entry, nack_ts)
-        in_batch = self._cover(self.in_of, entry, nack_ts)
+        an orphan claim and a receiver's yes alike, each claim judged at
+        the time it left the receiver."""
+        cross = self._cover(self.cross_of, entry, claim_ts)
+        in_batch = self._cover(self.in_of, entry, claim_ts)
         if cross is None and in_batch is None:
-            self._orphan(entry, now, nack_ts)
+            self._orphan(entry, claim_ts)
             return
         # admissible coverage takes over any pending orphan claim
         self.orphans.pop(entry, None)
@@ -294,13 +293,12 @@ class EgressRecovery:
         # otherwise covered, but not enough in-stream parity: the
         # forwarded symbols stand, nothing more can be done from here
 
-    def _orphan(self, entry: Entry, now: int, nack_ts: int | None) -> None:
+    def _orphan(self, entry: Entry, claim_ts: int) -> None:
         """Hold a claim no admissible parity covers yet; only the first
         claim arms the boundary and orphan timers."""
-        claim_ts = now if nack_ts is None else nack_ts
         orphan = self.orphans.get(entry)
         if orphan is not None:
-            orphan.nack_ts = max(orphan.nack_ts, claim_ts)
+            orphan.claim_ts = max(orphan.claim_ts, claim_ts)
             return
         orphan = self.orphans[entry] = _Orphan(claim_ts)
         self.env.schedule(self.boundary_wait_us, ("boundary", entry, orphan))
@@ -365,14 +363,13 @@ class EgressRecovery:
 
     def _on_confirm_response(self, msg: Ctrl, now: int) -> None:
         entry = (msg.flow_id, msg.seq)
-        orphan = self.orphans.get(entry)
-        if orphan is None:
+        if entry not in self.orphans:
             return
         if msg.arg:
-            orphan.confirmed = True
-            # the receiver vouched for the hole itself, so coverage the
-            # timestamp guard skipped earlier becomes fair game
-            self._recover_entry(entry, now, None)
+            # judged at the answer's send time, not at DC2's now: the
+            # receiver saw the hole when it answered, and a packet still
+            # in flight then may have landed while the answer travelled
+            self._recover_entry(entry, now, msg.send_ts_us)
         else:
             del self.orphans[entry]
             self.run_log.bump("suppressed")

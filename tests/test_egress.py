@@ -40,9 +40,11 @@ def make_engine(n_receivers=4, deadline_us=None):
     return eng, env, log
 
 
-def cross_parities(batch_id, flows, seq=0, num_parity=2, size=32):
+def cross_parities(batch_id, flows, seq=0, num_parity=2, size=32, sent_us=0):
+    """Parity of a cross batch whose members were all sent at 0 and which
+    left DC1 at ``sent_us``."""
     syms = [DataPacket(f, seq, 0, payload_bytes(f, seq, size)) for f in flows]
-    return encode_batch(batch_id, syms, num_parity, True, 0)
+    return encode_batch(batch_id, syms, num_parity, True, sent_us)
 
 
 def in_parities(batch_id, flow, seqs, num_parity=1, size=32):
@@ -237,9 +239,10 @@ def test_confirmed_real_loss_keeps_waiting_for_parity():
     eng, env, log = make_engine()
     eng.on_message(nack(1, 5), "r1>dc2")
     env.run_until(eng.boundary_wait_us)
-    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1),
-                   "r1>dc2:ctrl")
-    assert eng.orphans[(1, 5)].confirmed is True
+    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1,
+                        send_ts_us=eng.boundary_wait_us), "r1>dc2:ctrl")
+    # the yes is one more claim, sent when the answer was
+    assert eng.orphans[(1, 5)].claim_ts == eng.boundary_wait_us
     # parity shows up late but before the deadline: recovery starts
     for p in cross_parities(3, [0, 1, 2, 3], seq=5):
         eng.on_message(p, "dc1>dc2")
@@ -270,19 +273,62 @@ def test_parity_that_cannot_vouch_for_a_claim_leaves_the_orphan_as_it_was():
     assert [tok[0] for _, tok in timers] == ["boundary", "orphan"]
     for p in cross_parities(7, [0, 1, 2, 3]):  # every member sent at 0
         eng.on_message(p, "dc1>dc2")
-    assert eng.orphans == {(2, 0): orphan} and orphan.nack_ts == 10_000
+    assert eng.orphans == {(2, 0): orphan} and orphan.claim_ts == 10_000
     assert env.pending() == timers
     assert log.counters["tasks_opened"] == 0
     assert not env.sent
-    # a receiver vouching for a hole nothing covers keeps its claim
-    # waiting for parity, and DC2 sends nothing
+    # a receiver's yes for a hole nothing covers is a later claim on
+    # the same orphan: it waits for parity, and DC2 sends nothing
     eng.on_message(nack(1, 5), "r1>dc2")
+    orphan = eng.orphans[(1, 5)]
     timers = env.pending()
-    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1),
-                   "r1>dc2:ctrl")
-    assert eng.orphans[(1, 5)].confirmed is True
+    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=1, seq=5, arg=1,
+                        send_ts_us=10_000), "r1>dc2:ctrl")
+    assert eng.orphans[(1, 5)] is orphan and orphan.claim_ts == 10_000
     assert env.pending() == timers
     assert not env.sent
+
+
+def test_a_yes_inside_the_reordering_window_waits_for_a_later_nack():
+    # a real loss whose yes left the receiver before the direct path's
+    # 100 ms bound had passed: the yes cannot vouch for it, but the next
+    # NACK, sent after the bound, must still open its repair
+    eng, env, log = make_engine()
+    eng.claim_owd_us = 100_000
+    for p in cross_parities(7, [0, 1, 2, 3]):  # every member sent at 0
+        eng.on_message(p, "dc1>dc2")
+    env.run_until(10_000)
+    eng.on_message(Nack(flow_id=2, entries=((2, 0),), send_ts_us=10_000), "r2>dc2")
+    env.run_until(10_000 + eng.boundary_wait_us)
+    assert [m.seq for m in env.on("dc2>r2:ctrl")] == [0]  # the confirm query
+    env.run_until(90_000)
+    eng.on_message(Ctrl(kind=CTRL_CONFIRM_RESP, flow_id=2, seq=0, arg=1,
+                        send_ts_us=90_000), "r2>dc2:ctrl")
+    assert eng.orphans[(2, 0)].claim_ts == 90_000
+    assert log.counters["tasks_opened"] == 0
+    assert len(env.sent) == 1
+    env.run_until(120_000)
+    eng.on_message(Nack(flow_id=2, entries=((2, 0),), send_ts_us=120_000), "r2>dc2")
+    assert eng.orphans == {}
+    assert log.counters["tasks_opened"] == 1
+    reqs = [l for l, m, _ in env.sent if isinstance(m, CoopRequest)]
+    assert reqs == ["dc2>r0", "dc2>r1", "dc2>r3"]
+
+
+def test_parity_that_left_dc1_after_a_credible_claim_vouches_for_it():
+    # the packet was sent at 0 and the NACK at 50 ms, past the direct
+    # path's 40 ms bound; DC1 sent the batch only at 60 ms, which says
+    # nothing about whether the receiver could have had the packet
+    eng, env, log = make_engine()
+    eng.claim_owd_us = 40_000
+    env.run_until(50_000)
+    eng.on_message(Nack(flow_id=2, entries=((2, 0),), send_ts_us=50_000), "r2>dc2")
+    assert eng.orphans[(2, 0)].claim_ts == 50_000
+    env.run_until(80_000)
+    for p in cross_parities(7, [0, 1, 2, 3], sent_us=60_000):
+        eng.on_message(p, "dc1>dc2")
+    assert eng.orphans == {}
+    assert log.counters["tasks_opened"] == 1
 
 
 def test_ack_retracts_only_the_claims_below_the_receivers_frontier():
