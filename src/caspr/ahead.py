@@ -1,4 +1,5 @@
-"""One seed's run split across two processes.
+"""One seed's run split across two processes, and the fork helper
+that it and the runner's seed workers share.
 
 Nothing in caspr flows back into the senders or DC1: DC1 only receives
 the senders' duplicates and sends parity one way to DC2.  So that half
@@ -22,12 +23,15 @@ at most a lookahead after the last watermark read, so every event runs
 in the serial order.  At the end the forked process sends the counters
 of the links it sent on, its deliveries still pending, which count as
 in flight for ``check_conservation``, and what its nodes bumped in the
-tally Counter, then leaves through ``os._exit``.  This process reaps
-it, killing it first if this side failed, and raises the other side's
-error as its own.
+tally Counter.
 
-Only a split run imports this module, so a cold start neither compiles
-it nor loads pickle.
+``forked`` is the one way caspr forks: the split runs one child
+through it, and a pooled run of several seeds (``runner.run_scenario``)
+one per worker.  Each child posts back over a pipe, a child's error is
+raised here as this process's own, and no child outlives the call.
+
+Only a forked run, split or pooled, imports this module, so a cold
+start neither compiles it nor loads pickle.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ def lookahead(sim: Simulator, nodes: set[str]) -> int:
 def run(sim: Simulator, until_us: int, tally: Counter | None = None) -> None:
     """Run sim to until_us with its feed-forward group in a forked
     process, or all in this process if no link leaves the group with a
-    positive lookahead or the platform cannot fork.
+    positive lookahead.  The caller checks that the platform can fork.
 
     tally is a Counter the group's nodes bump (the run log's): what they
     bump there is added to it here.  A traced run cannot split, and a
@@ -79,7 +83,7 @@ def run(sim: Simulator, until_us: int, tally: Counter | None = None) -> None:
         raise ValueError("a traced run writes one trace, so it cannot split")
     nodes = group(sim)
     gap = lookahead(sim, nodes)
-    if gap <= 0 or not hasattr(os, "fork"):
+    if gap <= 0:
         sim.run(until_us)
         return
     sim._ready()
@@ -89,36 +93,86 @@ def run(sim: Simulator, until_us: int, tally: Counter | None = None) -> None:
     owned = ({sim.nodes[name].env._idx for name in nodes}
              | {link.idx for link in sim.links.values() if link.dst in nodes})
     half = max(1, gap // 2)
-    rfd, wfd = os.pipe()
+    forked([lambda out: _run_ahead(sim, until_us, nodes, owned, half, out, tally)],
+           lambda inputs: _run_behind(sim, until_us, owned, gap, half, inputs[0], tally))
+
+
+def forked(jobs, use):
+    """use(inputs)'s value, with each job run in a forked process.
+
+    Each job(out) runs in a child of its own and posts what it has to
+    say to out, the write end of a pipe; an exception it raises is
+    posted in its place.  use(inputs) runs here on the read ends, in job
+    order, and reads each posted object with receive.  If this process
+    raises, every child is killed; either way every child is reaped
+    before forked returns.  The caller checks that the platform can
+    fork; caspr starts no threads, so a fork copies a whole process.
+    """
+    pids: list[int] = []
+    inputs: list = []
     try:
-        import fcntl
-        # a skype chunk is about 57 KB: behind the default 64 KiB pipe
-        # the forked process would block on nearly every one
-        fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except (ImportError, AttributeError, OSError):  # not Linux, or above the user's limit
-        pass
-    pid = os.fork()  # caspr starts no threads
-    if pid == 0:
-        try:
-            os.close(rfd)
-            with os.fdopen(wfd, "wb") as out:
+        for job in jobs:
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
                 try:
-                    _run_ahead(sim, until_us, nodes, owned, half, out, tally)
-                except BaseException as exc:
-                    # this process ends here: the error goes to the
-                    # parent, which raises it
-                    _post(out, _portable(exc))
-        finally:
-            os._exit(0)
-    os.close(wfd)
-    try:
-        with os.fdopen(rfd, "rb", buffering=1 << 16) as inp:
-            _run_behind(sim, until_us, owned, gap, half, inp, tally)
+                    for inp in inputs:  # the earlier children's
+                        inp.close()
+                    os.close(rfd)
+                    with os.fdopen(wfd, "wb") as out:
+                        try:
+                            job(out)
+                        except BaseException as exc:
+                            # this process ends here: the error goes to
+                            # the parent, which raises it
+                            post(out, _portable(exc))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(wfd)
+            inputs.append(os.fdopen(rfd, "rb", buffering=1 << 16))
+        return use(inputs)
     except BaseException:
-        os.kill(pid, signal.SIGKILL)  # it may be running, or blocked writing
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # it may be running, or blocked writing
         raise
     finally:
-        os.waitpid(pid, 0)
+        for inp in inputs:
+            inp.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def post(out, obj) -> None:
+    """Write obj's pickle whole, or nothing if it does not pickle."""
+    out.write(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    out.flush()
+
+
+def receive(inp):
+    """The next object a child posted to inp, raised if it is an
+    exception; RuntimeError if the child ended before posting it."""
+    try:
+        obj = pickle.load(inp)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("a forked process ended without its result") from None
+    if isinstance(obj, BaseException):
+        raise obj
+    return obj
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a RuntimeError that
+    names it; with this process's traceback as a note (3.11+)."""
+    import traceback
+    where = "in a forked process:\n" + "".join(traceback.format_exception(exc))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    if hasattr(exc, "add_note"):
+        exc.add_note(where.rstrip())
+    return exc
 
 
 class _Ticker(_Marker):
@@ -145,26 +199,6 @@ class _Ticker(_Marker):
         self.action()
 
 
-def _post(out, obj) -> None:
-    """Write obj's pickle whole, or nothing if it does not pickle."""
-    out.write(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-    out.flush()
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """exc if it survives a pickle round trip, else a RuntimeError that
-    names it; with this process's traceback as a note (3.11+)."""
-    import traceback
-    where = "in the ahead process:\n" + "".join(traceback.format_exception(exc))
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    if hasattr(exc, "add_note"):
-        exc.add_note(where.rstrip())
-    return exc
-
-
 # the link counters the forked side keeps for the links it sends on
 _COUNTERS = ("sent_count", "sent_bytes", "delivered_count", "delivered_bytes",
              "dropped_count", "dropped_bytes")
@@ -173,6 +207,13 @@ _COUNTERS = ("sent_count", "sent_bytes", "delivered_count", "delivered_bytes",
 def _run_ahead(sim, until_us, nodes, owned, half, out, tally) -> None:
     """The forked side: run the group, post a chunk every half
     lookahead, and the group's counters at the end."""
+    try:
+        import fcntl
+        # a skype chunk is about 57 KB: behind the default 64 KiB pipe
+        # this process would block on nearly every one
+        fcntl.fcntl(out.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (ImportError, AttributeError, OSError):  # not Linux, or above the user's limit
+        pass
     heap = sim._heap
     heap[:] = [event for event in heap if event[1] in owned]
     heapify(heap)
@@ -190,21 +231,21 @@ def _run_ahead(sim, until_us, nodes, owned, half, out, tally) -> None:
     if tally is not None:
         tally.clear()
 
-    def post(end=None):
+    def send(end=None):
         # each message as its class and fields: pickling a NamedTuple
         # costs a Python call each way
         chunk = [(t, idx, seq, type(msg), tuple(msg), size)
                  for t, idx, seq, _, msg, size in outbox]
-        _post(out, (sim.now, chunk, drops, end))
+        post(out, (sim.now, chunk, drops, end))
         outbox.clear()
         drops.clear()
 
-    _Ticker(sim, half, until_us, post)
+    _Ticker(sim, half, until_us, send)
     sim._loop(until_us)
     counters = [(link.idx, [getattr(link, name) for name in _COUNTERS])
                 for link in sent_on]
     pending = [(e[0], e[1], e[2], e[5]) for e in heap if len(e) == 6]
-    post((counters, pending, tally))
+    send((counters, pending, tally))
 
 
 def _run_behind(sim, until_us, owned, gap, half, inp, tally) -> None:
@@ -220,13 +261,7 @@ def _run_behind(sim, until_us, owned, gap, half, inp, tally) -> None:
 
     def read():
         nonlocal watermark, end
-        try:
-            msg = pickle.load(inp)
-        except EOFError:
-            raise RuntimeError("the ahead process ended without its result") from None
-        if isinstance(msg, BaseException):
-            raise msg
-        watermark, chunk, drops, end = msg
+        watermark, chunk, drops, end = receive(inp)
         for t, idx, seq, cls, fields, size in chunk:
             heappush(heap, (t, idx, seq, links[idx], new(cls, fields), size))
         for idx, msg, t in drops:

@@ -28,10 +28,11 @@ link byte conservation, and (when the direct paths lost nothing) that
 not a single recovery byte left DC2 toward the receivers.
 
 Seeds are independent simulations, so ``run_scenario`` runs them in
-forked worker processes, one per CPU this process may use, and collects
-their metrics in seed order.  The artifacts are byte-identical to a
-serial run; one usable CPU (``taskset -c 0``) runs every seed in
-process.
+forked worker processes, one per CPU this process may use, each taking
+a stride of the seeds, and collects their metrics in seed order.  The
+workers fork through ``ahead.forked``, as the split does, and post their
+metrics back over a pipe.  The artifacts are byte-identical to a serial
+run; one usable CPU (``taskset -c 0``) runs every seed in process.
 
 One untraced seed with a second usable CPU is split instead
 (``ahead``): the senders and DC1 are the topology's feed-forward group.
@@ -44,8 +45,8 @@ process writes its trace.
 
 from __future__ import annotations
 
-import itertools
 import os
+from functools import partial
 
 from . import metrics, netsim
 from .egress import EgressRecovery
@@ -120,7 +121,7 @@ def run_seed(cfg: Scenario, seed: int, trace_path: str | None = None,
 
 def _worker_count(n_seeds: int) -> int:
     """Processes to run n_seeds on: one per seed, at most one per usable CPU."""
-    if not hasattr(os, "fork"):  # the pool needs the fork start method
+    if not hasattr(os, "fork"):  # seed workers and the split both fork
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -129,21 +130,18 @@ def _worker_count(n_seeds: int) -> int:
     return min(n_seeds, cpus)
 
 
-def _run_seed_job(cfg: Scenario, seed: int, trace_path: str | None) -> metrics.RunMetrics:
-    # sent to workers by name; run_seed is looked up when the job runs,
-    # so a replaced runner.run_seed (which may not pickle) runs there too
-    return run_seed(cfg, seed, trace_path)
-
-
 def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
                  trace: bool = False) -> list[metrics.RunMetrics]:
     """Run every seed and write the artifact set into out_dir.
 
     With more than one seed and more than one usable CPU, the seeds run
-    in forked worker processes; their metrics come back in seed order, so
-    the artifacts are the same as a serial run's.  An exception raised by
-    a seed reaches the caller with its type and message.  Repeated seeds
-    raise ValueError, since they would share a trace file.
+    in forked worker processes (``ahead.forked``), worker w of n taking
+    every n-th seed from the w-th; their metrics come back in seed order,
+    so the artifacts are the same as a serial run's.  An exception raised
+    by a seed reaches the caller with its type and message, a worker that
+    dies before posting its seeds' metrics raises RuntimeError, and no
+    worker outlives the call.  Repeated seeds raise ValueError, since
+    they would share a trace file.
     """
     seeds = list(seeds) if seeds else list(cfg.seeds)
     if len(set(seeds)) != len(seeds):
@@ -153,17 +151,18 @@ def run_scenario(cfg: Scenario, out_dir: str, seeds: list[int] | None = None,
                    for seed in seeds]
     workers = _worker_count(len(seeds))
     if workers > 1:
-        # imported here so a serial run and a cold import of this module
-        # do not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from . import ahead  # imported, and so compiled, only to fork
 
-        # fork: workers skip the cold import and see the modules as the
-        # caller left them, replaced attributes included.  The pool forks
-        # before it starts its own threads, and caspr starts none.
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            runs = list(pool.map(_run_seed_job, itertools.repeat(cfg), seeds, trace_paths))
+        def stride(w, out):
+            # a forked child sees the module as the caller left it, so a
+            # replaced run_seed (which need not pickle) runs here too
+            for seed, path in zip(seeds[w::workers], trace_paths[w::workers]):
+                ahead.post(out, run_seed(cfg, seed, path))
+
+        # seed i's metrics are the (i // workers)-th post of worker i % workers
+        runs = ahead.forked([partial(stride, w) for w in range(workers)],
+                            lambda inputs: [ahead.receive(inputs[i % workers])
+                                            for i in range(len(seeds))])
     else:
         # one untraced seed splits when a second CPU can take the
         # senders and DC1

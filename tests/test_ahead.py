@@ -292,6 +292,6 @@ def test_a_failing_side_raises_its_error_and_leaves_no_process(
     if hasattr(raised.value, "add_note"):  # Python 3.11+
         # an error from the forked process carries its traceback
         noted = "".join(getattr(raised.value, "__notes__", []))
-        assert ("in the ahead process" in noted) == (cls is endpoint.Sender)
+        assert ("in a forked process" in noted) == (cls is endpoint.Sender)
     assert len(forked) == 1
     assert_reaped()

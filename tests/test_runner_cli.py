@@ -5,6 +5,7 @@ import csv
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import weakref
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 from _stub import unit_scenario
+from test_ahead import assert_reaped
 from caspr import egress, endpoint, ingress, metrics, netsim, runner, scenario, wire
 from caspr.cli import main
 from caspr.runner import InvariantViolation, run_scenario, run_seed
@@ -375,6 +377,34 @@ def test_worker_exception_keeps_type_and_message(tmp_path, monkeypatch):
         run_scenario(tiny(), str(tmp_path / "r"))
     assert type(info.value) is InvariantViolation
     assert str(info.value) == "link dc1>dc2: bytes not conserved"
+    assert_reaped()
+
+
+@pytest.mark.parametrize("dying", [1, 3])  # a worker's first seed, or its second
+def test_a_worker_that_dies_without_its_metrics_raises(tmp_path, monkeypatch, dying):
+    # seeds 1 and 3 go to the first of two workers, seed 2 to the second;
+    # a dead worker must neither hang the call nor outlive it
+    workers(monkeypatch, 2)
+    original = runner.run_seed
+
+    def run_seed(cfg, seed, trace_path=None):
+        if seed == dying:
+            os._exit(3)
+        return original(cfg, seed, trace_path)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_scenario still waits on a dead worker")
+
+    monkeypatch.setattr(runner, "run_seed", run_seed)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="ended without its result"):
+            run_scenario(tiny(seeds=[1, 2, 3]), str(tmp_path / "r"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_reaped()
 
 
 def test_cli_run_exits_1_on_invariant_violation_in_a_worker(tmp_path, monkeypatch, capsys):
@@ -560,19 +590,26 @@ sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 sys.modules["dataclasses"] = None  # and so does any import of dataclasses
 sys.modules["yaml"] = None  # and of PyYAML
 import caspr.cli, caspr.runner
-from caspr import codec
+from caspr import codec, scenario
+# two workers whatever the host: the one-seed runs split, the two-seed
+# run pools its seeds
+caspr.runner._worker_count = lambda n_seeds: min(n_seeds, 2)
 run = ["run", "short_flow_nack_economy", "--seed", "21", "--set", "duration_s=5"]
 rc = caspr.cli.main([*run, "--out", "out"])
 decode_matrices = codec._decode_matrix.cache_info().misses
+cfg = scenario.load(scenario.bundled_path("short_flow_nack_economy"),
+                    ["duration_s=3", "cooldown_s=1"])
+pooled = [m.seed for m in caspr.runner.run_scenario(cfg, "pooled", [21, 22])]
 # taken before this script imports json for its own output
 loaded = [m for m in sys.modules if sys.modules[m] is not None]
 traced_rc = caspr.cli.main([*run, "--out", "traced", "--trace"])
 # derive_rng needs hashlib (and OpenSSL) only where the builtin SHA-256 is missing
-unwanted = {"numpy", "json", "inspect", "yaml"}
+unwanted = {"numpy", "json", "inspect", "yaml", "multiprocessing", "concurrent"}
 if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
     unwanted.add("hashlib")
-import json
+import json, threading
 print(json.dumps({"rc": rc, "traced_rc": traced_rc, "decode_matrices": decode_matrices,
+                  "pooled": pooled, "threads": threading.active_count(),
                   "files": sorted(os.listdir("out")),
                   "traced_files": sorted(os.listdir("traced")),
                   "unwanted": sorted(m for m in loaded if m.split(".")[0] in unwanted)}))
@@ -586,7 +623,8 @@ def test_a_run_never_imports_numpy(tmp_path):
     # also skips dataclasses (which pulls in inspect), PyYAML (scenario
     # files parse in caspr.scenario), hashlib where the builtin SHA-256
     # exists and, without --trace, json; a traced run imports json and
-    # writes its trace
+    # writes its trace.  A split or pooled run forks through caspr.ahead,
+    # with no multiprocessing, concurrent.futures or thread
     src = os.path.dirname(os.path.dirname(runner.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_BLOCKED_RUN], cwd=tmp_path,
@@ -596,6 +634,8 @@ def test_a_run_never_imports_numpy(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == got["traced_rc"] == 0
     assert got["decode_matrices"] > 0
+    assert got["pooled"] == [21, 22]
+    assert got["threads"] == 1
     assert {"summary.csv", "episodes.csv", "fec_whatif.csv", "cost.csv"} <= set(got["files"])
     assert got["unwanted"] == []
     assert set(got["traced_files"]) == set(got["files"]) | {"trace-seed21.jsonl"}
